@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 FAMILIES = ("x", "y", "z", "t")
@@ -353,9 +353,6 @@ class Polynomial:
     def max_order(self) -> int:
         return max((v[1] for m in self.terms for v in mono_vars(m)), default=-1)
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def degree_in(self, v: Var) -> int:
         deg = 0
         for m in self.terms:
@@ -363,9 +360,6 @@ class Polynomial:
                 if w == v:
                     deg = max(deg, e)
         return deg
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get(ONE_MONO, self.field.zero)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -567,16 +561,6 @@ class Polynomial:
                 total = f.add(total, val)
         return total
 
-    def shift_orders(self, family_shift: Mapping[str, int]) -> "Polynomial":
-        """Raise the order of every variable by a per-family offset."""
-        terms: dict[Mono, Scalar] = {}
-        for m, c in self.terms.items():
-            mm = mono_from_pairs(
-                (((fam, order + family_shift.get(fam, 0)), e) for (fam, order), e in m)
-            )
-            terms[mm] = c
-        return Polynomial(self.field, terms)
-
     # -- printing / parsing -------------------------------------------
 
     def __str__(self) -> str:
@@ -768,10 +752,6 @@ class RationalExpression:
     @property
     def field(self) -> Field:
         return self.num.field
-
-    @staticmethod
-    def of_poly(p: Polynomial) -> "RationalExpression":
-        return RationalExpression(p)
 
     @staticmethod
     def of_var(field: Field, v: Var) -> "RationalExpression":

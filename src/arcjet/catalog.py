@@ -9,10 +9,10 @@ between component candidates are generated and replayed here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .algebra import Field, Polynomial, Var, format_poly, mono_vars, parse_poly, var, var_name
+from .algebra import Field, Polynomial, Var, format_poly, parse_poly, var, var_name
 from .hasse import JetSystem
 from .driver import (
     CoverDirective,
@@ -25,7 +25,6 @@ from .strata import (
     Stratum,
     forced_vanishing,
     nonvanishing_evidence,
-    rule_instance,
 )
 
 SUPPORTED_CHARS = (0, 2, 3, 5, 7)
@@ -379,16 +378,6 @@ class PairVerdict:
     certificate: Optional[WitnessCertificate]
 
 
-def _is_unit_value(chart: Stratum, p: Polynomial) -> bool:
-    """True when the simplified value is a nonzero constant times a monomial
-    in declared-unit coordinates: identically nonvanishing on the chart."""
-    if len(p.terms) != 1:
-        return False
-    mono = next(iter(p.terms))
-    units = chart.unit_vars()
-    return all(v in units for v in mono_vars(mono))
-
-
 def _unit_vs_zero(
     sys: JetSystem, a: Stratum, b: Stratum, ai: int, bi: int
 ) -> Optional[WitnessCertificate]:
@@ -404,7 +393,7 @@ def _unit_vs_zero(
         val = a.simplify(g)
         if val.is_zero():
             continue
-        if _is_unit_value(a, val):
+        if a.is_unit_monomial(val):
             return WitnessCertificate(
                 container=bi,
                 excluded=ai,
@@ -450,7 +439,7 @@ def _equal_dimension_cert(
         return None
     for v in sorted(a.zero_vars, key=lambda v: (v[1], v[0])):
         ev = nonvanishing_evidence(sys, b, v)
-        if ev in ("unit", "relation"):
+        if ev == "unit":
             return WitnessCertificate(
                 container=bi,
                 excluded=ai,

@@ -11,9 +11,10 @@ Subcommands:
 Every report is a single JSON document (sections: congruences, components,
 noninclusion, coverage, graph) with a human summary on stdout.  Exit code
 0 means every check passed, 1 means a check failed (the report says
-which), 2 is a usage error.  Identical invocations produce byte-identical
-artifacts; `verify --all` can fan out across processes via the
-ARCJET_WORKERS environment variable.
+which) or a preset, equation, coordinate or characteristic was malformed
+(a JSON error object), 2 is a usage error.  Identical invocations produce
+byte-identical artifacts; `verify --all` can fan out across processes via
+the ARCJET_WORKERS environment variable.
 """
 
 from __future__ import annotations
@@ -26,30 +27,31 @@ import sys as _sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .algebra import Field, Polynomial, format_poly, parse_poly, var, var_name
+from .algebra import Field, Polynomial, Var, format_poly, parse_poly, var, var_name
 from .catalog import (
     PresetError,
     SingularityPreset,
     components,
-    legal_variants,
     noninclusion_matrix,
     preset,
     preset_grid,
-    supported_chars,
     verify_congruence_table,
 )
-from .driver import run_driver
+from .driver import StratificationTree, run_driver
 from .hasse import JetSystem
 from .jetgraph import build_graph, export, simple_branch_check
 from .oracle import (
     OracleError,
-    coverage_check,
     enumerate_fiber,
     exclusive_cover_check,
     probe_field,
     split_partition_check,
     truncated_leaves,
 )
+
+
+class InputError(ValueError):
+    """A malformed equation, coordinate or characteristic on the command line."""
 
 
 def _jsonable(obj):
@@ -94,20 +96,28 @@ def _add_preset_flags(p: argparse.ArgumentParser, required: bool = True) -> None
 # -- derive -----------------------------------------------------------------
 
 
+def _equation_system(text: str, char: int) -> JetSystem:
+    try:
+        return JetSystem(parse_poly(text, Field(char)))
+    except ValueError as exc:
+        raise InputError(f"bad equation {text!r} in characteristic {char}: {exc}") from None
+
+
+def _coordinate(name: str) -> Var:
+    try:
+        return var(name[0], int(name[1:]) if len(name) > 1 else 0)
+    except (ValueError, IndexError):
+        raise InputError(f"bad coordinate {name!r}") from None
+
+
 def cmd_derive(args) -> int:
     if args.equation:
-        field = Field(args.char)
-        f = parse_poly(args.equation, field)
-    elif args.kind:
-        f = _preset_from_args(args).equation
+        sysm = _equation_system(args.equation, args.char)
     else:
-        raise SystemExit("derive needs --equation or --kind")
-    sysm = JetSystem(f)
+        sysm = _preset_from_args(args).system()
     zeros = []
     if args.reduce:
-        for name in args.reduce.split(","):
-            name = name.strip()
-            zeros.append(var(name[0], int(name[1:]) if len(name) > 1 else 0))
+        zeros = [_coordinate(name.strip()) for name in args.reduce.split(",")]
     lines = []
     for m in range(args.level + 1):
         d = sysm.derivative(m)
@@ -121,8 +131,7 @@ def cmd_derive(args) -> int:
 # -- components -------------------------------------------------------------
 
 
-def _component_inventory(pr: SingularityPreset) -> dict:
-    tree = components(pr)
+def _component_inventory(pr: SingularityPreset, tree: StratificationTree) -> dict:
     entries = []
     for comp in tree.components:
         chart = tree.chart_of(comp).stratum
@@ -143,7 +152,8 @@ def _component_inventory(pr: SingularityPreset) -> dict:
 
 
 def cmd_components(args) -> int:
-    inv = _component_inventory(_preset_from_args(args))
+    pr = _preset_from_args(args)
+    inv = _component_inventory(pr, components(pr))
     _emit(json.dumps(_jsonable(inv), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -173,8 +183,8 @@ def _oracle_section(pr: SingularityPreset, p: int, m: int, budget: int) -> dict:
     tree = run_driver(sysm, pr.script, max_level=m)
     target = probe_field(pr.equation.field, p)
     leaves = truncated_leaves(sysm, tree, m, target)
-    uncovered = coverage_check(pts, [t for _, t in leaves])
     exclusive = exclusive_cover_check(pts, tree, leaves)
+    uncovered = exclusive["uncovered"]
     partition = split_partition_check(sysm, tree, pts, m, target)
     return {
         "prime": p,
@@ -190,14 +200,11 @@ def _oracle_section(pr: SingularityPreset, p: int, m: int, budget: int) -> dict:
 def cmd_oracle(args) -> int:
     pr = _preset_from_args(args)
     p = args.p or pr.char
-    if not p:
-        raise SystemExit("--p is required for characteristic-0 presets")
     if args.check == "counts":
         pts = enumerate_fiber(pr.equation, p, args.level, budget=args.budget)
         report = {"preset": pr.label, "prime": p, "level": args.level, "points": len(pts), "ok": True}
     else:
         section = _oracle_section(pr, p, args.level, args.budget)
-        key = "uncovered" if args.check == "coverage" else "partition"
         report = {"preset": pr.label, **section}
         report["ok"] = (section["uncovered"] == 0 and section["exclusive"]) if args.check == "coverage" else section["partition"]
     _emit(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", args.out)
@@ -237,8 +244,8 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
         "ok": congr["ok"],
     }
     try:
-        inv = _component_inventory(pr)
-        tree = run_driver(pr.system(), pr.script, pr.max_level)
+        tree = components(pr)
+        inv = _component_inventory(pr, tree)
         count_ok = inv["count"] == inv["expected"]
     except PresetError as exc:
         report["components"] = {"ok": False, "error": str(exc)}
@@ -314,19 +321,22 @@ def cmd_verify(args) -> int:
 # -- argument plumbing ------------------------------------------------------
 
 
-def _apply_config(argv: list[str]) -> list[str]:
+def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Expand `--config FILE` (key = value lines) into leading flags so
     explicit command-line flags still win."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise SystemExit(2)
+    if i + 1 == len(argv):
+        ap.error("--config needs a file")
+    path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     injected: list[str] = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        ap.error(f"cannot read config file {path}: {exc.strerror}")
+    with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -393,12 +403,16 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     ap = make_parser()
-    args = ap.parse_args(_apply_config(argv))
+    args = ap.parse_args(_apply_config(ap, argv))
     if args.command == "verify" and not args.all and not args.kind:
         ap.error("verify needs --kind or --all")
+    if args.command == "derive" and not args.equation and not args.kind:
+        ap.error("derive needs --equation or --kind")
+    if args.command == "oracle" and not args.p and not args.char:
+        ap.error("--p is required for characteristic-0 presets")
     try:
         return args.func(args)
-    except (PresetError, OracleError) as exc:
+    except (PresetError, OracleError, InputError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}, sort_keys=True))
         return 1
 

@@ -16,7 +16,7 @@ remaining moves are canonical and recomputed from the equation itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     Polynomial,
@@ -33,6 +33,7 @@ from .strata import (
     Move,
     Stratum,
     add_equation,
+    closure_contains,
     eliminate_tail,
     find_pivot,
     force_vanish,
@@ -111,14 +112,6 @@ class StratificationTree:
     def chart_of(self, comp: Component) -> Node:
         return self.nodes[comp.chart_nodes[0]]
 
-    def path_to_root(self, nid: int) -> list[Node]:
-        out = []
-        cur: Optional[int] = nid
-        while cur is not None:
-            out.append(self.nodes[cur])
-            cur = self.nodes[cur].parent
-        return out
-
 
 def run_driver(
     sys: JetSystem,
@@ -179,10 +172,6 @@ def _process(
         if loose:
             _do_split(sys, script, tree, node, s, loose[-1], n)
             return node
-        single = _single_var_power(q)
-        if single is not None:
-            s = force_vanish(s, single, n, "radical")
-            continue
         if mono_vars(content):
             # a unit monomial times a relation: impose the relation
             s = add_equation(s, q, n)
@@ -205,15 +194,6 @@ def _process(
                 return node
         _do_cover(sys, script, tree, node, s, n, q, directive)
         return node
-
-
-def _single_var_power(q: Polynomial) -> Optional[Var]:
-    if len(q.terms) != 1:
-        return None
-    mono = next(iter(q.terms))
-    if len(mono) == 1:
-        return mono[0][0]
-    return None
 
 
 def _do_split(sys, script, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
@@ -355,8 +335,6 @@ def _do_cover(
     if len(unit_sets) == 1 and len(unit_sets[0]) > 1:
         if not terminal:
             raise EngineError("product localization requires a terminal cover")
-        from .algebra import mono_from_pairs
-
         residual = replace(
             s,
             zero_monomials=s.zero_monomials
@@ -392,11 +370,9 @@ def _auto_cover(s: Stratum, q: Polynomial) -> tuple[tuple[Var, ...], ...]:
     """Derive localization sets: any coordinate of a mixed monomial whose
     inversion produces a pivot gets its own chart; for pure-power equations
     a single chart at the highest-exponent workable coordinate suffices."""
-    from .algebra import Polynomial as P
-
     candidates = []
     for v in sorted(q.variables(), key=_split_key, reverse=True):
-        probe = replace(s, units=s.units + (P.variable(q.field, v),))
+        probe = replace(s, units=s.units + (Polynomial.variable(q.field, v),))
         if find_pivot(probe, q) is not None:
             candidates.append(v)
     if not candidates:
@@ -433,15 +409,12 @@ def _normalize(s: Stratum) -> Stratum:
             content = r.content_monomial()
             body = r.divide_monomial(content)
             loose = [v for v in mono_vars(content) if v not in uv]
-            single = _single_var_power(body)
             if len(body.terms) == 1 and not next(iter(body.terms)) and len(loose) == 1:
-                s = replace(s, zero_vars=s.zero_vars | {loose[0]})
-                s = replace(s, equations=tuple(e for j, e in enumerate(eqs) if j != i))
-                changed = True
-                break
-            if single is not None and not loose and single not in uv:
-                s = replace(s, zero_vars=s.zero_vars | {single})
-                s = replace(s, equations=tuple(e for j, e in enumerate(eqs) if j != i))
+                s = replace(
+                    s,
+                    zero_vars=s.zero_vars | {loose[0]},
+                    equations=tuple(e for j, e in enumerate(eqs) if j != i),
+                )
                 changed = True
                 break
             kept.append(eq)
@@ -452,30 +425,16 @@ def _normalize(s: Stratum) -> Stratum:
 
 
 def _absorb_residuals(sys: JetSystem, tree: StratificationTree) -> None:
-    """Attach each terminal residual to a component whose closure visibly
-    contains it (vanishing coordinates refine the chart's, the chart's
-    relations vanish on the residual)."""
+    """Attach each terminal residual to a component whose chart's closure
+    visibly contains it (``closure_contains``: the chart's vanishing
+    coordinates and relations all vanish on the residual)."""
     for node in tree.residuals():
         target = None
         for comp in reversed(tree.components):
             chart = tree.chart_of(comp)
-            if _closure_contains(chart.stratum, node.stratum):
+            if closure_contains(chart.stratum, node.stratum, sys.field):
                 target = comp.index
                 break
         node.absorbed_into = target
         if target is None:
             node.note += " (no absorbing component found)"
-
-
-def _closure_contains(chart: Stratum, residual: Stratum) -> bool:
-    if not chart.zero_vars <= residual.zero_vars:
-        return False
-    res_rules = rewrite_rules_for(
-        tuple(e.reduce_mod_vars(residual.zero_vars) for e in residual.equations)
-    )
-    for eq in chart.equations:
-        if eq in residual.equations:
-            continue
-        if rewrite(eq.reduce_mod_vars(residual.zero_vars), res_rules):
-            return False
-    return True

@@ -18,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebra import (
-    Field,
-    Mono,
-    Polynomial,
-    Var,
-    mono_vars,
-    var,
-    var_key,
-)
+from .algebra import Polynomial, Var, var
 
 
 class JetSystem:
@@ -51,9 +43,6 @@ class JetSystem:
             self._derivs.append(self._compute(len(self._derivs)))
         return self._derivs[m]
 
-    def derivatives(self, up_to: int) -> list[Polynomial]:
-        return [self.derivative(m) for m in range(up_to + 1)]
-
     def _compute(self, m: int) -> Polynomial:
         out = Polynomial.zero(self.field)
         for mono, c in self.f.terms.items():
@@ -63,14 +52,7 @@ class JetSystem:
         return out
 
     def _power_list(self, fam: str, e: int, up_to: int) -> list[Polynomial]:
-        key = (fam, e)
-        lst = self._pow_lists.get(key)
-        if lst is None:
-            if e == 1:
-                lst = []
-            else:
-                lst = []
-            self._pow_lists[key] = lst
+        lst = self._pow_lists.setdefault((fam, e), [])
         # extend on demand
         if e == 1:
             while len(lst) <= up_to:

@@ -17,10 +17,10 @@ flagged in the report rather than merged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra import Field, Polynomial, format_poly, mono_vars, var_name
-from .driver import Script, StratificationTree, run_driver
+from .driver import Script, run_driver
 from .hasse import JetSystem
 from .oracle import (
     TruncatedStratum,
@@ -28,7 +28,7 @@ from .oracle import (
     stratum_membership,
     truncate_stratum,
 )
-from .strata import Stratum
+from .strata import closure_contains
 
 
 def restrict_descriptor(d: TruncatedStratum, m: int) -> TruncatedStratum:
@@ -46,25 +46,8 @@ def restrict_descriptor(d: TruncatedStratum, m: int) -> TruncatedStratum:
 
 
 def descriptor_contains(b: TruncatedStratum, a: TruncatedStratum) -> bool:
-    """Does the closure of ``b`` contain ``a``?  (Sound syntactic test:
-    unit constraints of ``b`` drop away in the closure; every closed
-    constraint of ``b`` must already hold on ``a``.)"""
-    sa = Stratum(
-        zero_vars=a.zero_vars,
-        equations=a.equations,
-        zero_monomials=a.zero_monomials,
-    )
-    f = a.field
-    for v in b.zero_vars:
-        if v not in a.zero_vars and sa.simplify(Polynomial.variable(f, v)):
-            return False
-    for mm in b.zero_monomials:
-        if mm not in a.zero_monomials and sa.simplify(Polynomial.monomial(f, mm)):
-            return False
-    for e in b.equations:
-        if e not in a.equations and sa.simplify(e):
-            return False
-    return True
+    """Does the closure of ``b`` contain ``a``?  (See ``closure_contains``.)"""
+    return closure_contains(b, a, a.field)
 
 
 def descriptor_key(d: TruncatedStratum) -> tuple:
@@ -77,12 +60,6 @@ def descriptor_key(d: TruncatedStratum) -> tuple:
         tuple(sorted(format_poly(u) for u in d.units)),
         tuple(sorted(format_poly(e) for e in d.equations)),
     )
-
-
-def truncate(sys: JetSystem, s: Stratum, m: int) -> TruncatedStratum:
-    """Descriptor of one component chart at level ``m`` (solved
-    elimination instances below the level included as equations)."""
-    return truncate_stratum(sys, s, m)
 
 
 @dataclass(frozen=True)
@@ -214,10 +191,7 @@ def build_graph(
                 for p in ps:
                     if p ** (3 * m) > _PROBE_BUDGET:
                         continue
-                    try:
-                        pts = enumerate_fiber(sys.f, p, m)
-                    except Exception:
-                        continue
+                    pts = enumerate_fiber(sys.f, p, m)
                     tested = True
                     si = {pt for pt in pts if stratum_membership(pt, di)}
                     sj = {pt for pt in pts if stratum_membership(pt, dj)}

@@ -9,7 +9,7 @@ of the remaining free coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -19,7 +19,6 @@ from .algebra import (
     RationalExpression,
     Var,
     format_poly,
-    mono_key,
     mono_vars,
     var_key,
     var_name,
@@ -109,6 +108,30 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
                 acc = acc + term
             p = acc
     return p
+
+
+def closure_contains(b, a, field: Field) -> bool:
+    """Does the closure of ``b`` contain ``a``?
+
+    ``a`` and ``b`` are strata or truncated strata.  Sound syntactic test:
+    unit constraints of ``b`` drop away in the closure, and every closed
+    constraint of ``b`` (vanishing coordinate, vanishing monomial, equation)
+    must already hold on ``a``, i.e. reduce to zero modulo ``a``'s zero
+    coordinates and the rewrite rules of ``a``'s reduced equations.
+    """
+    rules = rewrite_rules_for(tuple(e.reduce_mod_vars(a.zero_vars) for e in a.equations))
+
+    def vanishes(p: Polynomial) -> bool:
+        return not rewrite(p.reduce_mod_vars(a.zero_vars), rules)
+
+    return (
+        all(v in a.zero_vars or vanishes(Polynomial.variable(field, v)) for v in b.zero_vars)
+        and all(
+            mm in a.zero_monomials or vanishes(Polynomial.monomial(field, mm))
+            for mm in b.zero_monomials
+        )
+        and all(e in a.equations or vanishes(e) for e in b.equations)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +589,13 @@ def nonvanishing_evidence(
 ) -> Optional[str]:
     """Why does the coordinate not vanish identically on the chart?
 
-    Returns one of "unit", "relation", "free", "eliminated-nonzero", or
+    Returns one of "unit", "free", "eliminated-nonzero", or
     None when no evidence is found (e.g. the coordinate is zero there).
     """
     if v in chart.zero_vars:
         return None
     if v in chart.unit_vars():
         return "unit"
-    uv = chart.unit_vars()
-    for eq in chart.equations:
-        if v in eq.variables() and len(eq.terms) == 2:
-            monos = list(eq.terms)
-            for lead, other in (monos, list(reversed(monos))):
-                if mono_vars(lead) == (v,) and all(w in uv for w in mono_vars(other)):
-                    return "relation"
     rule = _rule_solving(chart, v)
     if rule is None:
         return "free"

@@ -5,6 +5,7 @@ same ground at finer grain.  Each test prints PASS/FAIL to the real stdout
 so the verdict survives pytest's capture.
 """
 
+import hashlib
 import random
 import time
 from itertools import product
@@ -24,7 +25,7 @@ from arcjet.catalog import (
 from arcjet.cli import main as cli_main
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem, congruence_shape, frontier_of, linearize, series_oracle
-from arcjet.jetgraph import build_graph, simple_branch_check
+from arcjet.jetgraph import build_graph, export, simple_branch_check
 from arcjet.oracle import (
     coverage_check,
     enumerate_fiber,
@@ -335,6 +336,11 @@ def test_criterion_6_oracle_coverage_partition():
 # 7 ── chain structure of the level graph at depth 35 ------------------------
 
 
+# sha256 of `arcjet graph --kind E8 --char 0 --max-level 35 --format json`
+# as printed (export text plus the trailing newline the CLI adds)
+E8_CHAR0_GRAPH_SHA256 = "340d931536fde49d6ab3d02b9d75a4e7fc9433b31b06340744cb55dddc1220c3"
+
+
 def test_criterion_7_graph_window():
     cases = [("", 0)] + [(h, 2) for h in legal_variants("E8", 8, 2)]
     problems = []
@@ -344,6 +350,10 @@ def test_criterion_7_graph_window():
         g = build_graph(JetSystem(pr.equation), pr.script, 35)
         check = simple_branch_check(g)
         label = pr.label
+        if (h, char) == ("", 0):
+            digest = hashlib.sha256((export(g, "json") + "\n").encode()).hexdigest()
+            if digest != E8_CHAR0_GRAPH_SHA256:
+                problems.append(f"{label}: JSON export sha256 {digest}")
         if not check["ok"] or check["chain_count"] != 8:
             problems.append(f"{label}: chains={check['chain_count']} ok={check['ok']}")
             continue
@@ -365,16 +375,21 @@ def test_criterion_7_graph_window():
 # 8 ── byte-identical full verification runs ---------------------------------
 
 
+VERIFY_ALL_SHA256 = "0e252f0f4bc3ce6d911abfc8758b6c446dffd41b720683d2f2dca7d53a5d56df"
+
+
 def test_criterion_8_determinism(tmp_path):
     out1, out2 = tmp_path / "run1.json", tmp_path / "run2.json"
     code1 = cli_main(["verify", "--all", "--out", str(out1)])
     code2 = cli_main(["verify", "--all", "--out", str(out2)])
     same = out1.read_bytes() == out2.read_bytes()
-    ok = code1 == 0 and code2 == 0 and same
+    digest = hashlib.sha256(out1.read_bytes()).hexdigest()
+    golden = digest == VERIFY_ALL_SHA256
+    ok = code1 == 0 and code2 == 0 and same and golden
     verdict(
         8,
         ok,
-        "two consecutive `verify --all` runs byte-identical and passing"
+        "two consecutive `verify --all` runs byte-identical, passing and golden"
         if ok
-        else f"codes=({code1},{code2}) identical={same}",
+        else f"codes=({code1},{code2}) identical={same} sha256={digest}",
     )

@@ -123,3 +123,36 @@ def test_config_explicit_flags_win(capsys, tmp_path):
     code, out = run(capsys, "verify", "--config", str(cfg), "--n", "3")
     assert code == 0
     assert json.loads(out)["preset"] == "A3(char 0)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--equation", "z^2 + x*"],
+        ["derive", "--equation", "z^2 + x*y", "--reduce", "q0"],
+        ["derive", "--equation", "z^2 + x*y", "--char", "4"],
+    ],
+    ids=["parse-error", "bad-coordinate", "non-prime-char"],
+)
+def test_malformed_input_is_a_json_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--config", "{missing}"],
+        ["derive"],
+        ["oracle", "--kind", "A", "--n", "1"],
+    ],
+    ids=["missing-config", "derive-without-input", "oracle-char0-without-p"],
+)
+def test_usage_errors_exit_2(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing.cfg") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -12,8 +12,8 @@ from arcjet.jetgraph import (
     import_json,
     restrict_descriptor,
     simple_branch_check,
-    truncate,
 )
+from arcjet.oracle import truncate_stratum
 from arcjet.strata import root_stratum
 
 
@@ -65,7 +65,7 @@ def test_descriptor_restriction_and_containment():
     pr = preset("A", n=1, char=0)
     sys = JetSystem(pr.equation)
     s = root_stratum(sys.field)
-    d6 = truncate(sys, s, 6)
+    d6 = truncate_stratum(sys, s, 6)
     d3 = restrict_descriptor(d6, 3)
     assert d3.level == 3
     assert all(v[1] <= 3 for v in d3.zero_vars)

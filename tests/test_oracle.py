@@ -1,5 +1,6 @@
 """Brute-force finite-field fiber enumeration and cover/partition audits."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from arcjet.oracle import (
     truncate_stratum,
     truncated_leaves,
 )
+from arcjet.strata import closure_contains
 
 
 def brute_points(f, p, m):
@@ -148,3 +150,30 @@ def test_stratum_membership_basics():
     pts = enumerate_fiber(pr.equation, 2, 2)
     hits = {pt: sum(1 for _, T in leaves if stratum_membership(pt, T)) for pt in pts}
     assert all(c >= 1 for c in hits.values())
+
+
+@pytest.mark.parametrize(
+    "kind,n,p,m", [("A", 2, 3, 3), ("D", 2, 2, 5), ("E8", 0, 2, 6)]
+)
+def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
+    """Whenever the closure test says closure(b) contains a, every F_p point
+    of a's truncation satisfies b's closed constraints (zero coordinates,
+    zero monomials, equations; b's units drop away in the closure)."""
+    pr = preset(kind, n=n, char=p)
+    sys = JetSystem(pr.equation)
+    tree = run_driver(sys, pr.script, max_level=m)
+    target = probe_field(pr.equation.field, p)
+    leaves = [T for _, T in truncated_leaves(sys, tree, m, target)]
+    pts = enumerate_fiber(pr.equation, p, m)
+    members = [[pt for pt in pts if stratum_membership(pt, T)] for T in leaves]
+    proper = 0
+    for i, b in enumerate(leaves):
+        assert closure_contains(b, b, target)
+        closed = replace(b, units=())
+        for j, (a, a_pts) in enumerate(zip(leaves, members)):
+            if not closure_contains(b, a, target):
+                continue
+            proper += i != j
+            bad = [pt for pt in a_pts if not stratum_membership(pt, closed)]
+            assert not bad, (i, j, bad[:3])
+    assert proper, "no containment between distinct leaves was exercised"
