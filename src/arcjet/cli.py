@@ -183,7 +183,7 @@ def _oracle_section(pr: SingularityPreset, p: int, m: int, budget: int) -> dict:
     tree = run_driver(sysm, pr.script, max_level=m)
     target = probe_field(pr.equation.field, p)
     leaves = truncated_leaves(sysm, tree, m, target)
-    exclusive = exclusive_cover_check(pts, tree, leaves)
+    exclusive = exclusive_cover_check(pts, leaves)
     uncovered = exclusive["uncovered"]
     partition = split_partition_check(sysm, tree, pts, m, target)
     return {
@@ -321,6 +321,22 @@ def cmd_verify(args) -> int:
 # -- argument plumbing ------------------------------------------------------
 
 
+def _level_at_least(low: int):
+    """An argparse type for a level flag: an integer no smaller than ``low``
+    (anything else is a usage error, exit 2)."""
+
+    def level(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid level {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"level must be at least {low}, got {value}")
+        return value
+
+    return level
+
+
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Expand `--config FILE` (key = value lines) into leading flags so
     explicit command-line flags still win."""
@@ -361,7 +377,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="print derivative levels")
     _add_preset_flags(p, required=False)
     p.add_argument("--equation", default="", help="raw equation text instead of a preset")
-    p.add_argument("--level", type=int, default=8)
+    p.add_argument("--level", type=_level_at_least(0), default=8)
     p.add_argument("--reduce", default="", help="comma list of coordinates to zero out")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_derive)
@@ -373,7 +389,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build and export the level graph")
     _add_preset_flags(p)
-    p.add_argument("--max-level", type=int, default=16)
+    p.add_argument("--max-level", type=_level_at_least(1), default=16)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_graph)
@@ -381,7 +397,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="finite-field brute-force checks")
     _add_preset_flags(p)
     p.add_argument("--p", type=int, default=0, help="probe prime (defaults to preset characteristic)")
-    p.add_argument("--level", type=int, default=3)
+    p.add_argument("--level", type=_level_at_least(0), default=3)
     p.add_argument("--check", choices=("counts", "coverage", "partition"), default="coverage")
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--out", default="")
@@ -393,7 +409,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--char", type=int, default=0)
     p.add_argument("--variant", default="")
-    p.add_argument("--graph-level", type=int, default=0, help="also build the level graph to this level")
+    p.add_argument(
+        "--graph-level",
+        type=_level_at_least(0),
+        default=0,
+        help="also build the level graph to this level (0: no graph)",
+    )
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_verify)
 

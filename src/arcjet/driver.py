@@ -30,7 +30,6 @@ from .algebra import (
 from .hasse import JetSystem
 from .strata import (
     EngineError,
-    Move,
     Stratum,
     add_equation,
     closure_contains,
@@ -38,8 +37,6 @@ from .strata import (
     find_pivot,
     force_vanish,
     next_nontrivial,
-    rewrite,
-    rewrite_rules_for,
     root_stratum,
     split,
     _split_key,
@@ -119,7 +116,7 @@ def run_driver(
     max_level: int = 64,
 ) -> StratificationTree:
     tree = StratificationTree(nodes=[], components=[], max_level=max_level)
-    _process(sys, script, tree, root_stratum(sys.field), level=1, parent=None)
+    _process(sys, script, tree, root_stratum(), level=1, parent=None)
     _absorb_residuals(sys, tree)
     return tree
 
@@ -164,7 +161,7 @@ def _process(
                 node.note = f"level {n} forces a unit to vanish"
                 return node
             if len(loose) == 1:
-                s = force_vanish(s, loose[0], n, "radical")
+                s = force_vanish(s, loose[0], n)
                 continue
             _do_split(sys, script, tree, node, s, loose[-1], n)
             return node
@@ -197,7 +194,7 @@ def _process(
 
 
 def _do_split(sys, script, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
-    open_part, closed_part = split(s, v, n, sys.field)
+    open_part, closed_part = split(s, v, sys.field)
     node.note = f"split on {var_name(v)} at level {n}"
     _process(sys, script, tree, open_part, n, node.nid)
     _process(sys, script, tree, closed_part, n, node.nid)
@@ -286,10 +283,7 @@ def _do_cover(
     comp: Optional[Component] = None
     for uset in unit_sets:
         s_ch = replace(
-            s,
-            units=s.units + tuple(Polynomial.variable(field, v) for v in uset),
-            trace=s.trace
-            + (Move("cover_chart", n, ",".join(var_name(v) for v in uset)),),
+            s, units=s.units + tuple(Polynomial.variable(field, v) for v in uset)
         )
         factors = _square_split(s_ch, q)
         if factors is not None:
@@ -341,7 +335,6 @@ def _do_cover(
             + (mono_from_pairs((v, 1) for v in cover_vars),),
             equations=s.equations + (q,),
             consumed=max(s.consumed, n),
-            trace=s.trace + (Move("absorb_residual", n, "product complement"),),
         )
     else:
         # Re-process the cover level on the complement: the relation may
@@ -351,12 +344,6 @@ def _do_cover(
             zero_vars=s.zero_vars | set(cover_vars),
             equations=s.equations + ((q,) if terminal else ()),
             consumed=max(s.consumed, n if terminal else n - 1),
-            trace=s.trace
-            + (
-                Move(
-                    "split_closed", n, ",".join(var_name(v) for v in cover_vars)
-                ),
-            ),
         )
     if terminal:
         res_node = _new_node(tree, node.nid, n, _normalize(residual))
@@ -398,10 +385,8 @@ def _normalize(s: Stratum) -> Stratum:
         kept: list[Polynomial] = []
         eqs = list(s.equations)
         for i, eq in enumerate(eqs):
-            others = rewrite_rules_for(
-                tuple(e.reduce_mod_vars(s.zero_vars) for j, e in enumerate(eqs) if j != i)
-            )
-            r = rewrite(eq.reduce_mod_vars(s.zero_vars), others)
+            others = tuple(e for j, e in enumerate(eqs) if j != i)
+            r = replace(s, equations=others).simplify(eq)
             if r.is_zero():
                 changed = True
                 continue
@@ -410,11 +395,7 @@ def _normalize(s: Stratum) -> Stratum:
             body = r.divide_monomial(content)
             loose = [v for v in mono_vars(content) if v not in uv]
             if len(body.terms) == 1 and not next(iter(body.terms)) and len(loose) == 1:
-                s = replace(
-                    s,
-                    zero_vars=s.zero_vars | {loose[0]},
-                    equations=tuple(e for j, e in enumerate(eqs) if j != i),
-                )
+                s = replace(s, zero_vars=s.zero_vars | {loose[0]}, equations=others)
                 changed = True
                 break
             kept.append(eq)

@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .driver import Node, StratificationTree
 from .hasse import JetSystem
-from .strata import Stratum
+from .strata import Reducible, Stratum
 
 
 POINT_FAMILIES = ("x", "y", "z")
@@ -125,7 +125,7 @@ def enumerate_fiber(
 
 
 @dataclass(frozen=True)
-class TruncatedStratum:
+class TruncatedStratum(Reducible):
     """Leaf-stratum constraints materialized up to one jet level.
 
     ``equations`` already includes the solved instances of every
@@ -205,7 +205,6 @@ def coverage_check(
 
 def exclusive_cover_check(
     points: Iterable[JetPoint],
-    tree: StratificationTree,
     leaves: Sequence[tuple[Node, TruncatedStratum]],
 ) -> dict:
     """Every fiber point should land in exactly one leaf *group*.

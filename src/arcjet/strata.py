@@ -5,11 +5,17 @@ relations (``equations``), invertibility conditions (``units``, arbitrary
 polynomials declared nonvanishing) and, on chart leaves, triangular
 elimination rules expressing one tail of coordinates as rational functions
 of the remaining free coordinates.
+
+Every reduction modulo a stratum goes through one route, ``simplify``
+(shared with the oracle's truncated strata through ``Reducible``): the
+vanishing coordinates drop out, then the rewrite rules of the equations,
+derived once per stratum, are applied to a fixpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -110,27 +116,42 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
     return p
 
 
-def closure_contains(b, a, field: Field) -> bool:
+class Reducible:
+    """Reduction modulo a stratum, shared by ``Stratum`` and the oracle's
+    ``TruncatedStratum`` (frozen dataclasses with ``zero_vars`` and
+    ``equations``).
+
+    The rewrite rules are derived once per instance, from the equations
+    reduced modulo the vanishing coordinates.  Instances are frozen, so the
+    cached rules cannot go stale: a changed stratum is a new instance.
+    """
+
+    @cached_property
+    def rewriters(self) -> tuple[RewriteRule, ...]:
+        return rewrite_rules_for(tuple(e.reduce_mod_vars(self.zero_vars) for e in self.equations))
+
+    def simplify(self, p: Polynomial) -> Polynomial:
+        return rewrite(p.reduce_mod_vars(self.zero_vars), self.rewriters)
+
+
+def closure_contains(b: Reducible, a: Reducible, field: Field) -> bool:
     """Does the closure of ``b`` contain ``a``?
 
     ``a`` and ``b`` are strata or truncated strata.  Sound syntactic test:
     unit constraints of ``b`` drop away in the closure, and every closed
     constraint of ``b`` (vanishing coordinate, vanishing monomial, equation)
-    must already hold on ``a``, i.e. reduce to zero modulo ``a``'s zero
-    coordinates and the rewrite rules of ``a``'s reduced equations.
+    must already hold on ``a``, i.e. ``a.simplify`` reduces it to zero.
     """
-    rules = rewrite_rules_for(tuple(e.reduce_mod_vars(a.zero_vars) for e in a.equations))
-
-    def vanishes(p: Polynomial) -> bool:
-        return not rewrite(p.reduce_mod_vars(a.zero_vars), rules)
-
     return (
-        all(v in a.zero_vars or vanishes(Polynomial.variable(field, v)) for v in b.zero_vars)
+        all(
+            v in a.zero_vars or not a.simplify(Polynomial.variable(field, v))
+            for v in b.zero_vars
+        )
         and all(
-            mm in a.zero_monomials or vanishes(Polynomial.monomial(field, mm))
+            mm in a.zero_monomials or not a.simplify(Polynomial.monomial(field, mm))
             for mm in b.zero_monomials
         )
-        and all(e in a.equations or vanishes(e) for e in b.equations)
+        and all(e in a.equations or not a.simplify(e) for e in b.equations)
     )
 
 
@@ -163,31 +184,17 @@ class EliminationRule:
 
 
 @dataclass(frozen=True)
-class Move:
-    kind: str  # force_vanish | split_open | split_closed | add_equation | cover_chart | eliminate | absorb_residual | stabilize
-    level: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Reducible):
     zero_vars: frozenset[Var]
     equations: tuple[Polynomial, ...] = ()
     units: tuple[Polynomial, ...] = ()
     rules: tuple[EliminationRule, ...] = ()
-    trace: tuple[Move, ...] = ()
     consumed: int = 0
     # monomials (products of coordinates) forced to vanish without choosing a
     # branch; only used on terminal absorbed residuals of product covers.
     zero_monomials: tuple[Mono, ...] = ()
 
     # -- derived helpers ----------------------------------------------
-
-    def rewriters(self) -> tuple[RewriteRule, ...]:
-        return rewrite_rules_for(self.equations)
-
-    def simplify(self, p: Polynomial) -> Polynomial:
-        return rewrite(p.reduce_mod_vars(self.zero_vars), self.rewriters())
 
     def unit_vars(self) -> frozenset[Var]:
         """Coordinates invertible on the stratum: declared monomial units
@@ -241,9 +248,8 @@ def _field_of(s: Stratum) -> Field:
     return Field(0)
 
 
-def root_stratum(field: Field) -> Stratum:
-    origin = frozenset({("x", 0), ("y", 0), ("z", 0)})
-    return Stratum(zero_vars=origin, trace=(Move("force_vanish", 0, "origin fiber"),))
+def root_stratum() -> Stratum:
+    return Stratum(zero_vars=frozenset({("x", 0), ("y", 0), ("z", 0)}))
 
 
 # ---------------------------------------------------------------------------
@@ -262,37 +268,19 @@ def next_nontrivial(
     return None
 
 
-def split(s: Stratum, v: Var, level: int, field: Field) -> tuple[Stratum, Stratum]:
+def split(s: Stratum, v: Var, field: Field) -> tuple[Stratum, Stratum]:
     """Partition into the open part (v invertible) and closed part (v = 0)."""
-    open_part = replace(
-        s,
-        units=s.units + (Polynomial.variable(field, v),),
-        trace=s.trace + (Move("split_open", level, var_name(v)),),
-    )
-    closed_part = replace(
-        s,
-        zero_vars=s.zero_vars | {v},
-        trace=s.trace + (Move("split_closed", level, var_name(v)),),
-    )
+    open_part = replace(s, units=s.units + (Polynomial.variable(field, v),))
+    closed_part = replace(s, zero_vars=s.zero_vars | {v})
     return open_part, closed_part
 
 
-def force_vanish(s: Stratum, v: Var, level: int, reason: str = "") -> Stratum:
-    return replace(
-        s,
-        zero_vars=s.zero_vars | {v},
-        consumed=max(s.consumed, level),
-        trace=s.trace + (Move("force_vanish", level, f"{var_name(v)} {reason}".strip()),),
-    )
+def force_vanish(s: Stratum, v: Var, level: int) -> Stratum:
+    return replace(s, zero_vars=s.zero_vars | {v}, consumed=max(s.consumed, level))
 
 
 def add_equation(s: Stratum, q: Polynomial, level: int) -> Stratum:
-    return replace(
-        s,
-        equations=s.equations + (q,),
-        consumed=max(s.consumed, level),
-        trace=s.trace + (Move("add_equation", level, format_poly(q)),),
-    )
+    return replace(s, equations=s.equations + (q,), consumed=max(s.consumed, level))
 
 
 # -- elimination ------------------------------------------------------------
@@ -319,12 +307,11 @@ def find_pivot(
     """
     probe = replace(s, equations=s.equations + (q,))
     uv = probe.unit_vars()
-    rewriters = probe.rewriters()
     monomial_picks: list[tuple[tuple, PivotChoice]] = []
     poly_picks: list[tuple[tuple, PivotChoice]] = []
     order = list(prefer) if prefer else sorted(q.variables(), key=_split_key, reverse=True)
     for v in order:
-        c = rewrite(q.partial(v).reduce_mod_vars(s.zero_vars), rewriters)
+        c = probe.simplify(q.partial(v))
         if c.is_zero():
             continue
         content = c.content_monomial()
@@ -377,22 +364,16 @@ def eliminate_tail(
     offset = n - pivot.v[1]
     start = n if linear else n + 1
     rule = EliminationRule(pivot.v[0], offset, start, pivot.coeff)
-    chart = replace(
-        s2,
-        rules=s2.rules + (rule,),
-        consumed=max(s2.consumed, start),
-        trace=s2.trace + (Move("eliminate", n, rule.describe()),),
-    )
+    chart = replace(s2, rules=s2.rules + (rule,), consumed=max(s2.consumed, start))
     _verify_rule(sys, chart, rule, depth=PROBE_DEPTH)
     return chart
 
 
 def _verify_rule(sys: JetSystem, chart: Stratum, rule: EliminationRule, depth: int) -> None:
-    rewriters = chart.rewriters()
-    want = rewrite(rule.coeff.reduce_mod_vars(chart.zero_vars), rewriters)
+    want = chart.simplify(rule.coeff)
     for m in range(rule.start_level, rule.start_level + depth):
         w, c_m, num = rule_instance(sys, chart, rule, m)
-        got = rewrite(c_m.reduce_mod_vars(chart.zero_vars), rewriters)
+        got = chart.simplify(c_m)
         if got != want:
             raise EngineError(
                 f"unstable elimination coefficient at level {m}: "
@@ -425,11 +406,6 @@ def generic_point(
     substituted so each value involves only free/unit coordinates."""
     field = sys.field
     values: dict[Var, RationalExpression] = {}
-    rewriters = chart.rewriters()
-
-    def norm(p: Polynomial) -> Polynomial:
-        return rewrite(p, rewriters)
-
     instances: list[tuple[int, EliminationRule]] = []
     for rule in chart.rules:
         m = rule.start_level
@@ -439,11 +415,10 @@ def generic_point(
     instances.sort(key=lambda t: (t[1].solved_order(t[0]), t[0]))
     for m, rule in instances:
         w, c_m, num = rule_instance(sys, chart, rule, m)
-        val = evaluate_rational(num, values, norm) * RationalExpression(
-            Polynomial.const(field, 1), norm(c_m.reduce_mod_vars(chart.zero_vars))
+        val = evaluate_rational(num, values, chart.simplify) * RationalExpression(
+            Polynomial.const(field, 1), chart.simplify(c_m)
         )
-        val = val.map_polys(norm)
-        values[w] = val
+        values[w] = val.map_polys(chart.simplify)
     return values
 
 
@@ -478,18 +453,12 @@ def check_elimination_soundness(
 ) -> list[int]:
     """Levels ``m <= up_to`` at which substituting the generic point into the
     reduced derivative does not yield 0 (empty list = sound)."""
-    rewriters = chart.rewriters()
-
-    def norm(p: Polynomial) -> Polynomial:
-        return rewrite(p, rewriters)
-
     start = min((r.start_level for r in chart.rules), default=up_to + 1)
     point = generic_point(sys, chart, up_to)
     bad = []
     for m in range(start, up_to + 1):
-        reduced = norm(sys.derivative(m).reduce_mod_vars(chart.zero_vars))
-        val = evaluate_rational(reduced, point, norm)
-        if not norm(val.num).is_zero():
+        val = evaluate_rational(chart.simplify(sys.derivative(m)), point, chart.simplify)
+        if not chart.simplify(val.num).is_zero():
             bad.append(m)
     return bad
 
@@ -532,11 +501,13 @@ def forced_vanishing(
         return False
     w, c_m, num = rule_instance(sys, chart, rule, m)
     assert w == target
-    if _restricted(c_m, rs, chart).is_zero():
+    # the equations survive on the restricted set in reduced form
+    restricted = replace(chart, zero_vars=chart.zero_vars | rs)
+    if restricted.simplify(c_m).is_zero():
         raise RestrictionIncompatible(
             f"restriction kills the unit coefficient of {var_name(target)}"
         )
-    val = _restricted(num, rs, chart)
+    val = restricted.simplify(num)
     if val.is_zero():
         return True
     # terms may involve deeper eliminated coordinates that are themselves
@@ -562,26 +533,13 @@ def _rule_solving(chart: Stratum, v: Var) -> Optional[EliminationRule]:
     return None
 
 
-def _restricted(p: Polynomial, rs: frozenset[Var], chart: Stratum) -> Polynomial:
-    reduced = p.reduce_mod_vars(rs | chart.zero_vars)
-    # equations survive on the restricted set in reduced form
-    eqs = tuple(
-        e.reduce_mod_vars(rs) for e in chart.equations if e.reduce_mod_vars(rs)
-    )
-    return rewrite(reduced, rewrite_rules_for(eqs))
-
-
 def restricted_chart(chart: Stratum, restriction: Iterable[Var]) -> Stratum:
     """The by-product of a forced-vanishing check: the chart with the
     restriction imposed on its non-unit coordinates (still a graph-like,
     hence irreducible, set)."""
     uv = chart.unit_vars()
     rs = frozenset(v for v in restriction if v not in uv)
-    return replace(
-        chart,
-        zero_vars=chart.zero_vars | rs,
-        trace=chart.trace + (Move("force_vanish", chart.consumed, "restriction"),),
-    )
+    return replace(chart, zero_vars=chart.zero_vars | rs)
 
 
 def nonvanishing_evidence(

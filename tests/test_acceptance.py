@@ -312,7 +312,7 @@ def test_criterion_6_oracle_coverage_partition():
             if coverage_check(pts, [T for _, T in leaves]):
                 problems.append(f"{pr.label} m={m}: uncovered points")
                 continue
-            excl = exclusive_cover_check(pts, tree, leaves)
+            excl = exclusive_cover_check(pts, leaves)
             if not excl["ok"]:
                 problems.append(f"{pr.label} m={m}: not a partition by leaf group")
             part = split_partition_check(sysm, tree, pts, m, target)

@@ -147,8 +147,20 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         ["verify", "--config", "{missing}"],
         ["derive"],
         ["oracle", "--kind", "A", "--n", "1"],
+        ["derive", "--equation", "z^2 + x*y", "--level", "-1"],
+        ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--level", "-1"],
+        ["graph", "--kind", "A", "--n", "1", "--max-level", "0"],
+        ["verify", "--kind", "A", "--n", "1", "--graph-level", "-1"],
     ],
-    ids=["missing-config", "derive-without-input", "oracle-char0-without-p"],
+    ids=[
+        "missing-config",
+        "derive-without-input",
+        "oracle-char0-without-p",
+        "derive-negative-level",
+        "oracle-negative-level",
+        "graph-zero-max-level",
+        "verify-negative-graph-level",
+    ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing.cfg") for a in argv]

@@ -1,8 +1,11 @@
-"""Every name a module under src/arcjet imports is used in that module.
+"""Every name a module under src/arcjet imports is used in that module,
+and every parameter of its functions and methods is read.
 
-A stdlib-``ast`` stand-in for a linter's unused-import rule: imported
-names must appear as a name in the module's code or inside a string
-annotation.  ``from __future__`` imports are exempt.
+A stdlib-``ast`` stand-in for a linter's unused-import and
+unused-argument rules: imported names must appear as a name in the
+module's code or inside a string annotation (``from __future__`` imports
+are exempt); a parameter must be loaded somewhere in its function's body,
+nested functions included (``self`` and ``cls`` are exempt).
 """
 
 import ast
@@ -54,3 +57,27 @@ def test_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def unread_parameters(tree: ast.Module):
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        read = {
+            n.id
+            for stmt in fn.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for p in params:
+            if p.arg not in ("self", "cls") and p.arg not in read:
+                yield f"{fn.name}({p.arg}) (line {fn.lineno})"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = list(unread_parameters(tree))
+    assert not unread, f"{path.name} has parameters nothing reads: {', '.join(unread)}"

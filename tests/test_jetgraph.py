@@ -64,7 +64,7 @@ def test_component_ids_propagate_to_window_top():
 def test_descriptor_restriction_and_containment():
     pr = preset("A", n=1, char=0)
     sys = JetSystem(pr.equation)
-    s = root_stratum(sys.field)
+    s = root_stratum()
     d6 = truncate_stratum(sys, s, 6)
     d3 = restrict_descriptor(d6, 3)
     assert d3.level == 3

@@ -104,7 +104,7 @@ def audit(pr, p, m):
     target = probe_field(pr.equation.field, p)
     leaves = truncated_leaves(sys, tree, m, target)
     missing = coverage_check(pts, [T for _, T in leaves])
-    excl = exclusive_cover_check(pts, tree, leaves)
+    excl = exclusive_cover_check(pts, leaves)
     part = split_partition_check(sys, tree, pts, m, target)
     return pts, missing, excl, part
 
