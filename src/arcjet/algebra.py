@@ -545,13 +545,14 @@ class Polynomial:
         return out
 
     def evaluate(self, point: Mapping[Var, Scalar]) -> Scalar:
-        """Evaluate at a point; unassigned variables default to 0."""
+        """Evaluate at a point; unassigned variables default to 0.  The values
+        must be scalars of the field or integers: they are used as given."""
         f = self.field
         total = f.zero
         for m, c in self.terms.items():
             val = c
             for v, e in m:
-                a = f.of(point.get(v, 0))
+                a = point.get(v, 0)
                 if not a:
                     val = f.zero
                     break

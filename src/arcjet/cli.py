@@ -298,9 +298,8 @@ def cmd_verify(args) -> int:
         keys = [
             (pr.kind, pr.n, pr.char, pr.variant) for pr in preset_grid()
         ]
-        workers = int(os.environ.get("ARCJET_WORKERS", "1"))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 results = list(pool.map(_verify_label, keys))
         else:
             results = [_verify_label(k) for k in keys]
@@ -335,6 +334,14 @@ def _level_at_least(low: int):
         return value
 
     return level
+
+
+def _worker_count(ap: argparse.ArgumentParser) -> int:
+    """``ARCJET_WORKERS`` (default 1): an integer of at least 1, else a usage error."""
+    text = os.environ.get("ARCJET_WORKERS", "1").strip()
+    if not (text.isdigit() and int(text) >= 1):
+        ap.error(f"ARCJET_WORKERS must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -405,10 +412,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full verification pipeline")
     p.add_argument("--all", action="store_true", help="run the whole preset grid")
-    p.add_argument("--kind", choices=("A", "D", "E6", "E7", "E8"))
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--variant", default="")
+    _add_preset_flags(p, required=False)
     p.add_argument(
         "--graph-level",
         type=_level_at_least(0),
@@ -427,6 +431,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(_apply_config(ap, argv))
     if args.command == "verify" and not args.all and not args.kind:
         ap.error("verify needs --kind or --all")
+    if args.command == "verify" and args.all:
+        args.workers = _worker_count(ap)
     if args.command == "derive" and not args.equation and not args.kind:
         ap.error("derive needs --equation or --kind")
     if args.command == "oracle" and not args.p and not args.char:

@@ -8,55 +8,57 @@ shallower one's closure.  Every structural claim here is windowed to
 ``M``: the interesting qualitative fact is that beyond a finite threshold
 the graph settles into one unbranching chain per component.
 
-Containment of truncations is decided syntactically (zero sets,
-rewriting by chart relations); when two same-level vertices stay distinct
-syntactically but their small finite-field point sets agree, the pair is
-flagged in the report rather than merged.
+Containment of truncations (strata with ``consumed = m``) is decided
+syntactically (zero sets, rewriting by chart relations); when two
+same-level vertices stay distinct syntactically but their small
+finite-field point sets, tested in each prime's probe field, agree, the
+pair is flagged in the report rather than merged.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
-from .algebra import Field, Polynomial, format_poly, mono_vars, var_name
+from .algebra import QQ, Field, Polynomial, format_poly, mono_vars, var_name
 from .driver import Script, run_driver
 from .hasse import JetSystem
 from .oracle import (
-    TruncatedStratum,
+    JetPoint,
     enumerate_fiber,
+    point_assignment,
+    probe_field,
     stratum_membership,
+    transport_stratum,
     truncate_stratum,
 )
-from .strata import closure_contains
+from .strata import Stratum, closure_contains
 
 
-def restrict_descriptor(d: TruncatedStratum, m: int) -> TruncatedStratum:
+def restrict_descriptor(d: Stratum, m: int) -> Stratum:
     """Forget every constraint mentioning an order above ``m``."""
-    return TruncatedStratum(
-        level=m,
-        field=d.field,
+    return Stratum(
         zero_vars=frozenset(v for v in d.zero_vars if v[1] <= m),
+        equations=tuple(e for e in d.equations if e.max_order() <= m),
+        units=tuple(u for u in d.units if u.max_order() <= m),
         zero_monomials=tuple(
             mm for mm in d.zero_monomials if all(v[1] <= m for v in mono_vars(mm))
         ),
-        units=tuple(u for u in d.units if u.max_order() <= m),
-        equations=tuple(e for e in d.equations if e.max_order() <= m),
+        consumed=m,
     )
 
 
-def descriptor_contains(b: TruncatedStratum, a: TruncatedStratum) -> bool:
+def descriptor_contains(b: Stratum, a: Stratum, field: Field) -> bool:
     """Does the closure of ``b`` contain ``a``?  (See ``closure_contains``.)"""
-    return closure_contains(b, a, a.field)
+    return closure_contains(b, a, field)
 
 
-def descriptor_key(d: TruncatedStratum) -> tuple:
+def descriptor_key(d: Stratum) -> tuple:
     """Canonical, hashable, printable form of a truncated descriptor."""
     return (
         tuple(sorted(var_name(v) for v in d.zero_vars)),
-        tuple(
-            sorted(format_poly(Polynomial.monomial(d.field, mm)) for mm in d.zero_monomials)
-        ),
+        tuple(sorted(format_poly(Polynomial.monomial(QQ, mm)) for mm in d.zero_monomials)),
         tuple(sorted(format_poly(u) for u in d.units)),
         tuple(sorted(format_poly(e) for e in d.equations)),
     )
@@ -97,11 +99,11 @@ _PROBE_BUDGET = 200_000
 
 def _level_pieces(
     sys: JetSystem, script: Script, m: int
-) -> list[tuple[object, TruncatedStratum]]:
+) -> list[tuple[object, Stratum]]:
     """Closure-maximal fiber pieces at level ``m`` with their component
     (if the depth-m run already charted one)."""
     tree = run_driver(sys, script, max_level=m)
-    cands: list[tuple[object, TruncatedStratum]] = []
+    cands: list[tuple[object, Stratum]] = []
     for comp in tree.components:
         cands.append((comp.index, truncate_stratum(sys, tree.chart_of(comp).stratum, m)))
     for node in tree.leaves():
@@ -110,18 +112,19 @@ def _level_pieces(
                 continue
             cands.append((None, truncate_stratum(sys, node.stratum, m)))
     # drop pieces strictly inside another piece's closure
-    keep: list[tuple[object, TruncatedStratum]] = []
+    field = sys.field
+    keep: list[tuple[object, Stratum]] = []
     for i, (ci, di) in enumerate(cands):
         dominated = False
         for j, (cj, dj) in enumerate(cands):
             if i == j:
                 continue
-            if descriptor_contains(dj, di) and not descriptor_contains(di, dj):
+            if descriptor_contains(dj, di, field) and not descriptor_contains(di, dj, field):
                 dominated = True
                 break
             if (
-                descriptor_contains(di, dj)
-                and descriptor_contains(dj, di)
+                descriptor_contains(di, dj, field)
+                and descriptor_contains(dj, di, field)
                 and j < i
             ):
                 dominated = True  # mutual containment: keep the first
@@ -137,13 +140,27 @@ def _probe_primes(field: Field, primes: tuple[int, ...]) -> tuple[int, ...]:
     return primes
 
 
+def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list[set[JetPoint]]:
+    """The F_p points of the level-``m`` fiber on each piece, tested on the
+    piece moved into the probe field of ``p``."""
+    field = probe_field(sys.field, p)
+    moved = [transport_stratum(d, field) for d in pieces]
+    sets: list[set[JetPoint]] = [set() for _ in moved]
+    for pt in enumerate_fiber(sys.f, p, m):
+        assign = point_assignment(pt, m)
+        for members, d in zip(sets, moved):
+            if stratum_membership(assign, d):
+                members.add(pt)
+    return sets
+
+
 def build_graph(
     sys: JetSystem,
     script: Script,
     M: int,
     primes: tuple[int, ...] = (2, 3),
 ) -> JetComponentGraph:
-    levels: dict[int, list[tuple[object, TruncatedStratum]]] = {}
+    levels: dict[int, list[tuple[object, Stratum]]] = {}
     for m in range(1, M + 1):
         levels[m] = _level_pieces(sys, script, m)
 
@@ -172,7 +189,7 @@ def build_graph(
                 hits = [
                     pidx
                     for pidx, (_, pd) in enumerate(levels[m - 1])
-                    if descriptor_contains(pd, cut)
+                    if descriptor_contains(pd, cut, sys.field)
                 ]
                 if not hits:
                     flags.append(
@@ -181,24 +198,13 @@ def build_graph(
                 for pidx in hits:
                     edges.append((vid_of[(m - 1, pidx)], vid_of[(m, idx)]))
         # undecidable-merge probe: syntactically distinct same-level pieces
-        # whose finite point sets agree
-        ps = _probe_primes(sys.field, primes)
-        for i in range(len(levels[m])):
-            for j in range(i + 1, len(levels[m])):
-                di, dj = levels[m][i][1], levels[m][j][1]
-                agree_all = True
-                tested = False
-                for p in ps:
-                    if p ** (3 * m) > _PROBE_BUDGET:
-                        continue
-                    pts = enumerate_fiber(sys.f, p, m)
-                    tested = True
-                    si = {pt for pt in pts if stratum_membership(pt, di)}
-                    sj = {pt for pt in pts if stratum_membership(pt, dj)}
-                    if si != sj:
-                        agree_all = False
-                        break
-                if tested and agree_all:
+        # whose finite point sets agree at every tested prime
+        tested = [p for p in _probe_primes(sys.field, primes) if p ** (3 * m) <= _PROBE_BUDGET]
+        if len(levels[m]) > 1 and tested:
+            pieces = [d for _, d in levels[m]]
+            point_sets = [_piece_points(sys, pieces, p, m) for p in tested]
+            for i, j in combinations(range(len(pieces)), 2):
+                if all(sets[i] == sets[j] for sets in point_sets):
                     flags.append(
                         f"level {m}: pieces {i} and {j} are syntactically distinct "
                         f"but share every tested F_p point set"

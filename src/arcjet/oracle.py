@@ -15,21 +15,20 @@ so that the enumeration is lexicographic and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     Field,
     Gaussian,
-    Mono,
     Polynomial,
     Var,
     var,
 )
 from .driver import Node, StratificationTree
 from .hasse import JetSystem
-from .strata import Reducible, Stratum
+from .strata import Stratum
 
 
 POINT_FAMILIES = ("x", "y", "z")
@@ -124,59 +123,48 @@ def enumerate_fiber(
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedStratum(Reducible):
-    """Leaf-stratum constraints materialized up to one jet level.
-
-    ``equations`` already includes the solved instances of every
-    elimination rule whose solved index fits below the level, so
-    membership is a plain evaluate-and-compare.
-    """
-
-    level: int
-    field: Field
-    zero_vars: frozenset[Var]
-    zero_monomials: tuple[Mono, ...]
-    units: tuple[Polynomial, ...]
-    equations: tuple[Polynomial, ...]
+def transport_stratum(T: Stratum, target: Field) -> Stratum:
+    """Move a truncation's coefficients into the probe field."""
+    return replace(
+        T,
+        equations=tuple(transport_poly(e, target) for e in T.equations),
+        units=tuple(transport_poly(u, target) for u in T.units),
+    )
 
 
 def truncate_stratum(
     sys: JetSystem, s: Stratum, m: int, target: Optional[Field] = None
-) -> TruncatedStratum:
-    target = target if target is not None else sys.field
-    eqs = [transport_poly(e, target) for e in s.equations if e.max_order() <= m]
+) -> Stratum:
+    """The truncation of ``s`` to level ``m``: a stratum with no rules and
+    ``consumed = m``, whose equations include the solved instances of every
+    elimination rule that fit below the level, so membership is a plain
+    evaluate-and-compare.  Coefficients are moved into ``target`` if given."""
+    eqs = [e for e in s.equations if e.max_order() <= m]
     levels = sorted({lvl for rule in s.rules for lvl in range(rule.start_level, m + 1)})
     for lvl in levels:
         r = s.simplify(sys.derivative(lvl))
         if not r.is_zero() and r.max_order() <= m:
-            eqs.append(transport_poly(r, target))
-    return TruncatedStratum(
-        level=m,
-        field=target,
+            eqs.append(r)
+    T = Stratum(
         zero_vars=frozenset(v for v in s.zero_vars if v[1] <= m),
-        zero_monomials=tuple(s.zero_monomials),
-        units=tuple(transport_poly(u, target) for u in s.units),
         equations=tuple(eqs),
+        units=s.units,
+        zero_monomials=s.zero_monomials,
+        consumed=m,
     )
+    return T if target is None else transport_stratum(T, target)
 
 
-def stratum_membership(pt, T: TruncatedStratum) -> bool:
-    assign = pt if isinstance(pt, Mapping) else point_assignment(pt, T.level)
-    f = T.field
-    for v in T.zero_vars:
-        if f.of(assign.get(v, 0)):
-            return False
-    for mono in T.zero_monomials:
-        if Polynomial.monomial(f, mono).evaluate(assign):
-            return False
-    for u in T.units:
-        if not u.evaluate(assign):
-            return False
-    for e in T.equations:
-        if e.evaluate(assign):
-            return False
-    return True
+def stratum_membership(assign: Mapping[Var, int], T: Stratum) -> bool:
+    """Does the point lie on the truncation ``T``?  ``assign`` holds the
+    point's residues mod p (``point_assignment``), and ``T``'s coefficients
+    must already be in the probe field of p (``transport_stratum``)."""
+    return (
+        not any(assign.get(v, 0) for v in T.zero_vars)
+        and not any(all(assign.get(v, 0) for v, _ in mono) for mono in T.zero_monomials)
+        and all(u.evaluate(assign) for u in T.units)
+        and not any(e.evaluate(assign) for e in T.equations)
+    )
 
 
 def truncated_leaves(
@@ -184,7 +172,7 @@ def truncated_leaves(
     tree: StratificationTree,
     m: int,
     target: Optional[Field] = None,
-) -> list[tuple[Node, TruncatedStratum]]:
+) -> list[tuple[Node, Stratum]]:
     """Truncations of every nonempty leaf of a driver run."""
     return [
         (node, truncate_stratum(sys, node.stratum, m, target))
@@ -193,19 +181,31 @@ def truncated_leaves(
     ]
 
 
+def _level_of(truncations: Iterable[Stratum]) -> int:
+    """The one level a batch of truncations shares, to unpack points at."""
+    levels = {T.consumed for T in truncations}
+    if len(levels) != 1:
+        raise OracleError(f"expected truncations at one level, got levels {sorted(levels)}")
+    return levels.pop()
+
+
 def coverage_check(
     points: Iterable[JetPoint],
-    leaves: Sequence[TruncatedStratum],
+    leaves: Sequence[Stratum],
 ) -> list[JetPoint]:
     """Fiber points belonging to no leaf; expected empty."""
-    return [
-        pt for pt in points if not any(stratum_membership(pt, T) for T in leaves)
-    ]
+    m = _level_of(leaves)
+    missing = []
+    for pt in points:
+        assign = point_assignment(pt, m)
+        if not any(stratum_membership(assign, T) for T in leaves):
+            missing.append(pt)
+    return missing
 
 
 def exclusive_cover_check(
     points: Iterable[JetPoint],
-    leaves: Sequence[tuple[Node, TruncatedStratum]],
+    leaves: Sequence[tuple[Node, Stratum]],
 ) -> dict:
     """Every fiber point should land in exactly one leaf *group*.
 
@@ -213,17 +213,19 @@ def exclusive_cover_check(
     locus from different localizations), so leaves are grouped by the
     component they chart; residual and stabilized leaves stand alone.
     """
-    groups: dict[object, list[TruncatedStratum]] = {}
+    groups: dict[object, list[Stratum]] = {}
     for node, T in leaves:
         key = ("component", node.component) if node.component is not None else ("leaf", node.nid)
         groups.setdefault(key, []).append(T)
+    m = _level_of(T for _, T in leaves)
     uncovered: list[JetPoint] = []
     overlapping: list[tuple[JetPoint, list[object]]] = []
     for pt in points:
+        assign = point_assignment(pt, m)
         hits = [
             key
             for key, ts in groups.items()
-            if any(stratum_membership(pt, T) for T in ts)
+            if any(stratum_membership(assign, T) for T in ts)
         ]
         if not hits:
             uncovered.append(pt)
@@ -246,22 +248,22 @@ def split_partition_check(
 ) -> dict:
     """At every open/closed split node the parent's points must fall into
     exactly one of the two (further evolved) child strata."""
-    pts = list(points)
+    splits = [
+        (
+            node.nid,
+            truncate_stratum(sys, node.stratum, m, target),
+            [truncate_stratum(sys, tree.node(c).stratum, m, target) for c in node.children],
+        )
+        for node in tree.nodes
+        if node.note.startswith("split on ") and len(node.children) == 2
+    ]
     failures = []
-    checked = 0
-    for node in tree.nodes:
-        if not node.note.startswith("split on ") or len(node.children) != 2:
-            continue
-        checked += 1
-        t_parent = truncate_stratum(sys, node.stratum, m, target)
-        t_children = [
-            truncate_stratum(sys, tree.node(c).stratum, m, target)
-            for c in node.children
-        ]
-        for pt in pts:
-            if not stratum_membership(pt, t_parent):
+    for pt in points:
+        assign = point_assignment(pt, m)
+        for nid, t_parent, t_children in splits:
+            if not stratum_membership(assign, t_parent):
                 continue
-            hits = sum(1 for t in t_children if stratum_membership(pt, t))
+            hits = sum(1 for t in t_children if stratum_membership(assign, t))
             if hits != 1:
-                failures.append({"node": node.nid, "point": pt, "hits": hits})
-    return {"ok": not failures, "split_nodes": checked, "failures": failures}
+                failures.append({"node": nid, "point": pt, "hits": hits})
+    return {"ok": not failures, "split_nodes": len(splits), "failures": failures}

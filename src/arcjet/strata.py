@@ -6,10 +6,11 @@ polynomials declared nonvanishing) and, on chart leaves, triangular
 elimination rules expressing one tail of coordinates as rational functions
 of the remaining free coordinates.
 
-Every reduction modulo a stratum goes through one route, ``simplify``
-(shared with the oracle's truncated strata through ``Reducible``): the
-vanishing coordinates drop out, then the rewrite rules of the equations,
-derived once per stratum, are applied to a fixpoint.
+A truncation to jet level ``m`` (``oracle.truncate_stratum``) is a stratum
+too, with no rules and ``consumed = m``.  Every reduction modulo a stratum
+goes through ``Stratum.simplify``: the vanishing coordinates drop out, then
+the rewrite rules of the equations, derived once per stratum, are applied
+to a fixpoint.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
+    QQ,
     Field,
     Mono,
     Polynomial,
@@ -116,28 +118,10 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
     return p
 
 
-class Reducible:
-    """Reduction modulo a stratum, shared by ``Stratum`` and the oracle's
-    ``TruncatedStratum`` (frozen dataclasses with ``zero_vars`` and
-    ``equations``).
-
-    The rewrite rules are derived once per instance, from the equations
-    reduced modulo the vanishing coordinates.  Instances are frozen, so the
-    cached rules cannot go stale: a changed stratum is a new instance.
-    """
-
-    @cached_property
-    def rewriters(self) -> tuple[RewriteRule, ...]:
-        return rewrite_rules_for(tuple(e.reduce_mod_vars(self.zero_vars) for e in self.equations))
-
-    def simplify(self, p: Polynomial) -> Polynomial:
-        return rewrite(p.reduce_mod_vars(self.zero_vars), self.rewriters)
-
-
-def closure_contains(b: Reducible, a: Reducible, field: Field) -> bool:
+def closure_contains(b: Stratum, a: Stratum, field: Field) -> bool:
     """Does the closure of ``b`` contain ``a``?
 
-    ``a`` and ``b`` are strata or truncated strata.  Sound syntactic test:
+    ``a`` and ``b`` are strata, truncations included.  Sound syntactic test:
     unit constraints of ``b`` drop away in the closure, and every closed
     constraint of ``b`` (vanishing coordinate, vanishing monomial, equation)
     must already hold on ``a``, i.e. ``a.simplify`` reduces it to zero.
@@ -184,7 +168,9 @@ class EliminationRule:
 
 
 @dataclass(frozen=True)
-class Stratum(Reducible):
+class Stratum:
+    # frozen, so the cached rewrite rules cannot go stale: ``replace`` builds
+    # a new instance
     zero_vars: frozenset[Var]
     equations: tuple[Polynomial, ...] = ()
     units: tuple[Polynomial, ...] = ()
@@ -195,6 +181,14 @@ class Stratum(Reducible):
     zero_monomials: tuple[Mono, ...] = ()
 
     # -- derived helpers ----------------------------------------------
+
+    @cached_property
+    def rewriters(self) -> tuple[RewriteRule, ...]:
+        """Rewrite rules of the equations reduced modulo ``zero_vars``."""
+        return rewrite_rules_for(tuple(e.reduce_mod_vars(self.zero_vars) for e in self.equations))
+
+    def simplify(self, p: Polynomial) -> Polynomial:
+        return rewrite(p.reduce_mod_vars(self.zero_vars), self.rewriters)
 
     def unit_vars(self) -> frozenset[Var]:
         """Coordinates invertible on the stratum: declared monomial units
@@ -236,16 +230,10 @@ class Stratum(Reducible):
             "units": [format_poly(u) for u in self.units],
             "rules": [r.describe() for r in self.rules],
             "zero_monomials": [
-                format_poly(Polynomial.monomial(_field_of(self), m)) for m in self.zero_monomials
+                format_poly(Polynomial.monomial(QQ, m)) for m in self.zero_monomials
             ],
             "consumed": self.consumed,
         }
-
-
-def _field_of(s: Stratum) -> Field:
-    for p in s.equations + s.units:
-        return p.field
-    return Field(0)
 
 
 def root_stratum() -> Stratum:
@@ -531,15 +519,6 @@ def _rule_solving(chart: Stratum, v: Var) -> Optional[EliminationRule]:
         if rule.family == v[0] and v[1] + rule.offset >= rule.start_level:
             return rule
     return None
-
-
-def restricted_chart(chart: Stratum, restriction: Iterable[Var]) -> Stratum:
-    """The by-product of a forced-vanishing check: the chart with the
-    restriction imposed on its non-unit coordinates (still a graph-like,
-    hence irreducible, set)."""
-    uv = chart.unit_vars()
-    rs = frozenset(v for v in restriction if v not in uv)
-    return replace(chart, zero_vars=chart.zero_vars | rs)
 
 
 def nonvanishing_evidence(

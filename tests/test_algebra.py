@@ -154,6 +154,29 @@ def test_evaluate_respects_ring_ops(field, data):
     assert lhs == rhs
 
 
+EVAL_FIELDS = FIELDS + [
+    Field(3, i_adjoined=True),
+    Field(7, i_adjoined=True),
+    Field(0, i_adjoined=True),
+]
+
+
+@pytest.mark.parametrize("field", EVAL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_substitution(field, data):
+    """``evaluate`` uses integer coordinates as they are; the reference
+    substitutes them as constant polynomials (normalised into the field)
+    and reads off the constant term."""
+    f = data.draw(poly_strategy(field))
+    if field.i_adjoined:
+        i = field.square_root(field.of(-1))
+        f = f + data.draw(poly_strategy(field)).scale(i)
+    point = {var(fam, o): data.draw(st.integers(0, 6)) for fam in "xyz" for o in range(3)}
+    ref = f.substitute({v: Polynomial.const(field, a) for v, a in point.items()})
+    assert f.evaluate(point) == ref.terms.get((), field.zero)
+
+
 def test_partial_derivative():
     f = parse_poly("x1^3 + x1*y1", QQ)
     assert f.partial(var("x", 1)) == parse_poly("3*x1^2 + y1", QQ)

@@ -151,6 +151,7 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--level", "-1"],
         ["graph", "--kind", "A", "--n", "1", "--max-level", "0"],
         ["verify", "--kind", "A", "--n", "1", "--graph-level", "-1"],
+        ["ARCJET_WORKERS=abc", "verify", "--all"],
     ],
     ids=[
         "missing-config",
@@ -160,9 +161,15 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         "oracle-negative-level",
         "graph-zero-max-level",
         "verify-negative-graph-level",
+        "verify-all-bad-workers",
     ],
 )
-def test_usage_errors_exit_2(capsys, tmp_path, argv):
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
+    """A leading ``NAME=value`` item sets an environment variable."""
+    argv = list(argv)
+    while "=" in argv[0]:
+        name, _, value = argv.pop(0).partition("=")
+        monkeypatch.setenv(name, value)
     argv = [a.format(missing=tmp_path / "missing.cfg") for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)

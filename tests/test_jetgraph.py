@@ -3,9 +3,12 @@
 import pytest
 
 from arcjet.catalog import preset
+from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import (
     SCHEMA,
+    _level_pieces,
+    _piece_points,
     build_graph,
     descriptor_contains,
     export,
@@ -13,7 +16,13 @@ from arcjet.jetgraph import (
     restrict_descriptor,
     simple_branch_check,
 )
-from arcjet.oracle import truncate_stratum
+from arcjet.oracle import (
+    enumerate_fiber,
+    point_assignment,
+    probe_field,
+    stratum_membership,
+    truncate_stratum,
+)
 from arcjet.strata import root_stratum
 
 
@@ -67,10 +76,39 @@ def test_descriptor_restriction_and_containment():
     s = root_stratum()
     d6 = truncate_stratum(sys, s, 6)
     d3 = restrict_descriptor(d6, 3)
-    assert d3.level == 3
+    assert d3.consumed == 3 and not d3.rules
     assert all(v[1] <= 3 for v in d3.zero_vars)
     # the deeper descriptor lies inside (the closure of) the shallow one
-    assert descriptor_contains(d3, d3)
+    assert descriptor_contains(d3, d3, sys.field)
+
+
+@pytest.mark.parametrize("kind,n,m", [("D", 2, 3), ("A", 1, 2)])
+def test_probe_tests_points_in_probe_field(kind, n, m):
+    """The merge probe's point set of a characteristic-0 piece is the set of
+    F_2 points on the piece truncated straight into the probe field."""
+    pr = preset(kind, n=n, char=0)
+    sys = JetSystem(pr.equation)
+    target = probe_field(sys.field, 2)
+    pts = enumerate_fiber(pr.equation, 2, m)
+
+    def reference(strata):
+        truncs = [truncate_stratum(sys, s, m, target) for s in strata]
+        return [
+            {pt for pt in pts if stratum_membership(point_assignment(pt, m), T)}
+            for T in truncs
+        ]
+
+    # every nonempty leaf: together they cover the fiber
+    tree = run_driver(sys, pr.script, max_level=m)
+    leaves = [nd.stratum for nd in tree.leaves() if nd.kind != "empty"]
+    got = _piece_points(sys, [truncate_stratum(sys, s, m) for s in leaves], 2, m)
+    assert got == reference(leaves)
+    assert set().union(*got) == set(pts)
+    # the graph's own pieces
+    pieces = [d for _, d in _level_pieces(sys, pr.script, m)]
+    got = _piece_points(sys, pieces, 2, m)
+    assert got == reference(pieces)
+    assert all(got)
 
 
 def test_export_json_round_trip():

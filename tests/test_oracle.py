@@ -14,6 +14,7 @@ from arcjet.oracle import (
     coverage_check,
     enumerate_fiber,
     exclusive_cover_check,
+    point_assignment,
     probe_field,
     split_partition_check,
     stratum_membership,
@@ -148,7 +149,10 @@ def test_stratum_membership_basics():
     target = probe_field(pr.equation.field, 2)
     leaves = truncated_leaves(sys, tree, 2, target)
     pts = enumerate_fiber(pr.equation, 2, 2)
-    hits = {pt: sum(1 for _, T in leaves if stratum_membership(pt, T)) for pt in pts}
+    hits = {
+        pt: sum(1 for _, T in leaves if stratum_membership(point_assignment(pt, 2), T))
+        for pt in pts
+    }
     assert all(c >= 1 for c in hits.values())
 
 
@@ -165,7 +169,8 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
     target = probe_field(pr.equation.field, p)
     leaves = [T for _, T in truncated_leaves(sys, tree, m, target)]
     pts = enumerate_fiber(pr.equation, p, m)
-    members = [[pt for pt in pts if stratum_membership(pt, T)] for T in leaves]
+    assigns = {pt: point_assignment(pt, m) for pt in pts}
+    members = [[pt for pt in pts if stratum_membership(assigns[pt], T)] for T in leaves]
     proper = 0
     for i, b in enumerate(leaves):
         assert closure_contains(b, b, target)
@@ -174,6 +179,6 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
             if not closure_contains(b, a, target):
                 continue
             proper += i != j
-            bad = [pt for pt in a_pts if not stratum_membership(pt, closed)]
+            bad = [pt for pt in a_pts if not stratum_membership(assigns[pt], closed)]
             assert not bad, (i, j, bad[:3])
     assert proper, "no containment between distinct leaves was exercised"

@@ -20,7 +20,6 @@ from arcjet.strata import (
     generic_point,
     next_nontrivial,
     nonvanishing_evidence,
-    restricted_chart,
     rewrite,
     rewrite_rules_for,
     root_stratum,
@@ -198,14 +197,6 @@ def test_forced_vanishing_on_quadric():
     assert forced_vanishing(sys, chart, {var("z", 1), var("z", 2)}, var("y", 2))
     # but z2 is free on this chart: nothing forces it
     assert not forced_vanishing(sys, chart, {var("z", 1)}, var("z", 2))
-
-
-def test_restricted_chart_keeps_units():
-    sys, chart = quadric_chart()
-    rc = restricted_chart(chart, {var("z", 1), var("x", 1)})
-    assert var("z", 1) in rc.zero_vars
-    # x1 is a unit on the chart: the restriction silently skips it
-    assert var("x", 1) not in rc.zero_vars
 
 
 def test_nonvanishing_evidence():
