@@ -10,6 +10,7 @@ between component candidates are generated and replayed here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .algebra import Field, Polynomial, Var, format_poly, parse_poly, var, var_name
@@ -51,7 +52,9 @@ class SingularityPreset:
         h = f"+{self.variant}" if self.variant else ""
         return f"{core}(char {self.char}{h})"
 
+    @cached_property
     def system(self) -> JetSystem:
+        """The preset's one derivative tower, shared by every check."""
         return JetSystem(self.equation)
 
 
@@ -195,7 +198,7 @@ def preset_grid(
 def components(preset: SingularityPreset) -> StratificationTree:
     """Run the stratification and check the component count and residual
     absorption demanded by the preset."""
-    tree = run_driver(preset.system(), preset.script, preset.max_level)
+    tree = run_driver(preset.system, preset.script, preset.max_level)
     if len(tree.components) != preset.expected_count:
         raise PresetError(
             f"{preset.label}: got {len(tree.components)} components, "
@@ -328,7 +331,7 @@ def golden_table(preset: SingularityPreset) -> tuple[CongruenceLine, ...]:
 
 
 def verify_congruence_table(preset: SingularityPreset) -> dict:
-    sys = preset.system()
+    sys = preset.system
     results = []
     ok = True
     for line in golden_table(preset):
@@ -495,7 +498,7 @@ def _forced_vanishing_cert(
 
 
 def noninclusion_matrix(preset: SingularityPreset, tree: StratificationTree) -> dict:
-    sys = preset.system()
+    sys = preset.system
     charts = {c.index: tree.chart_of(c).stratum for c in tree.components}
     verdicts: list[PairVerdict] = []
     unresolved: list[tuple[int, int]] = []

@@ -40,14 +40,7 @@ from .catalog import (
 from .driver import StratificationTree, run_driver
 from .hasse import JetSystem
 from .jetgraph import build_graph, export, simple_branch_check
-from .oracle import (
-    OracleError,
-    enumerate_fiber,
-    exclusive_cover_check,
-    probe_field,
-    split_partition_check,
-    truncated_leaves,
-)
+from .oracle import OracleError, audit_tree, enumerate_fiber, probe_field, probe_primes
 
 
 class InputError(ValueError):
@@ -114,7 +107,7 @@ def cmd_derive(args) -> int:
     if args.equation:
         sysm = _equation_system(args.equation, args.char)
     else:
-        sysm = _preset_from_args(args).system()
+        sysm = _preset_from_args(args).system
     zeros = []
     if args.reduce:
         zeros = [_coordinate(name.strip()) for name in args.reduce.split(",")]
@@ -163,7 +156,7 @@ def cmd_components(args) -> int:
 
 def cmd_graph(args) -> int:
     pr = _preset_from_args(args)
-    g = build_graph(pr.system(), pr.script, args.max_level)
+    g = build_graph(pr.system, pr.script, args.max_level)
     _emit(export(g, args.format), args.out)
     rep = simple_branch_check(g)
     print(
@@ -178,14 +171,10 @@ def cmd_graph(args) -> int:
 
 
 def _oracle_section(pr: SingularityPreset, p: int, m: int, budget: int) -> dict:
-    sysm = pr.system()
     pts = enumerate_fiber(pr.equation, p, m, budget=budget)
-    tree = run_driver(sysm, pr.script, max_level=m)
-    target = probe_field(pr.equation.field, p)
-    leaves = truncated_leaves(sysm, tree, m, target)
-    exclusive = exclusive_cover_check(pts, leaves)
+    tree = run_driver(pr.system, pr.script, max_level=m)
+    exclusive, partition = audit_tree(pr.system, tree, pts, m, probe_field(pr.equation.field, p))
     uncovered = exclusive["uncovered"]
-    partition = split_partition_check(sysm, tree, pts, m, target)
     return {
         "prime": p,
         "level": m,
@@ -218,16 +207,8 @@ _ORACLE_BUDGET = 200_000
 
 def _oracle_plan(pr: SingularityPreset) -> list[tuple[int, int]]:
     """(prime, level) pairs small enough for a routine run."""
-    if pr.char:
-        primes = [pr.char]
-    else:
-        primes = [
-            p
-            for p in (2, 3)
-            if not (pr.equation.field.i_adjoined and p % 4 != 3)
-        ]
     plan = []
-    for p in primes:
+    for p in probe_primes(pr.equation.field):
         m = 1
         while p ** (3 * (m + 1)) <= _ORACLE_BUDGET:
             m += 1
@@ -272,7 +253,7 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
             cov.append({"prime": p, "level": m, "ok": False, "error": str(exc)})
     report["coverage"] = cov
     if graph_level:
-        g = build_graph(pr.system(), pr.script, graph_level)
+        g = build_graph(pr.system, pr.script, graph_level)
         rep = simple_branch_check(g)
         rep["ok"] = rep["ok"] and rep["chain_count"] == pr.expected_count
         report["graph"] = _jsonable(rep)

@@ -26,10 +26,10 @@ from .driver import Script, run_driver
 from .hasse import JetSystem
 from .oracle import (
     JetPoint,
+    compile_stratum,
     enumerate_fiber,
-    point_assignment,
     probe_field,
-    stratum_membership,
+    probe_primes,
     transport_stratum,
     truncate_stratum,
 )
@@ -134,32 +134,20 @@ def _level_pieces(
     return keep
 
 
-def _probe_primes(field: Field, primes: tuple[int, ...]) -> tuple[int, ...]:
-    if field.char:
-        return (field.char,)
-    return primes
-
-
 def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list[set[JetPoint]]:
     """The F_p points of the level-``m`` fiber on each piece, tested on the
     piece moved into the probe field of ``p``."""
     field = probe_field(sys.field, p)
-    moved = [transport_stratum(d, field) for d in pieces]
-    sets: list[set[JetPoint]] = [set() for _ in moved]
+    compiled = [compile_stratum(transport_stratum(d, field)) for d in pieces]
+    sets: list[set[JetPoint]] = [set() for _ in compiled]
     for pt in enumerate_fiber(sys.f, p, m):
-        assign = point_assignment(pt, m)
-        for members, d in zip(sets, moved):
-            if stratum_membership(assign, d):
+        for members, C in zip(sets, compiled):
+            if C.contains(pt):
                 members.add(pt)
     return sets
 
 
-def build_graph(
-    sys: JetSystem,
-    script: Script,
-    M: int,
-    primes: tuple[int, ...] = (2, 3),
-) -> JetComponentGraph:
+def build_graph(sys: JetSystem, script: Script, M: int) -> JetComponentGraph:
     levels: dict[int, list[tuple[object, Stratum]]] = {}
     for m in range(1, M + 1):
         levels[m] = _level_pieces(sys, script, m)
@@ -199,7 +187,7 @@ def build_graph(
                     edges.append((vid_of[(m - 1, pidx)], vid_of[(m, idx)]))
         # undecidable-merge probe: syntactically distinct same-level pieces
         # whose finite point sets agree at every tested prime
-        tested = [p for p in _probe_primes(sys.field, primes) if p ** (3 * m) <= _PROBE_BUDGET]
+        tested = [p for p in probe_primes(sys.field) if p ** (3 * m) <= _PROBE_BUDGET]
         if len(levels[m]) > 1 and tested:
             pieces = [d for _, d in levels[m]]
             point_sets = [_piece_points(sys, pieces, p, m) for p in tested]

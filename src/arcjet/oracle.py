@@ -10,12 +10,15 @@ tautology.
 A point of the level-``m`` fiber assigns one residue to each coordinate
 of order 1..m in the three ambient families (order 0 is pinned to the
 origin).  Points are stored as flat tuples ordered x1,y1,z1,x2,y2,z2,...
-so that the enumeration is lexicographic and deterministic.
+so that the enumeration is lexicographic and deterministic.  The search and
+the audits run on polynomials and truncations compiled into integer tables
+over that tuple, once per prime and level; ``stratum_membership`` on an
+unpacked point is the reference they are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -81,45 +84,154 @@ def probe_field(source: Field, p: int) -> Field:
     return Field(p)
 
 
+# -- compiled route -----------------------------------------------------------
+#
+# Each polynomial the oracle evaluates on fiber points is compiled once per
+# (prime, level) into plain data over the flat point tuple: a term becomes
+# ``(coeff mod p, index tuple)``, where coordinate (family, o) has index
+# 3*(o-1) + family, repeated once per unit of its exponent.  A term with an
+# order-0 coordinate (pinned to the origin) or an order above the level (not
+# in the point) reads as 0 and is dropped.  Over F_p(i) a polynomial splits
+# into a real and an imaginary table; fiber points have F_p coordinates, so
+# the value vanishes exactly when both parts do.  ``point_assignment``,
+# ``Polynomial.evaluate`` and ``stratum_membership`` remain the reference.
+
+Table = tuple[tuple[int, tuple[int, ...]], ...]
+# the nonzero parts of a compiled polynomial: one table, or real and imaginary
+Compiled = tuple[Table, ...]
+
+
+def _index(v: Var, m: int) -> Optional[int]:
+    """Position of a coordinate in a level-``m`` point (None: it reads 0)."""
+    fam, o = v
+    return 3 * (o - 1) + POINT_FAMILIES.index(fam) if 1 <= o <= m else None
+
+
+def compile_poly(f: Polynomial, m: int) -> Compiled:
+    """``f`` (over F_p or F_p(i)) as tables over level-``m`` points."""
+    p = f.field.char
+    if not p:
+        raise OracleError("compile a polynomial only after moving it into a probe field")
+    parts: tuple[list, list] = ([], [])
+    for mono, c in f.terms.items():
+        idx: list[int] = []
+        for v, e in mono:
+            i = _index(v, m)
+            if i is None:
+                break
+            idx += [i] * e
+        else:
+            for part, a in zip(parts, (c.re, c.im) if isinstance(c, Gaussian) else (c,)):
+                if a % p:
+                    part.append((a % p, tuple(idx)))
+    return tuple(tuple(t) for t in parts if t)
+
+
+def vanishes(parts: Compiled, pt: Sequence[int], p: int) -> bool:
+    """Is the compiled polynomial zero mod ``p`` at the (prefix of a) point?"""
+    for table in parts:
+        total = 0
+        for c, idx in table:
+            for i in idx:
+                c *= pt[i]
+            total += c
+        if total % p:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class CompiledStratum:
+    """A truncation as plain data over flat points of its level, mod ``p``."""
+
+    p: int
+    zeros: tuple[int, ...]
+    zero_monomials: tuple[tuple[int, ...], ...]
+    units: tuple[Compiled, ...]
+    equations: tuple[Compiled, ...]
+
+    def contains(self, pt: JetPoint) -> bool:
+        # plain loops: this runs once per (point, truncation)
+        for i in self.zeros:
+            if pt[i]:
+                return False
+        for mono in self.zero_monomials:
+            if all(pt[i] for i in mono):
+                return False
+        p = self.p
+        for e in self.equations:
+            if not vanishes(e, pt, p):
+                return False
+        for u in self.units:
+            if vanishes(u, pt, p):
+                return False
+        return True
+
+
+def compile_stratum(T: Stratum) -> CompiledStratum:
+    """Compile a truncation (``consumed`` = its level) whose coefficients are
+    already in the probe field (``transport_stratum``)."""
+    m = T.consumed
+    polys = T.units + T.equations
+    zeros = (_index(v, m) for v in T.zero_vars)
+    # a zero monomial vanishes where one of its coordinates does
+    monos = (tuple(_index(v, m) for v, _ in mono) for mono in T.zero_monomials)
+    return CompiledStratum(
+        p=polys[0].field.char if polys else 0,
+        zeros=tuple(i for i in zeros if i is not None),
+        zero_monomials=tuple(mono for mono in monos if None not in mono),
+        units=tuple(compile_poly(u, m) for u in T.units),
+        equations=tuple(compile_poly(e, m) for e in T.equations),
+    )
+
+
+def probe_primes(field: Field) -> tuple[int, ...]:
+    """The primes a finite-field probe of ``field`` data runs at: the
+    characteristic itself, or 2 and 3 over Q, skipping a prime whose probe
+    field cannot hold the adjoined i (only p = 3 mod 4 takes it)."""
+    if field.char:
+        return (field.char,)
+    return tuple(p for p in (2, 3) if not (field.i_adjoined and p % 4 != 3))
+
+
 def enumerate_fiber(
     f: Polynomial, p: int, m: int, budget: int = 10_000_000
 ) -> list[JetPoint]:
     """All F_p points of the level-``m`` fiber over the origin, in
     lexicographic order.
 
-    Depth-first over jet orders 1..m; a partial assignment is rejected as
-    soon as some fully determined derivative level is nonzero.
+    Depth-first over jet orders 1..m on one flat prefix list; a partial
+    assignment is rejected as soon as some fully determined derivative
+    level is nonzero.
     """
     if p ** (3 * m) > budget:
         raise OracleError("fiber too large; reduce m or p")
     field = probe_field(f.field, p)
     sys = JetSystem(transport_poly(f, field))
-    # Level n only involves orders <= n - 1 (the equation vanishes to
-    # order >= 2 at the origin), so it becomes checkable once order
-    # min(n - 1, ...) is assigned; group by actual max order.
-    by_order: dict[int, list[Polynomial]] = {}
+    # Each level is checked once the highest order among its surviving
+    # terms (order-0 coordinates are pinned to 0) is assigned.
+    by_order: dict[int, list[Compiled]] = {}
     for n in range(1, m + 1):
-        d = sys.derivative(n)
-        if d.is_zero():
-            continue
-        by_order.setdefault(max(d.max_order(), 1), []).append(d)
+        parts = compile_poly(sys.derivative(n), m)
+        if parts:
+            top = max((i for t in parts for _, idx in t for i in idx), default=0)
+            by_order.setdefault(top // 3 + 1, []).append(parts)
 
     out: list[JetPoint] = []
-    assign: dict[Var, int] = {var(fam, 0): 0 for fam in POINT_FAMILIES}
+    prefix = [0] * (3 * m)
 
-    def dfs(o: int, acc: list[int]) -> None:
+    def dfs(o: int) -> None:
         if o > m:
-            out.append(tuple(acc))
+            out.append(tuple(prefix))
             return
+        base = 3 * (o - 1)
+        checks = by_order.get(o, ())
         for vals in product(range(p), repeat=3):
-            for j, fam in enumerate(POINT_FAMILIES):
-                assign[var(fam, o)] = vals[j]
-            if all(not d.evaluate(assign) for d in by_order.get(o, ())):
-                dfs(o + 1, acc + list(vals))
-        for fam in POINT_FAMILIES:
-            assign.pop(var(fam, o), None)
+            prefix[base:base + 3] = vals
+            if all(vanishes(parts, prefix, p) for parts in checks):
+                dfs(o + 1)
 
-    dfs(1, [])
+    dfs(1)
     return out
 
 
@@ -182,11 +294,59 @@ def truncated_leaves(
 
 
 def _level_of(truncations: Iterable[Stratum]) -> int:
-    """The one level a batch of truncations shares, to unpack points at."""
+    """The one level a batch of truncations shares, to test points at."""
     levels = {T.consumed for T in truncations}
     if len(levels) != 1:
         raise OracleError(f"expected truncations at one level, got levels {sorted(levels)}")
     return levels.pop()
+
+
+def _audit(
+    points: Iterable[JetPoint],
+    m: int,
+    truncations: Sequence[Stratum],
+    groups: dict[object, list[int]],
+    splits: Sequence[tuple[int, int, tuple[int, ...]]],
+) -> tuple[dict, dict]:
+    """One pass over the points: each truncation is compiled once and tested
+    once per point.  The hits give the leaf-group cover (``groups``: key ->
+    positions in ``truncations``; skipped when empty) and the split
+    partition (``splits``: node id, parent position, child positions)."""
+    compiled = [compile_stratum(T) for T in truncations]
+    uncovered: list[JetPoint] = []
+    overlapping: list[tuple[JetPoint, list[object]]] = []
+    failures = []
+    for pt in points:
+        if len(pt) != 3 * m:
+            raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
+        hits = [C.contains(pt) for C in compiled]
+        if groups:
+            keys = [key for key, pos in groups.items() if any(hits[i] for i in pos)]
+            if not keys:
+                uncovered.append(pt)
+            elif len(keys) > 1:
+                overlapping.append((pt, keys))
+        for nid, parent, children in splits:
+            if hits[parent]:
+                n = sum(hits[c] for c in children)
+                if n != 1:
+                    failures.append({"node": nid, "point": pt, "hits": n})
+    exclusive = {
+        "ok": not uncovered and not overlapping,
+        "groups": len(groups),
+        "uncovered": uncovered,
+        "overlapping": overlapping,
+    }
+    return exclusive, {"ok": not failures, "split_nodes": len(splits), "failures": failures}
+
+
+def _leaf_groups(leaves: Iterable[tuple[Node, int]]) -> dict[object, list[int]]:
+    """Positions of leaves grouped by the component they chart."""
+    groups: dict[object, list[int]] = {}
+    for node, i in leaves:
+        key = ("component", node.component) if node.component is not None else ("leaf", node.nid)
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def coverage_check(
@@ -194,13 +354,8 @@ def coverage_check(
     leaves: Sequence[Stratum],
 ) -> list[JetPoint]:
     """Fiber points belonging to no leaf; expected empty."""
-    m = _level_of(leaves)
-    missing = []
-    for pt in points:
-        assign = point_assignment(pt, m)
-        if not any(stratum_membership(assign, T) for T in leaves):
-            missing.append(pt)
-    return missing
+    groups: dict[object, list[int]] = {i: [i] for i in range(len(leaves))}
+    return _audit(points, _level_of(leaves), leaves, groups, ())[0]["uncovered"]
 
 
 def exclusive_cover_check(
@@ -213,30 +368,46 @@ def exclusive_cover_check(
     locus from different localizations), so leaves are grouped by the
     component they chart; residual and stabilized leaves stand alone.
     """
-    groups: dict[object, list[Stratum]] = {}
-    for node, T in leaves:
-        key = ("component", node.component) if node.component is not None else ("leaf", node.nid)
-        groups.setdefault(key, []).append(T)
-    m = _level_of(T for _, T in leaves)
-    uncovered: list[JetPoint] = []
-    overlapping: list[tuple[JetPoint, list[object]]] = []
-    for pt in points:
-        assign = point_assignment(pt, m)
-        hits = [
-            key
-            for key, ts in groups.items()
-            if any(stratum_membership(assign, T) for T in ts)
-        ]
-        if not hits:
-            uncovered.append(pt)
-        elif len(hits) > 1:
-            overlapping.append((pt, hits))
-    return {
-        "ok": not uncovered and not overlapping,
-        "groups": len(groups),
-        "uncovered": uncovered,
-        "overlapping": overlapping,
-    }
+    groups = _leaf_groups((node, i) for i, (node, _) in enumerate(leaves))
+    truncations = [T for _, T in leaves]
+    return _audit(points, _level_of(truncations), truncations, groups, ())[0]
+
+
+def _tree_audit(
+    sys: JetSystem,
+    tree: StratificationTree,
+    points: Iterable[JetPoint],
+    m: int,
+    target: Optional[Field],
+    leaves: Sequence[Node],
+) -> tuple[dict, dict]:
+    """Truncate each node the checks need once (``leaves``, every split
+    parent and its children), then audit the points in one pass."""
+    split_nodes = [
+        node
+        for node in tree.nodes
+        if node.note.startswith("split on ") and len(node.children) == 2
+    ]
+    pos: dict[int, int] = {}
+    for nid in [n.nid for n in leaves] + [k for n in split_nodes for k in (n.nid, *n.children)]:
+        pos.setdefault(nid, len(pos))
+    truncations = [truncate_stratum(sys, tree.node(nid).stratum, m, target) for nid in pos]
+    groups = _leaf_groups((node, pos[node.nid]) for node in leaves)
+    splits = [(n.nid, pos[n.nid], tuple(pos[c] for c in n.children)) for n in split_nodes]
+    return _audit(points, m, truncations, groups, splits)
+
+
+def audit_tree(
+    sys: JetSystem,
+    tree: StratificationTree,
+    points: Iterable[JetPoint],
+    m: int,
+    target: Optional[Field] = None,
+) -> tuple[dict, dict]:
+    """``exclusive_cover_check`` on the nonempty leaves and
+    ``split_partition_check`` of a driver run, from one pass over the points."""
+    leaves = [node for node in tree.leaves() if node.kind != "empty"]
+    return _tree_audit(sys, tree, points, m, target, leaves)
 
 
 def split_partition_check(
@@ -248,22 +419,4 @@ def split_partition_check(
 ) -> dict:
     """At every open/closed split node the parent's points must fall into
     exactly one of the two (further evolved) child strata."""
-    splits = [
-        (
-            node.nid,
-            truncate_stratum(sys, node.stratum, m, target),
-            [truncate_stratum(sys, tree.node(c).stratum, m, target) for c in node.children],
-        )
-        for node in tree.nodes
-        if node.note.startswith("split on ") and len(node.children) == 2
-    ]
-    failures = []
-    for pt in points:
-        assign = point_assignment(pt, m)
-        for nid, t_parent, t_children in splits:
-            if not stratum_membership(assign, t_parent):
-                continue
-            hits = sum(1 for t in t_children if stratum_membership(assign, t))
-            if hits != 1:
-                failures.append({"node": nid, "point": pt, "hits": hits})
-    return {"ok": not failures, "split_nodes": len(splits), "failures": failures}
+    return _tree_audit(sys, tree, points, m, target, ())[1]

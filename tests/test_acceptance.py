@@ -144,7 +144,7 @@ def test_criterion_3_noninclusion():
     for n, i, j in ((3, 1, 2), (3, 2, 3), (4, 1, 4), (4, 2, 3), (4, 3, 5)):
         assert i < j <= 2 * n - 3
         pr = preset("D", n=n, char=0)
-        sysm = pr.system()
+        sysm = pr.system
         low = {var("x", k) for k in range(j) if k != i}
         low |= {var("y", 0), var("y", 1)}
         low |= {var("z", k) for k in range(j + 1)}
@@ -222,7 +222,7 @@ def test_criterion_5_reduction_structure():
     for pr in preset_grid():
         if pr.variant or pr.kind in ("E6", "E7"):
             continue
-        sysm = pr.system()
+        sysm = pr.system
         for level, zs in ladder_ideals(pr):
             lower_ok = all(
                 not sysm.derivative(k).reduce_mod_vars(zs) for k in range(level)

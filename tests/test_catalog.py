@@ -130,7 +130,7 @@ def test_d_witness_congruences_by_hand():
     both the x_j^2*y2 and z_{j+1}^2 terms."""
     for n, i, j in ((3, 1, 2), (4, 1, 3), (4, 2, 3)):
         pr = preset("D", n=n, char=0)
-        sys = pr.system()
+        sys = pr.system
         low = {var("x", k) for k in range(j) if k != i}
         low |= {var("y", 0), var("y", 1)}
         low |= {var("z", k) for k in range(j + 1)}

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from arcjet.cli import main
+from arcjet import oracle
+from arcjet.catalog import preset
+from arcjet.cli import _oracle_plan, _oracle_section, main
 
 
 def run(capsys, *argv):
@@ -175,3 +177,22 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind,n,char,calls", [("D", 2, 3, 5), ("A", 3, 0, 13)])
+def test_oracle_plan_truncates_each_node_once(monkeypatch, kind, n, char, calls):
+    """Over a preset's oracle plan, every ``truncate_stratum`` call is for a
+    distinct (node, level): leaves that are also split children are not
+    truncated twice."""
+    seen = []
+    truncate = oracle.truncate_stratum
+
+    def counting(sys, s, m, target=None):
+        seen.append((s, m))
+        return truncate(sys, s, m, target)
+
+    monkeypatch.setattr(oracle, "truncate_stratum", counting)
+    pr = preset(kind, n=n, char=char)
+    for p, m in _oracle_plan(pr):
+        assert _oracle_section(pr, p, m, 200_000)["ok"]
+    assert len({(id(s), m) for s, m in seen}) == len(seen) == calls

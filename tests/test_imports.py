@@ -1,11 +1,14 @@
 """Every name a module under src/arcjet imports is used in that module,
-and every parameter of its functions and methods is read.
+every parameter of its functions and methods is read, and no module runs
+generated code.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
 module's code or inside a string annotation (``from __future__`` imports
 are exempt); a parameter must be loaded somewhere in its function's body,
-nested functions included (``self`` and ``cls`` are exempt).
+nested functions included (``self`` and ``cls`` are exempt).  No module
+calls the builtins ``eval``, ``exec`` or ``compile``: the compiled oracle
+is plain data (``re.compile``, an attribute call, is not the builtin).
 """
 
 import ast
@@ -81,3 +84,16 @@ def test_no_unused_parameters(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = list(unread_parameters(tree))
     assert not unread, f"{path.name} has parameters nothing reads: {', '.join(unread)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_eval_exec_compile(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        f"{node.func.id} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("eval", "exec", "compile")
+    ]
+    assert not calls, f"{path.name} runs generated code: {', '.join(calls)}"

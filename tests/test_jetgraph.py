@@ -16,10 +16,12 @@ from arcjet.jetgraph import (
     restrict_descriptor,
     simple_branch_check,
 )
+from arcjet.algebra import Field
 from arcjet.oracle import (
     enumerate_fiber,
     point_assignment,
     probe_field,
+    probe_primes,
     stratum_membership,
     truncate_stratum,
 )
@@ -109,6 +111,19 @@ def test_probe_tests_points_in_probe_field(kind, n, m):
     got = _piece_points(sys, pieces, 2, m)
     assert got == reference(pieces)
     assert all(got)
+
+
+def test_probe_primes_follow_the_adjoined_i():
+    assert probe_primes(Field(0)) == (2, 3)
+    assert probe_primes(Field(0, i_adjoined=True)) == (3,)
+    assert probe_primes(Field(7, i_adjoined=True)) == (7,)
+
+
+def test_e6_char0_graph_probes_only_where_i_lives():
+    """E6 (char 0) has i adjoined and is unsupported in characteristic 2, so
+    the merge probe runs at p = 3 only and flags nothing."""
+    pr = preset("E6", char=0)
+    assert not build_graph(pr.system, pr.script, 6).flags
 
 
 def test_export_json_round_trip():

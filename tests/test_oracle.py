@@ -4,13 +4,16 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arcjet.algebra import Field, parse_poly, var
+from arcjet.algebra import Field, Polynomial, parse_poly, var
 from arcjet.catalog import preset
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.oracle import (
     OracleError,
+    compile_poly,
+    compile_stratum,
     coverage_check,
     enumerate_fiber,
     exclusive_cover_check,
@@ -18,10 +21,14 @@ from arcjet.oracle import (
     probe_field,
     split_partition_check,
     stratum_membership,
+    transport_poly,
     truncate_stratum,
     truncated_leaves,
+    vanishes,
 )
 from arcjet.strata import closure_contains
+
+from test_algebra import FIELDS, poly_strategy
 
 
 def brute_points(f, p, m):
@@ -72,6 +79,10 @@ def test_enumerate_matches_reference_elsewhere():
     assert sorted(enumerate_fiber(f3, 3, 2)) == sorted(brute_points(f3, 3, 2))
     f2 = parse_poly("z^2 + x^3 + y^5", Field(2))
     assert sorted(enumerate_fiber(f2, 2, 3)) == sorted(brute_points(f2, 2, 3))
+    # i adjoined: the DFS reads real and imaginary tables
+    e6 = preset("E6", char=3).equation
+    assert e6.field.i_adjoined
+    assert enumerate_fiber(e6, 3, 2) == brute_points(e6, 3, 2)
 
 
 def test_budget_guard():
@@ -182,3 +193,59 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
             bad = [pt for pt in a_pts if not stratum_membership(assigns[pt], closed)]
             assert not bad, (i, j, bad[:3])
     assert proper, "no containment between distinct leaves was exercised"
+
+
+# -- the compiled route against the reference route ---------------------------
+
+
+@pytest.mark.parametrize(
+    "field",
+    FIELDS + [Field(3, i_adjoined=True), Field(7, i_adjoined=True)],
+    ids=lambda f: f"char{f.char}" + ("+i" if f.i_adjoined else ""),
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compiled_poly_matches_evaluate(field, data):
+    """A compiled table vanishes at a flat point exactly when
+    ``Polynomial.evaluate`` on the unpacked point does; subtracting the
+    reference value always leaves a vanishing table.  Characteristic-0 data
+    is compared mod 5 after moving it into F_5."""
+    f = data.draw(poly_strategy(field))
+    if field.i_adjoined:
+        i = field.square_root(field.of(-1))
+        f = f + data.draw(poly_strategy(field)).scale(i)
+    target = field if field.char else Field(5)
+    p = target.char
+    m = data.draw(st.integers(1, 3))
+    pt = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=3 * m, max_size=3 * m)))
+    ref = target.of(f.evaluate(point_assignment(pt, m)))
+    moved = transport_poly(f, target)
+    assert vanishes(compile_poly(moved, m), pt, p) == (not ref)
+    shifted = moved - Polynomial.const(target, ref)
+    assert vanishes(compile_poly(shifted, m), pt, p)
+
+
+MEMBERSHIP_CASES = [(kind, n, p, p, m) for kind, n, p, m in AUDIT_CASES] + [
+    ("E6", 6, 3, 3, 4),
+    ("E6", 6, 0, 3, 4),
+]
+
+
+@pytest.mark.parametrize("kind,n,char,p,m", MEMBERSHIP_CASES)
+def test_compiled_truncations_match_membership(kind, n, char, p, m):
+    """Every node of a driver run, truncated into the probe field and
+    compiled, holds exactly the fiber points ``stratum_membership`` puts on
+    the truncation."""
+    pr = preset(kind, n=n, char=char)
+    sys = pr.system
+    tree = run_driver(sys, pr.script, max_level=m)
+    target = probe_field(pr.equation.field, p)
+    truncs = [truncate_stratum(sys, node.stratum, m, target) for node in tree.nodes]
+    compiled = [compile_stratum(T) for T in truncs]
+    if target.i_adjoined:
+        # F_3(i) is exercised: some table has an imaginary part
+        assert any(len(e) == 2 for C in compiled for e in C.equations + C.units)
+    for pt in enumerate_fiber(pr.equation, p, m):
+        assign = point_assignment(pt, m)
+        for T, C in zip(truncs, compiled):
+            assert C.contains(pt) == stratum_membership(assign, T), (pt, T.describe())

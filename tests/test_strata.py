@@ -76,7 +76,7 @@ def test_simplify_matches_uncached_reference(kind, n, char, variant):
     # driver run, each unconsumed level reduces exactly as with rules
     # rebuilt from the raw equations on every call
     pr = preset(kind, n=n, char=char, variant=variant)
-    sys = pr.system()
+    sys = pr.system
     tree = run_driver(sys, pr.script, pr.max_level)
     checked = 0
     for node in tree.nodes:
