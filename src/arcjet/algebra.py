@@ -173,7 +173,7 @@ class Field:
     def __post_init__(self) -> None:
         if self.char < 0 or self.char == 1:
             raise ValueError(f"invalid characteristic {self.char}")
-        if self.char > 1 and not _is_prime(self.char):
+        if self.char > 1 and not is_prime(self.char):
             raise ValueError(f"characteristic {self.char} is not prime")
         if self.i_adjoined and self.char and self.char % 4 != 3:
             raise ValueError(
@@ -279,7 +279,7 @@ def _fraction_sqrt(c: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2

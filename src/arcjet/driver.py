@@ -8,9 +8,10 @@ coordinate, record a relation, or open one or more elimination charts
 closed complements of final covers are terminal residuals absorbed into a
 previously built component's closure.
 
-Scripts pin the few genuinely global choices (which coordinates to invert
-at a cover level, the pivot preference, where the process terminates); all
-remaining moves are canonical and recomputed from the equation itself.
+A script pins what the equation alone does not decide: the coordinate
+sets to invert at a cover level (only E8 needs any) and the terminal cover
+level (the catalog derives it from the equation's weights); all remaining
+moves are canonical and recomputed from the equation itself.
 """
 
 from __future__ import annotations
@@ -44,24 +45,14 @@ from .strata import (
 
 
 @dataclass(frozen=True)
-class CoverDirective:
-    """Scripted choice at a cover level.
-
-    ``unit_sets`` lists the coordinate sets to invert, one chart per set
-    (None = derive them from the equation).  ``pivot_prefer`` orders the
-    pivot candidates; the first one whose coefficient is invertible in the
-    current characteristic wins.  ``terminal`` marks the closed complement
-    as the final residual of the whole stratification.
-    """
-
-    unit_sets: Optional[tuple[tuple[Var, ...], ...]] = None
-    pivot_prefer: Optional[tuple[Var, ...]] = None
-    terminal: bool = False
-
-
-@dataclass(frozen=True)
 class Script:
-    covers: dict[int, CoverDirective] = dc_field(default_factory=dict)
+    """``covers`` maps a cover level to the coordinate sets to invert there,
+    one chart per set (levels not listed derive them from the equation).
+    The cover at ``terminal_level`` leaves its closed complement as the
+    final residual of the whole stratification."""
+
+    covers: dict[int, tuple[tuple[Var, ...], ...]] = dc_field(default_factory=dict)
+    terminal_level: Optional[int] = None
 
 
 AUTO_SCRIPT = Script()
@@ -138,7 +129,6 @@ def _process(
     parent: Optional[int],
 ) -> Node:
     node = _new_node(tree, parent, level, s)
-    field = sys.field
     while True:
         s = _normalize(s)
         node.stratum = s
@@ -173,8 +163,7 @@ def _process(
             # a unit monomial times a relation: impose the relation
             s = add_equation(s, q, n)
             continue
-        directive = script.covers.get(n)
-        if directive is None or directive.unit_sets is None:
+        if n not in script.covers:
             pivot = find_pivot(s, q)
             if pivot is not None:
                 chart = eliminate_tail(sys, s, n, q, pivot)
@@ -189,7 +178,7 @@ def _process(
                 node.component = comp.index
                 tree.components.append(comp)
                 return node
-        _do_cover(sys, script, tree, node, s, n, q, directive)
+        _do_cover(sys, script, tree, node, s, n, q)
         return node
 
 
@@ -235,7 +224,6 @@ def _factor_chart(
     n: int,
     lin: Polynomial,
     max_level: int,
-    prefer: Optional[tuple[Var, ...]],
 ) -> Stratum:
     """Build the elimination chart of one linear factor of a split cover."""
     s_f = add_equation(s_ch, lin, n)
@@ -250,7 +238,7 @@ def _factor_chart(
         raise EngineError(
             f"factor chart at level {n} has a non-unit content at level {n2}"
         )
-    pivot = find_pivot(s_f, r, prefer=prefer)
+    pivot = find_pivot(s_f, r)
     if pivot is None:
         raise EngineError(
             f"no invertible pivot on the factor chart at level {n} "
@@ -267,15 +255,10 @@ def _do_cover(
     s: Stratum,
     n: int,
     q: Polynomial,
-    directive: Optional[CoverDirective],
 ) -> None:
     field = sys.field
-    if directive is not None and directive.unit_sets is not None:
-        unit_sets = directive.unit_sets
-    else:
-        unit_sets = _auto_cover(s, q)
-    prefer = directive.pivot_prefer if directive is not None else None
-    terminal = directive.terminal if directive is not None else False
+    unit_sets = script.covers.get(n) or _auto_cover(s, q)
+    terminal = n == script.terminal_level
     node.note = (
         f"cover at level {n} localizing "
         + " | ".join(",".join(var_name(v) for v in us) for us in unit_sets)
@@ -291,7 +274,7 @@ def _do_cover(
             # chart decomposes into two pieces, one per linear factor;
             # each gets its own component.
             for lin in factors:
-                chart = _factor_chart(sys, s_ch, n, lin, tree.max_level, prefer)
+                chart = _factor_chart(sys, s_ch, n, lin, tree.max_level)
                 fcomp = Component(
                     index=len(tree.components),
                     name=f"K{len(tree.components) + 1}",
@@ -313,7 +296,7 @@ def _do_cover(
                 chart_nodes=[],
             )
             tree.components.append(comp)
-        pivot = find_pivot(s_ch, q, prefer=prefer)
+        pivot = find_pivot(s_ch, q)
         if pivot is None:
             raise EngineError(
                 f"no invertible pivot at level {n} on chart "

@@ -111,27 +111,21 @@ def _level_pieces(
             if node.absorbed_into is not None:
                 continue
             cands.append((None, truncate_stratum(sys, node.stratum, m)))
-    # drop pieces strictly inside another piece's closure
+    # drop pieces strictly inside another piece's closure; of pieces with
+    # equal closures keep the first.  inside[i][j]: piece i lies in the
+    # closure of piece j.
     field = sys.field
-    keep: list[tuple[object, Stratum]] = []
-    for i, (ci, di) in enumerate(cands):
-        dominated = False
-        for j, (cj, dj) in enumerate(cands):
-            if i == j:
-                continue
-            if descriptor_contains(dj, di, field) and not descriptor_contains(di, dj, field):
-                dominated = True
-                break
-            if (
-                descriptor_contains(di, dj, field)
-                and descriptor_contains(dj, di, field)
-                and j < i
-            ):
-                dominated = True  # mutual containment: keep the first
-                break
-        if not dominated:
-            keep.append((ci, di))
-    return keep
+    inside = [
+        [i != j and descriptor_contains(b, a, field) for j, (_, b) in enumerate(cands)]
+        for i, (_, a) in enumerate(cands)
+    ]
+    return [
+        piece
+        for i, piece in enumerate(cands)
+        if not any(
+            inside[i][j] and (j < i or not inside[j][i]) for j in range(len(cands))
+        )
+    ]
 
 
 def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list[set[JetPoint]]:

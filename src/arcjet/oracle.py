@@ -27,6 +27,7 @@ from .algebra import (
     Gaussian,
     Polynomial,
     Var,
+    is_prime,
     var,
 )
 from .driver import Node, StratificationTree
@@ -77,6 +78,8 @@ def transport_poly(p: Polynomial, target: Field) -> Polynomial:
 
 def probe_field(source: Field, p: int) -> Field:
     """The prime-field home for reducing ``source``-coefficient data mod p."""
+    if not is_prime(p):
+        raise OracleError(f"probe modulus {p} is not a prime")
     if source.char and source.char != p:
         raise OracleError(f"cannot reduce characteristic {source.char} data mod {p}")
     if source.i_adjoined and p % 4 == 3:

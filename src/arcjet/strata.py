@@ -282,9 +282,7 @@ class PivotChoice:
     monomial_unit: bool
 
 
-def find_pivot(
-    s: Stratum, q: Polynomial, prefer: Optional[Sequence[Var]] = None
-) -> Optional[PivotChoice]:
+def find_pivot(s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
     """Choose a variable of ``q`` whose partial derivative is invertible.
 
     The stratum is considered with ``q`` already imposed (so unit inference
@@ -295,10 +293,8 @@ def find_pivot(
     """
     probe = replace(s, equations=s.equations + (q,))
     uv = probe.unit_vars()
-    monomial_picks: list[tuple[tuple, PivotChoice]] = []
-    poly_picks: list[tuple[tuple, PivotChoice]] = []
-    order = list(prefer) if prefer else sorted(q.variables(), key=_split_key, reverse=True)
-    for v in order:
+    picks: list[PivotChoice] = []
+    for v in q.variables():
         c = probe.simplify(q.partial(v))
         if c.is_zero():
             continue
@@ -307,21 +303,13 @@ def find_pivot(
             continue
         cof = c.divide_monomial(content)
         if len(cof.terms) == 1 and not next(iter(cof.terms)):
-            choice = PivotChoice(v, c, None, True)
-            monomial_picks.append((_split_key(v), choice))
+            picks.append(PivotChoice(v, c, None, True))
         elif len(cof.terms) >= 2:
-            choice = PivotChoice(v, c, cof, False)
-            poly_picks.append((_split_key(v), choice))
+            picks.append(PivotChoice(v, c, cof, False))
         # single-variable cofactor: rejected
-    if prefer:
-        for _, choice in monomial_picks + poly_picks:
-            return choice
-        return None
-    for picks in (monomial_picks, poly_picks):
-        if picks:
-            picks.sort(key=lambda t: t[0], reverse=True)
-            return picks[0][1]
-    return None
+    return max(
+        picks, key=lambda pc: (pc.monomial_unit, _split_key(pc.v)), default=None
+    )
 
 
 def _split_key(v: Var) -> tuple[int, int]:

@@ -1,11 +1,15 @@
 """Named singularity presets: counts, reduction tables, separation evidence."""
 
+from dataclasses import replace
+
 import pytest
 
-from arcjet.algebra import parse_poly, var
+from arcjet.algebra import QQ, parse_poly, var
 from arcjet.catalog import (
     PresetError,
+    _base_equation,
     components,
+    coxeter_number,
     golden_table,
     legal_variants,
     noninclusion_matrix,
@@ -14,6 +18,9 @@ from arcjet.catalog import (
     supported_chars,
     verify_congruence_table,
 )
+from arcjet.cli import _component_inventory
+from arcjet.driver import Script, run_driver
+from arcjet.strata import EngineError
 
 
 # -- preset plumbing --------------------------------------------------------
@@ -45,6 +52,62 @@ def test_variant_lists():
     assert legal_variants("A", 1, 0) == ("",)
     assert len(legal_variants("E8", 8, 2)) > 1
     assert legal_variants("E8", 8, 0) == ("",)
+
+
+# -- the script: terminal level from the equation, E8's two unit sets ---------
+
+
+@pytest.mark.parametrize(
+    "kind,n,h",
+    [("A", n, n + 1) for n in range(1, 7)]
+    + [("D", n, 4 * n - 2) for n in (2, 3, 4)]
+    + [("E6", 6, 12), ("E7", 7, 18), ("E8", 8, 30)],
+)
+def test_coxeter_number_of_base_equations(kind, n, h):
+    # the levels the presets used to script by hand
+    assert coxeter_number(parse_poly(_base_equation(kind, n), QQ)) == h
+    assert preset(kind, n=n).script.terminal_level == h
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["z^2 + x^3 + y^5 + x*y*z", "z^2 + x^2", "x*y*z"],
+    ids=["not-quasi-homogeneous", "weight-sum-unfixed", "no-integer-h"],
+)
+def test_coxeter_number_rejects(text):
+    with pytest.raises(ValueError):
+        coxeter_number(parse_poly(text, QQ))
+
+
+def test_only_e8_scripts_cover_unit_sets():
+    for pr in preset_grid():
+        want = {15: ((var("x", 5),),), 30: ((var("z", 15), var("x", 10)),)}
+        assert pr.script.covers == (want if pr.kind == "E8" else {})
+
+
+def _inventory(pr, script):
+    return _component_inventory(pr, components(replace(pr, script=script)))
+
+
+@pytest.mark.parametrize(
+    "kind,n,char,count",
+    [("A", 1, 0, 3), ("D", 2, 0, 8), ("E6", 6, 3, 12), ("E7", 7, 3, 10)],
+)
+def test_terminal_level_is_load_bearing(kind, n, char, count):
+    pr = preset(kind, n=n, char=char)
+    tree = run_driver(pr.system, replace(pr.script, terminal_level=None), pr.max_level)
+    assert len(tree.components) == count != pr.expected_count
+
+
+def test_e8_script_values_are_load_bearing():
+    pr = preset("E8", char=2)
+    full = _inventory(pr, pr.script)
+    for level in (15, 30):
+        covers = {k: v for k, v in pr.script.covers.items() if k != level}
+        # still eight absorbed components, but other charts
+        assert _inventory(pr, replace(pr.script, covers=covers)) != full
+    with pytest.raises(EngineError, match="product localization requires a terminal cover"):
+        run_driver(pr.system, replace(pr.script, terminal_level=None), pr.max_level)
 
 
 # -- component counts (sampled; the full grid runs in the acceptance suite) --

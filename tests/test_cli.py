@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from arcjet import oracle
+from arcjet import cli, oracle
 from arcjet.catalog import preset
 from arcjet.cli import _oracle_plan, _oracle_section, main
 
@@ -133,8 +133,18 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         ["derive", "--equation", "z^2 + x*"],
         ["derive", "--equation", "z^2 + x*y", "--reduce", "q0"],
         ["derive", "--equation", "z^2 + x*y", "--char", "4"],
+        ["oracle", "--kind", "A", "--n", "1", "--p", "4"],
+        ["oracle", "--kind", "A", "--n", "1", "--p", "1"],
+        ["oracle", "--kind", "A", "--n", "1", "--p", "-3", "--check", "counts"],
     ],
-    ids=["parse-error", "bad-coordinate", "non-prime-char"],
+    ids=[
+        "parse-error",
+        "bad-coordinate",
+        "non-prime-char",
+        "oracle-composite-p",
+        "oracle-p-one",
+        "oracle-negative-p",
+    ],
 )
 def test_malformed_input_is_a_json_error(capsys, argv):
     code, out = run(capsys, *argv)
@@ -196,3 +206,29 @@ def test_oracle_plan_truncates_each_node_once(monkeypatch, kind, n, char, calls)
     for p, m in _oracle_plan(pr):
         assert _oracle_section(pr, p, m, 200_000)["ok"]
     assert len({(id(s), m) for s, m in seen}) == len(seen) == calls
+
+
+def test_verify_all_workers_match_single_process(monkeypatch, tmp_path, capsys):
+    """``ARCJET_WORKERS=2`` fans ``verify --all`` out over a process pool and
+    writes the same bytes as one process."""
+    small = [preset("A", 1, 2), preset("A", 2, 3), preset("D", 2, 3)]
+    monkeypatch.setattr(cli, "preset_grid", lambda: iter(small))
+    pools = []
+
+    class Pool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ARCJET_WORKERS", workers)
+        out = tmp_path / f"workers{workers}.json"
+        assert main(["verify", "--all", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert pools == [2]
+    assert reports[0] == reports[1]
+    assert [r["preset"] for r in json.loads(reports[0])["presets"]] == sorted(
+        pr.label for pr in small
+    )

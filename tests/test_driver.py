@@ -3,13 +3,7 @@
 import pytest
 
 from arcjet.algebra import Field, QQ, parse_poly, var
-from arcjet.driver import (
-    AUTO_SCRIPT,
-    CoverDirective,
-    Script,
-    _square_split,
-    run_driver,
-)
+from arcjet.driver import Script, _square_split, run_driver
 from arcjet.hasse import JetSystem
 from arcjet.strata import Stratum, check_elimination_soundness, root_stratum
 
@@ -22,7 +16,7 @@ def P(text, field=QQ):
 
 
 def test_quadric_cone_auto():
-    # without a terminal directive the driver descends the whole ladder:
+    # without a terminal level the driver descends the whole ladder:
     # a fresh two-chart component every two levels
     sys = JetSystem(P("z^2 + x*y"))
     tree = run_driver(sys, max_level=10)
@@ -35,7 +29,8 @@ def test_quadric_cone_auto():
 
 
 def test_quadric_cone_terminal_script():
-    # the terminal cover collapses the ladder to a single component
+    # the terminal cover (at the Coxeter number 2) collapses the ladder to a
+    # single component
     from arcjet.catalog import components, preset
 
     pr = preset("A", n=1, char=0)
@@ -92,7 +87,7 @@ def test_split_cover_creates_one_component_per_factor():
     # first cover level sees z2^2 - y1^4 and must emit one component per
     # linear factor
     sys = JetSystem(P("z^2 - y^4"))
-    script = Script({2: CoverDirective(unit_sets=((var("y", 1),),), terminal=True)})
+    script = Script({2: ((var("y", 1),),)}, terminal_level=2)
     tree = run_driver(sys, script, max_level=10)
     first = [
         c

@@ -166,7 +166,7 @@ def test_quadratic_pivot_keeps_equation():
     s = root_stratum()
     n, r = next_nontrivial(sys, s, 10)
     op, _ = split(s, var("z", 1), QQ)
-    pivot = find_pivot(op, r, prefer=[var("z", 1)])
+    pivot = find_pivot(op, r)
     assert pivot is not None and pivot.v == var("z", 1)
     chart = eliminate_tail(sys, op, n, r, pivot)
     assert r in chart.equations
