@@ -1,10 +1,12 @@
 """Built-in surface singularity presets and their verification data.
 
 Each preset bundles a defining equation (with its legal extra-term variants
-per characteristic), the driver script (the terminal cover level is the
-Coxeter number read off the base equation's weights; E8 adds two cover unit
-sets), the expected number of arc components, and golden reduction tables
-used to cross-check the level-by-level computation.  Certificates of
+per characteristic), the cover unit sets handed to the driver, the expected
+number of arc components, and golden reduction tables used to cross-check
+the level-by-level computation.  The driver finds the terminal cover
+itself (the cover whose relation has its level as Coxeter number); the
+unit sets are empty except for E8's two, at levels 15 and 30, which only
+fix the golden presentation of its charts.  Certificates of
 pairwise non-inclusion between component candidates are generated and
 replayed here as well.
 """
@@ -12,13 +14,12 @@ replayed here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .algebra import QQ, Field, Polynomial, Var, format_poly, parse_poly, var, var_name
+from .algebra import Field, Polynomial, Var, format_poly, parse_poly, var, var_name
 from .hasse import JetSystem
-from .driver import Script, StratificationTree, run_driver
+from .driver import Covers, StratificationTree, run_driver
 from .strata import (
     RestrictionIncompatible,
     Stratum,
@@ -40,7 +41,7 @@ class SingularityPreset:
     char: int
     variant: str  # extra term appended to the base equation ("" = none)
     equation: Polynomial
-    script: Script
+    covers: Covers
     expected_count: int
     max_level: int
 
@@ -97,61 +98,6 @@ def _base_equation(kind: str, n: int) -> str:
     raise PresetError(f"unknown kind {kind!r}")
 
 
-def _row_reduce(aug: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
-    """The nonzero rows of the reduced row echelon form of an augmented
-    system [A | b], or None when the system has no solution."""
-    reduced: list[list[Fraction]] = []
-    for col in range(len(aug[0]) - 1):
-        pivot = next((r for r in aug if r[col]), None)
-        if pivot is None:
-            continue
-        pivot = [a / pivot[col] for a in pivot]
-        aug, reduced = (
-            [[a - r[col] * b for a, b in zip(r, pivot)] for r in part]
-            for part in (aug, reduced)
-        )
-        aug = [r for r in aug if any(r)]
-        reduced.append(pivot)
-    return None if aug else reduced
-
-
-def coxeter_number(f: Polynomial) -> int:
-    """The Coxeter number h of a quasi-homogeneous surface equation in x, y, z.
-
-    Weights q that give every term weight 1 sum to 1 + 1/h.  The sum is
-    exact: write (1, 1, 1) = Σ c_j·e_j over the terms' exponent vectors e_j,
-    then Σq = Σ c_j.  Raises ValueError when ``f`` is not quasi-homogeneous,
-    when (1, 1, 1) is no such combination (the weights leave Σq open), or
-    when h is not a positive integer.
-    """
-    one = Fraction(1)
-    exps = [
-        [Fraction(dict(mono).get(var(fam, 0), 0)) for fam in "xyz"] for mono in f.terms
-    ]
-    if _row_reduce([e + [one] for e in exps]) is None:
-        raise ValueError(f"{format_poly(f)} is not quasi-homogeneous")
-    # one solution c (free c_j = 0): the right side of each reduced row
-    c_rows = _row_reduce([list(col) + [one] for col in zip(*exps)])
-    if c_rows is None:
-        raise ValueError(f"the weights of {format_poly(f)} leave their sum open")
-    excess = sum(r[-1] for r in c_rows) - 1
-    if excess <= 0 or (1 / excess).denominator != 1:
-        raise ValueError(f"{format_poly(f)} has no integer Coxeter number")
-    return int(1 / excess)
-
-
-def _script(kind: str, n: int) -> Script:
-    """The terminal cover sits at the Coxeter number; only E8 fixes which
-    coordinates its covers at levels 15 and 30 invert."""
-    covers = (
-        {15: ((var("x", 5),),), 30: ((var("z", 15), var("x", 10)),)}
-        if kind == "E8"
-        else {}
-    )
-    h = coxeter_number(parse_poly(_base_equation(kind, n), QQ))
-    return Script(covers, terminal_level=h)
-
-
 def preset(kind: str, n: int = 0, char: int = 0, variant: str = "") -> SingularityPreset:
     if kind == "A" and n < 1:
         raise PresetError("A requires n >= 1")
@@ -190,7 +136,12 @@ def preset(kind: str, n: int = 0, char: int = 0, variant: str = "") -> Singulari
         char=char,
         variant=variant,
         equation=eq,
-        script=_script(kind, n),
+        # only E8 fixes which coordinates its covers at levels 15 and 30 invert
+        covers=(
+            {15: ((var("x", 5),),), 30: ((var("z", 15), var("x", 10)),)}
+            if kind == "E8"
+            else {}
+        ),
         expected_count=expected,
         max_level=max_level,
     )
@@ -215,7 +166,7 @@ def preset_grid(
 def components(preset: SingularityPreset) -> StratificationTree:
     """Run the stratification and check the component count and residual
     absorption demanded by the preset."""
-    tree = run_driver(preset.system, preset.script, preset.max_level)
+    tree = run_driver(preset.system, preset.covers, preset.max_level)
     if len(tree.components) != preset.expected_count:
         raise PresetError(
             f"{preset.label}: got {len(tree.components)} components, "

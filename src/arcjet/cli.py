@@ -40,7 +40,7 @@ from .catalog import (
 from .driver import StratificationTree, run_driver
 from .hasse import JetSystem
 from .jetgraph import build_graph, export, simple_branch_check
-from .oracle import OracleError, audit_tree, enumerate_fiber, probe_field, probe_primes
+from .oracle import PROBE_BUDGET, OracleError, audit_tree, enumerate_fiber, probe_field, probe_primes
 
 
 class InputError(ValueError):
@@ -156,7 +156,7 @@ def cmd_components(args) -> int:
 
 def cmd_graph(args) -> int:
     pr = _preset_from_args(args)
-    g = build_graph(pr.system, pr.script, args.max_level)
+    g = build_graph(pr.system, pr.covers, args.max_level)
     _emit(export(g, args.format), args.out)
     rep = simple_branch_check(g)
     print(
@@ -172,7 +172,7 @@ def cmd_graph(args) -> int:
 
 def _oracle_section(pr: SingularityPreset, p: int, m: int, budget: int) -> dict:
     pts = enumerate_fiber(pr.equation, p, m, budget=budget)
-    tree = run_driver(pr.system, pr.script, max_level=m)
+    tree = run_driver(pr.system, pr.covers, max_level=m)
     exclusive, partition = audit_tree(pr.system, tree, pts, m, probe_field(pr.equation.field, p))
     uncovered = exclusive["uncovered"]
     return {
@@ -202,15 +202,12 @@ def cmd_oracle(args) -> int:
 
 # -- verify -----------------------------------------------------------------
 
-_ORACLE_BUDGET = 200_000
-
-
 def _oracle_plan(pr: SingularityPreset) -> list[tuple[int, int]]:
     """(prime, level) pairs small enough for a routine run."""
     plan = []
     for p in probe_primes(pr.equation.field):
         m = 1
-        while p ** (3 * (m + 1)) <= _ORACLE_BUDGET:
+        while p ** (3 * (m + 1)) <= PROBE_BUDGET:
             m += 1
         plan.append((p, m))
     return plan
@@ -248,12 +245,12 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
     cov = []
     for p, m in _oracle_plan(pr):
         try:
-            cov.append(_oracle_section(pr, p, m, _ORACLE_BUDGET))
+            cov.append(_oracle_section(pr, p, m, PROBE_BUDGET))
         except OracleError as exc:
             cov.append({"prime": p, "level": m, "ok": False, "error": str(exc)})
     report["coverage"] = cov
     if graph_level:
-        g = build_graph(pr.system, pr.script, graph_level)
+        g = build_graph(pr.system, pr.covers, graph_level)
         rep = simple_branch_check(g)
         rep["ok"] = rep["ok"] and rep["chain_count"] == pr.expected_count
         report["graph"] = _jsonable(rep)

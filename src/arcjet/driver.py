@@ -8,16 +8,21 @@ coordinate, record a relation, or open one or more elimination charts
 closed complements of final covers are terminal residuals absorbed into a
 previously built component's closure.
 
-A script pins what the equation alone does not decide: the coordinate
-sets to invert at a cover level (only E8 needs any) and the terminal cover
-level (the catalog derives it from the equation's weights); all remaining
-moves are canonical and recomputed from the equation itself.
+A cover is terminal when its relation's Coxeter number equals its level
+(``coxeter_number``: the relation is then the equation itself at that
+level, e.g. z15^2 + x10^3 + y6^5 at level 30 for E8).  The only input
+beyond the equation is ``covers``, the coordinate sets to invert at chosen
+cover levels; it fixes how the charts are presented (only E8's golden
+presentation uses it), not how many components there are.  Every other
+move is canonical and recomputed from the equation itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .algebra import (
     Polynomial,
@@ -44,18 +49,9 @@ from .strata import (
 )
 
 
-@dataclass(frozen=True)
-class Script:
-    """``covers`` maps a cover level to the coordinate sets to invert there,
-    one chart per set (levels not listed derive them from the equation).
-    The cover at ``terminal_level`` leaves its closed complement as the
-    final residual of the whole stratification."""
-
-    covers: dict[int, tuple[tuple[Var, ...], ...]] = dc_field(default_factory=dict)
-    terminal_level: Optional[int] = None
-
-
-AUTO_SCRIPT = Script()
+# cover level -> the coordinate sets to invert there, one chart per set
+# (levels not listed derive them from the relation)
+Covers = Mapping[int, tuple[tuple[Var, ...], ...]]
 
 
 @dataclass
@@ -103,11 +99,11 @@ class StratificationTree:
 
 def run_driver(
     sys: JetSystem,
-    script: Script = AUTO_SCRIPT,
+    covers: Covers = MappingProxyType({}),
     max_level: int = 64,
 ) -> StratificationTree:
     tree = StratificationTree(nodes=[], components=[], max_level=max_level)
-    _process(sys, script, tree, root_stratum(), level=1, parent=None)
+    _process(sys, covers, tree, root_stratum(), level=1, parent=None)
     _absorb_residuals(sys, tree)
     return tree
 
@@ -122,7 +118,7 @@ def _new_node(tree: StratificationTree, parent: Optional[int], level: int, s: St
 
 def _process(
     sys: JetSystem,
-    script: Script,
+    covers: Covers,
     tree: StratificationTree,
     s: Stratum,
     level: int,
@@ -153,17 +149,17 @@ def _process(
             if len(loose) == 1:
                 s = force_vanish(s, loose[0], n)
                 continue
-            _do_split(sys, script, tree, node, s, loose[-1], n)
+            _do_split(sys, covers, tree, node, s, loose[-1], n)
             return node
         # q has at least two terms
         if loose:
-            _do_split(sys, script, tree, node, s, loose[-1], n)
+            _do_split(sys, covers, tree, node, s, loose[-1], n)
             return node
         if mono_vars(content):
             # a unit monomial times a relation: impose the relation
             s = add_equation(s, q, n)
             continue
-        if n not in script.covers:
+        if n not in covers:
             pivot = find_pivot(s, q)
             if pivot is not None:
                 chart = eliminate_tail(sys, s, n, q, pivot)
@@ -178,15 +174,15 @@ def _process(
                 node.component = comp.index
                 tree.components.append(comp)
                 return node
-        _do_cover(sys, script, tree, node, s, n, q)
+        _do_cover(sys, covers, tree, node, s, n, q)
         return node
 
 
-def _do_split(sys, script, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
+def _do_split(sys, covers, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
     open_part, closed_part = split(s, v, sys.field)
     node.note = f"split on {var_name(v)} at level {n}"
-    _process(sys, script, tree, open_part, n, node.nid)
-    _process(sys, script, tree, closed_part, n, node.nid)
+    _process(sys, covers, tree, open_part, n, node.nid)
+    _process(sys, covers, tree, closed_part, n, node.nid)
 
 
 def _square_split(s: Stratum, q: Polynomial) -> Optional[tuple[Polynomial, Polynomial]]:
@@ -249,7 +245,7 @@ def _factor_chart(
 
 def _do_cover(
     sys: JetSystem,
-    script: Script,
+    covers: Covers,
     tree: StratificationTree,
     node: Node,
     s: Stratum,
@@ -257,8 +253,8 @@ def _do_cover(
     q: Polynomial,
 ) -> None:
     field = sys.field
-    unit_sets = script.covers.get(n) or _auto_cover(s, q)
-    terminal = n == script.terminal_level
+    unit_sets = covers.get(n) or _auto_cover(s, q)
+    terminal = coxeter_number(q) == n
     node.note = (
         f"cover at level {n} localizing "
         + " | ".join(",".join(var_name(v) for v in us) for us in unit_sets)
@@ -333,7 +329,55 @@ def _do_cover(
         res_node.kind = "residual"
         res_node.note = "terminal residual"
     else:
-        _process(sys, script, tree, residual, n, node.nid)
+        _process(sys, covers, tree, residual, n, node.nid)
+
+
+def _row_reduce(aug: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """The nonzero rows of the reduced row echelon form of an augmented
+    system [A | b], or None when the system has no solution."""
+    reduced: list[list[Fraction]] = []
+    for col in range(len(aug[0]) - 1):
+        pivot = next((r for r in aug if r[col]), None)
+        if pivot is None:
+            continue
+        pivot = [a / pivot[col] for a in pivot]
+        aug, reduced = (
+            [[a - r[col] * b for a, b in zip(r, pivot)] for r in part]
+            for part in (aug, reduced)
+        )
+        aug = [r for r in aug if any(r)]
+        reduced.append(pivot)
+    return None if aug else reduced
+
+
+def coxeter_number(f: Polynomial) -> Optional[int]:
+    """The Coxeter number h of a quasi-homogeneous relation in the families
+    x, y, z, or None when it has none.
+
+    A term's exponent in a family is summed over the orders, so a base
+    equation and a jet relation read alike: z^2 + x^3 + y^5 and
+    z15^2 + x10^3 + y6^5 both give 30, x3*y1 + z1^4 gives 4.  Weights q
+    that give every term weight 1 sum to 1 + 1/h.  The sum is exact: write
+    (1, 1, 1) = Σ c_j·e_j over the terms' exponent vectors e_j, then
+    Σq = Σ c_j.  None when ``f`` is not quasi-homogeneous, when (1, 1, 1)
+    is no such combination (the weights leave Σq open, as for E8's
+    x5^3 + y3^5), or when h is not a positive integer.
+    """
+    one = Fraction(1)
+    exps = [
+        [Fraction(sum(e for (g, _), e in mono if g == fam)) for fam in "xyz"]
+        for mono in f.terms
+    ]
+    if _row_reduce([e + [one] for e in exps]) is None:
+        return None
+    # one solution c (free c_j = 0): the right side of each reduced row
+    c_rows = _row_reduce([list(col) + [one] for col in zip(*exps)])
+    if c_rows is None:
+        return None
+    excess = sum(r[-1] for r in c_rows) - 1
+    if excess <= 0 or (1 / excess).denominator != 1:
+        return None
+    return int(1 / excess)
 
 
 def _auto_cover(s: Stratum, q: Polynomial) -> tuple[tuple[Var, ...], ...]:

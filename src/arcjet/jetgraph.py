@@ -21,10 +21,11 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import QQ, Field, Polynomial, format_poly, mono_vars, var_name
-from .driver import Script, run_driver
+from .algebra import QQ, Field, Polynomial, format_poly, var_name
+from .driver import Covers, run_driver
 from .hasse import JetSystem
 from .oracle import (
+    PROBE_BUDGET,
     JetPoint,
     compile_stratum,
     enumerate_fiber,
@@ -34,19 +35,6 @@ from .oracle import (
     truncate_stratum,
 )
 from .strata import Stratum, closure_contains
-
-
-def restrict_descriptor(d: Stratum, m: int) -> Stratum:
-    """Forget every constraint mentioning an order above ``m``."""
-    return Stratum(
-        zero_vars=frozenset(v for v in d.zero_vars if v[1] <= m),
-        equations=tuple(e for e in d.equations if e.max_order() <= m),
-        units=tuple(u for u in d.units if u.max_order() <= m),
-        zero_monomials=tuple(
-            mm for mm in d.zero_monomials if all(v[1] <= m for v in mono_vars(mm))
-        ),
-        consumed=m,
-    )
 
 
 def descriptor_contains(b: Stratum, a: Stratum, field: Field) -> bool:
@@ -93,16 +81,12 @@ class JetComponentGraph:
 
 SCHEMA = "jet-component-graph/1"
 
-# point-set probes are only worth running on small windows
-_PROBE_BUDGET = 200_000
-
-
 def _level_pieces(
-    sys: JetSystem, script: Script, m: int
+    sys: JetSystem, covers: Covers, m: int
 ) -> list[tuple[object, Stratum]]:
     """Closure-maximal fiber pieces at level ``m`` with their component
     (if the depth-m run already charted one)."""
-    tree = run_driver(sys, script, max_level=m)
+    tree = run_driver(sys, covers, max_level=m)
     cands: list[tuple[object, Stratum]] = []
     for comp in tree.components:
         cands.append((comp.index, truncate_stratum(sys, tree.chart_of(comp).stratum, m)))
@@ -141,10 +125,10 @@ def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list
     return sets
 
 
-def build_graph(sys: JetSystem, script: Script, M: int) -> JetComponentGraph:
+def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
     levels: dict[int, list[tuple[object, Stratum]]] = {}
     for m in range(1, M + 1):
-        levels[m] = _level_pieces(sys, script, m)
+        levels[m] = _level_pieces(sys, covers, m)
 
     vertices: list[GraphVertex] = []
     edges: list[tuple[int, int]] = []
@@ -167,7 +151,7 @@ def build_graph(sys: JetSystem, script: Script, M: int) -> JetComponentGraph:
         # edges down to level m-1
         if m > 1:
             for idx, (comp, d) in enumerate(levels[m]):
-                cut = restrict_descriptor(d, m - 1)
+                cut = truncate_stratum(sys, d, m - 1)
                 hits = [
                     pidx
                     for pidx, (_, pd) in enumerate(levels[m - 1])
@@ -181,7 +165,7 @@ def build_graph(sys: JetSystem, script: Script, M: int) -> JetComponentGraph:
                     edges.append((vid_of[(m - 1, pidx)], vid_of[(m, idx)]))
         # undecidable-merge probe: syntactically distinct same-level pieces
         # whose finite point sets agree at every tested prime
-        tested = [p for p in probe_primes(sys.field) if p ** (3 * m) <= _PROBE_BUDGET]
+        tested = [p for p in probe_primes(sys.field) if p ** (3 * m) <= PROBE_BUDGET]
         if len(levels[m]) > 1 and tested:
             pieces = [d for _, d in levels[m]]
             point_sets = [_piece_points(sys, pieces, p, m) for p in tested]

@@ -44,6 +44,11 @@ class OracleError(RuntimeError):
     pass
 
 
+# the largest fiber (p ** (3*m) candidate points) a routine probe enumerates:
+# the coverage audits of `verify` and the level graph's same-level probe
+PROBE_BUDGET = 200_000
+
+
 def point_assignment(pt: JetPoint, m: int) -> dict[Var, int]:
     """Unpack a flat point tuple into a coordinate -> value mapping."""
     if len(pt) != 3 * m:
@@ -253,7 +258,9 @@ def truncate_stratum(
     """The truncation of ``s`` to level ``m``: a stratum with no rules and
     ``consumed = m``, whose equations include the solved instances of every
     elimination rule that fit below the level, so membership is a plain
-    evaluate-and-compare.  Coefficients are moved into ``target`` if given."""
+    evaluate-and-compare; units and zero monomials that mention an order
+    above ``m`` are forgotten.  Coefficients are moved into ``target`` if
+    given."""
     eqs = [e for e in s.equations if e.max_order() <= m]
     levels = sorted({lvl for rule in s.rules for lvl in range(rule.start_level, m + 1)})
     for lvl in levels:
@@ -263,8 +270,10 @@ def truncate_stratum(
     T = Stratum(
         zero_vars=frozenset(v for v in s.zero_vars if v[1] <= m),
         equations=tuple(eqs),
-        units=s.units,
-        zero_monomials=s.zero_monomials,
+        units=tuple(u for u in s.units if u.max_order() <= m),
+        zero_monomials=tuple(
+            mm for mm in s.zero_monomials if all(v[1] <= m for v, _ in mm)
+        ),
         consumed=m,
     )
     return T if target is None else transport_stratum(T, target)

@@ -306,7 +306,7 @@ def test_criterion_6_oracle_coverage_partition():
             pts = enumerate_fiber(pr.equation, p, m)
             if (kind, n, p, m) == ("A", 1, 2, 2):
                 pinned = len(pts)
-            tree = run_driver(sysm, pr.script, max_level=m)
+            tree = run_driver(sysm, pr.covers, max_level=m)
             target = probe_field(pr.equation.field, p)
             leaves = truncated_leaves(sysm, tree, m, target)
             if coverage_check(pts, [T for _, T in leaves]):
@@ -347,7 +347,7 @@ def test_criterion_7_graph_window():
     thresholds = []
     for h, char in cases:
         pr = preset("E8", char=char, variant=h)
-        g = build_graph(JetSystem(pr.equation), pr.script, 35)
+        g = build_graph(JetSystem(pr.equation), pr.covers, 35)
         check = simple_branch_check(g)
         label = pr.label
         if (h, char) == ("", 0):

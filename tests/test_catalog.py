@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
+from arcjet import driver
 from arcjet.algebra import QQ, parse_poly, var
 from arcjet.catalog import (
     PresetError,
     _base_equation,
     components,
-    coxeter_number,
     golden_table,
     legal_variants,
     noninclusion_matrix,
@@ -19,7 +19,7 @@ from arcjet.catalog import (
     verify_congruence_table,
 )
 from arcjet.cli import _component_inventory
-from arcjet.driver import Script, run_driver
+from arcjet.driver import coxeter_number, run_driver
 from arcjet.strata import EngineError
 
 
@@ -54,7 +54,7 @@ def test_variant_lists():
     assert legal_variants("E8", 8, 0) == ("",)
 
 
-# -- the script: terminal level from the equation, E8's two unit sets ---------
+# -- the terminal cover from the relation, E8's two unit sets ---------------
 
 
 @pytest.mark.parametrize(
@@ -64,9 +64,12 @@ def test_variant_lists():
     + [("E6", 6, 12), ("E7", 7, 18), ("E8", 8, 30)],
 )
 def test_coxeter_number_of_base_equations(kind, n, h):
-    # the levels the presets used to script by hand
+    # the levels the presets used to script by hand, and the level of the
+    # one terminal cover the driver finds (E7 in char 0, 2, 5 and 7 has no
+    # terminal cover)
     assert coxeter_number(parse_poly(_base_equation(kind, n), QQ)) == h
-    assert preset(kind, n=n).script.terminal_level == h
+    pr = preset(kind, n=n, char=3 if kind == "E7" else 0)
+    assert [r.level for r in components(pr).residuals()] == [h]
 
 
 @pytest.mark.parametrize(
@@ -75,39 +78,41 @@ def test_coxeter_number_of_base_equations(kind, n, h):
     ids=["not-quasi-homogeneous", "weight-sum-unfixed", "no-integer-h"],
 )
 def test_coxeter_number_rejects(text):
-    with pytest.raises(ValueError):
-        coxeter_number(parse_poly(text, QQ))
+    assert coxeter_number(parse_poly(text, QQ)) is None
 
 
 def test_only_e8_scripts_cover_unit_sets():
     for pr in preset_grid():
         want = {15: ((var("x", 5),),), 30: ((var("z", 15), var("x", 10)),)}
-        assert pr.script.covers == (want if pr.kind == "E8" else {})
+        assert pr.covers == (want if pr.kind == "E8" else {})
 
 
-def _inventory(pr, script):
-    return _component_inventory(pr, components(replace(pr, script=script)))
+def _inventory(pr, covers):
+    return _component_inventory(pr, components(replace(pr, covers=covers)))
 
 
 @pytest.mark.parametrize(
     "kind,n,char,count",
     [("A", 1, 0, 3), ("D", 2, 0, 8), ("E6", 6, 3, 12), ("E7", 7, 3, 10)],
 )
-def test_terminal_level_is_load_bearing(kind, n, char, count):
+def test_terminal_level_is_load_bearing(kind, n, char, count, monkeypatch):
+    # no cover is terminal when no relation has a Coxeter number
+    monkeypatch.setattr(driver, "coxeter_number", lambda f: None)
     pr = preset(kind, n=n, char=char)
-    tree = run_driver(pr.system, replace(pr.script, terminal_level=None), pr.max_level)
+    tree = run_driver(pr.system, pr.covers, pr.max_level)
     assert len(tree.components) == count != pr.expected_count
 
 
-def test_e8_script_values_are_load_bearing():
+def test_e8_script_values_are_load_bearing(monkeypatch):
     pr = preset("E8", char=2)
-    full = _inventory(pr, pr.script)
+    full = _inventory(pr, pr.covers)
     for level in (15, 30):
-        covers = {k: v for k, v in pr.script.covers.items() if k != level}
+        covers = {k: v for k, v in pr.covers.items() if k != level}
         # still eight absorbed components, but other charts
-        assert _inventory(pr, replace(pr.script, covers=covers)) != full
+        assert _inventory(pr, covers) != full
+    monkeypatch.setattr(driver, "coxeter_number", lambda f: None)
     with pytest.raises(EngineError, match="product localization requires a terminal cover"):
-        run_driver(pr.system, replace(pr.script, terminal_level=None), pr.max_level)
+        run_driver(pr.system, pr.covers, pr.max_level)
 
 
 # -- component counts (sampled; the full grid runs in the acceptance suite) --

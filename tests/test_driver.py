@@ -3,7 +3,7 @@
 import pytest
 
 from arcjet.algebra import Field, QQ, parse_poly, var
-from arcjet.driver import Script, _square_split, run_driver
+from arcjet.driver import _square_split, coxeter_number, run_driver
 from arcjet.hasse import JetSystem
 from arcjet.strata import Stratum, check_elimination_soundness, root_stratum
 
@@ -16,11 +16,12 @@ def P(text, field=QQ):
 
 
 def test_quadric_cone_auto():
-    # without a terminal level the driver descends the whole ladder:
-    # a fresh two-chart component every two levels
+    # the level-2 relation z1^2 + x1*y1 has Coxeter number 2: that cover is
+    # terminal, one two-chart component absorbs its closed complement
     sys = JetSystem(P("z^2 + x*y"))
     tree = run_driver(sys, max_level=10)
-    assert [c.emergence for c in tree.components] == [2, 4, 6, 8, 10]
+    assert [c.emergence for c in tree.components] == [2]
+    assert [r.absorbed_into for r in tree.residuals()] == [0]
     for comp in tree.components:
         assert len(comp.chart_nodes) == 2
         for nid in comp.chart_nodes:
@@ -29,8 +30,7 @@ def test_quadric_cone_auto():
 
 
 def test_quadric_cone_terminal_script():
-    # the terminal cover (at the Coxeter number 2) collapses the ladder to a
-    # single component
+    # the terminal cover (at the Coxeter number 2) leaves a single component
     from arcjet.catalog import components, preset
 
     pr = preset("A", n=1, char=0)
@@ -41,8 +41,8 @@ def test_quadric_cone_terminal_script():
 
 def test_cusp_like_curve_single_component():
     tree = run_driver(JetSystem(P("z^2 + x^3 + y^5")), max_level=20)
-    # one component per rank-8 chart tower is not expected here without a
-    # script; just check the run terminates and yields sound charts
+    # the count is checked on the preset grid; here just check the run
+    # terminates and yields sound charts
     sys = JetSystem(P("z^2 + x^3 + y^5"))
     for n in tree.charts():
         assert check_elimination_soundness(sys, n.stratum, 12) == []
@@ -87,8 +87,7 @@ def test_split_cover_creates_one_component_per_factor():
     # first cover level sees z2^2 - y1^4 and must emit one component per
     # linear factor
     sys = JetSystem(P("z^2 - y^4"))
-    script = Script({2: ((var("y", 1),),)}, terminal_level=2)
-    tree = run_driver(sys, script, max_level=10)
+    tree = run_driver(sys, {2: ((var("y", 1),),)}, max_level=10)
     first = [
         c
         for c in tree.components
@@ -135,3 +134,29 @@ def test_max_level_bound_respected():
     tree = run_driver(JetSystem(P("z^2 + x*y")), max_level=6)
     for n in tree.nodes:
         assert n.level <= 6
+
+
+# -- the terminal cover, read off the relation --------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,h",
+    [("z15^2 + x10^3 + y6^5", 30), ("x3*y1 + z1^4", 4), ("x5^3 + y3^5", None),
+     ("z6^2 + x4^2*y2", None)],
+)
+def test_coxeter_number_of_jet_relations(text, h):
+    # exponents sum per family over the orders; the last two are E8's level-15
+    # and D's upper-ladder relations, whose weights leave the sum open
+    assert coxeter_number(P(text)) == h
+
+
+def test_driver_alone_reaches_the_rank():
+    # with no cover unit sets at all the driver finds the Dynkin count and
+    # absorbs every residual on the whole grid; E8's unit sets only fix the
+    # presentation of its charts
+    from arcjet.catalog import preset_grid
+
+    for pr in preset_grid():
+        tree = run_driver(pr.system, {}, pr.max_level)
+        assert len(tree.components) == pr.expected_count, pr.label
+        assert all(r.absorbed_into is not None for r in tree.residuals()), pr.label

@@ -1,6 +1,6 @@
 """Every name a module under src/arcjet imports is used in that module,
-every parameter of its functions and methods is read, and no module runs
-generated code.
+every parameter of its functions and methods is read, no default argument
+is a mutable display, and no module runs generated code.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -84,6 +84,24 @@ def test_no_unused_parameters(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = list(unread_parameters(tree))
     assert not unread, f"{path.name} has parameters nothing reads: {', '.join(unread)}"
+
+
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_mutable_defaults(path):
+    # a default is built once and shared by every call: a list, dict or set
+    # display there is one object every caller may mutate
+    tree = ast.parse(path.read_text(), filename=str(path))
+    shared = [
+        f"{fn.name} (line {fn.lineno})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for d in fn.args.defaults + [d for d in fn.args.kw_defaults if d]
+        if isinstance(d, MUTABLE_DISPLAYS)
+    ]
+    assert not shared, f"{path.name} has mutable default arguments: {', '.join(shared)}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

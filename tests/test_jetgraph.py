@@ -13,7 +13,6 @@ from arcjet.jetgraph import (
     descriptor_contains,
     export,
     import_json,
-    restrict_descriptor,
     simple_branch_check,
 )
 from arcjet.algebra import Field
@@ -30,7 +29,7 @@ from arcjet.strata import root_stratum
 
 def graph_for(kind, char=0, M=10, **kw):
     pr = preset(kind, char=char, **kw)
-    return build_graph(JetSystem(pr.equation), pr.script, M)
+    return build_graph(JetSystem(pr.equation), pr.covers, M)
 
 
 def test_rank_one_single_chain():
@@ -77,7 +76,7 @@ def test_descriptor_restriction_and_containment():
     sys = JetSystem(pr.equation)
     s = root_stratum()
     d6 = truncate_stratum(sys, s, 6)
-    d3 = restrict_descriptor(d6, 3)
+    d3 = truncate_stratum(sys, d6, 3)
     assert d3.consumed == 3 and not d3.rules
     assert all(v[1] <= 3 for v in d3.zero_vars)
     # the deeper descriptor lies inside (the closure of) the shallow one
@@ -101,13 +100,13 @@ def test_probe_tests_points_in_probe_field(kind, n, m):
         ]
 
     # every nonempty leaf: together they cover the fiber
-    tree = run_driver(sys, pr.script, max_level=m)
+    tree = run_driver(sys, pr.covers, max_level=m)
     leaves = [nd.stratum for nd in tree.leaves() if nd.kind != "empty"]
     got = _piece_points(sys, [truncate_stratum(sys, s, m) for s in leaves], 2, m)
     assert got == reference(leaves)
     assert set().union(*got) == set(pts)
     # the graph's own pieces
-    pieces = [d for _, d in _level_pieces(sys, pr.script, m)]
+    pieces = [d for _, d in _level_pieces(sys, pr.covers, m)]
     got = _piece_points(sys, pieces, 2, m)
     assert got == reference(pieces)
     assert all(got)
@@ -123,7 +122,7 @@ def test_e6_char0_graph_probes_only_where_i_lives():
     """E6 (char 0) has i adjoined and is unsupported in characteristic 2, so
     the merge probe runs at p = 3 only and flags nothing."""
     pr = preset("E6", char=0)
-    assert not build_graph(pr.system, pr.script, 6).flags
+    assert not build_graph(pr.system, pr.covers, 6).flags
 
 
 def test_export_json_round_trip():

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcjet.algebra import Field, Polynomial, parse_poly, var
+from arcjet.algebra import Field, Polynomial, mono_from_pairs, parse_poly, var
 from arcjet.catalog import preset
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
@@ -26,7 +26,7 @@ from arcjet.oracle import (
     truncated_leaves,
     vanishes,
 )
-from arcjet.strata import closure_contains
+from arcjet.strata import closure_contains, root_stratum
 
 from test_algebra import FIELDS, poly_strategy
 
@@ -112,7 +112,7 @@ AUDIT_CASES = [
 def audit(pr, p, m):
     sys = JetSystem(pr.equation)
     pts = enumerate_fiber(pr.equation, p, m)
-    tree = run_driver(sys, pr.script, max_level=m)
+    tree = run_driver(sys, pr.covers, max_level=m)
     target = probe_field(pr.equation.field, p)
     leaves = truncated_leaves(sys, tree, m, target)
     missing = coverage_check(pts, [T for _, T in leaves])
@@ -135,7 +135,7 @@ def test_char_zero_preset_audited_at_probe_prime():
     pr = preset("A", n=2, char=0)
     sys = JetSystem(pr.equation)
     pts = enumerate_fiber(pr.equation, 5, 2)
-    tree = run_driver(sys, pr.script, max_level=2)
+    tree = run_driver(sys, pr.covers, max_level=2)
     target = probe_field(pr.equation.field, 5)
     leaves = truncated_leaves(sys, tree, 2, target)
     assert coverage_check(pts, [T for _, T in leaves]) == []
@@ -145,7 +145,7 @@ def test_negative_control_dropped_leaf():
     pr = preset("A", n=1, char=2)
     sys = JetSystem(pr.equation)
     pts = enumerate_fiber(pr.equation, 2, 2)
-    tree = run_driver(sys, pr.script, max_level=2)
+    tree = run_driver(sys, pr.covers, max_level=2)
     target = probe_field(pr.equation.field, 2)
     leaves = truncated_leaves(sys, tree, 2, target)
     assert coverage_check(pts, [T for _, T in leaves]) == []
@@ -156,7 +156,7 @@ def test_negative_control_dropped_leaf():
 def test_stratum_membership_basics():
     pr = preset("A", n=1, char=2)
     sys = JetSystem(pr.equation)
-    tree = run_driver(sys, pr.script, max_level=2)
+    tree = run_driver(sys, pr.covers, max_level=2)
     target = probe_field(pr.equation.field, 2)
     leaves = truncated_leaves(sys, tree, 2, target)
     pts = enumerate_fiber(pr.equation, 2, 2)
@@ -165,6 +165,24 @@ def test_stratum_membership_basics():
         for pt in pts
     }
     assert all(c >= 1 for c in hits.values())
+
+
+def test_truncation_forgets_constraints_above_its_level():
+    """A unit or zero monomial in an order above the level says nothing
+    about a point of the truncation: it is forgotten, so every fiber point
+    still lies on the truncated root (a unit x5 compiled at level 3 would
+    otherwise reject every point)."""
+    pr = preset("A", n=1, char=2)
+    field = pr.equation.field
+    s = replace(
+        root_stratum(),
+        units=(parse_poly("x5", field),),
+        zero_monomials=(mono_from_pairs([(var("x", 1), 1), (var("y", 5), 1)]),),
+    )
+    T = truncate_stratum(pr.system, s, 3)
+    assert T.units == () and T.zero_monomials == ()
+    C = compile_stratum(T)
+    assert all(C.contains(pt) for pt in enumerate_fiber(pr.equation, 2, 3))
 
 
 @pytest.mark.parametrize(
@@ -176,7 +194,7 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
     zero monomials, equations; b's units drop away in the closure)."""
     pr = preset(kind, n=n, char=p)
     sys = JetSystem(pr.equation)
-    tree = run_driver(sys, pr.script, max_level=m)
+    tree = run_driver(sys, pr.covers, max_level=m)
     target = probe_field(pr.equation.field, p)
     leaves = [T for _, T in truncated_leaves(sys, tree, m, target)]
     pts = enumerate_fiber(pr.equation, p, m)
@@ -238,7 +256,7 @@ def test_compiled_truncations_match_membership(kind, n, char, p, m):
     the truncation."""
     pr = preset(kind, n=n, char=char)
     sys = pr.system
-    tree = run_driver(sys, pr.script, max_level=m)
+    tree = run_driver(sys, pr.covers, max_level=m)
     target = probe_field(pr.equation.field, p)
     truncs = [truncate_stratum(sys, node.stratum, m, target) for node in tree.nodes]
     compiled = [compile_stratum(T) for T in truncs]

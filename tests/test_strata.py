@@ -77,7 +77,7 @@ def test_simplify_matches_uncached_reference(kind, n, char, variant):
     # rebuilt from the raw equations on every call
     pr = preset(kind, n=n, char=char, variant=variant)
     sys = pr.system
-    tree = run_driver(sys, pr.script, pr.max_level)
+    tree = run_driver(sys, pr.covers, pr.max_level)
     checked = 0
     for node in tree.nodes:
         s = node.stratum
