@@ -56,11 +56,30 @@ def mono_from_pairs(pairs: Iterable[tuple[Var, int]]) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
+    """Product of two monomials: a merge of their sorted pairs, keyed by
+    (family index, order) as ``var_key`` orders them."""
     if not a:
         return b
     if not b:
         return a
-    return mono_from_pairs(list(a) + list(b))
+    fi = _FAMILY_INDEX
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        (va, ea), (vb, eb) = a[i], b[j]
+        ka, kb = (fi[va[0]], va[1]), (fi[vb[0]], vb[1])
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def mono_degree(m: Mono) -> int:
@@ -310,6 +329,15 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of_terms(field: Field, terms: dict[Mono, Scalar]) -> "Polynomial":
+        """Wrap ``terms`` whose coefficients are already nonzero values of
+        ``field`` (no ``Field.of`` pass)."""
+        out = Polynomial.__new__(Polynomial)
+        out.field = field
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(field: Field) -> "Polynomial":
         return Polynomial(field, {})
 
@@ -368,51 +396,50 @@ class Polynomial:
         if not other.terms:
             return self
         terms = dict(self.terms)
-        f = self.field
+        get = terms.get
+        p = self.field.char
+        # plain + (an absent term reads 0, also for Gaussian values), then
+        # one reduction mod p per touched term
         for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero), c)
+            s = get(m, 0) + c
+            if p:
+                s %= p
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.field = f
-        out.terms = terms
-        return out
+                del terms[m]
+        return Polynomial._of_terms(self.field, terms)
 
     def __neg__(self) -> "Polynomial":
         f = self.field
-        out = Polynomial.__new__(Polynomial)
-        out.field = f
-        out.terms = {m: f.neg(c) for m, c in self.terms.items()}
-        return out
+        return Polynomial._of_terms(f, {m: f.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        f = self.field
         terms: dict[Mono, Scalar] = {}
+        get = terms.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = f.add(terms.get(m, f.zero), f.mul(c1, c2))
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.field = f
-        out.terms = terms
-        return out
+                terms[m] = get(m, 0) + c1 * c2
+        # one reduction mod p per result term; zero sums drop out
+        p = self.field.char
+        if p:
+            terms = {m: r for m, c in terms.items() if (r := c % p)}
+        else:
+            terms = {m: c for m, c in terms.items() if c}
+        return Polynomial._of_terms(self.field, terms)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = self.field.of(c)
-        if not c:
-            return Polynomial.zero(self.field)
         f = self.field
-        return Polynomial(f, {m: f.mul(cc, c) for m, cc in self.terms.items()})
+        c = f.of(c)
+        if not c:
+            return Polynomial.zero(f)
+        # a product of nonzero field values is nonzero
+        return Polynomial._of_terms(f, {m: f.mul(cc, c) for m, cc in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -440,11 +467,14 @@ class Polynomial:
         zs = set(zero_vars)
         if not zs:
             return self
-        terms = {m: c for m, c in self.terms.items() if not any(v in zs for v, _ in m)}
-        out = Polynomial.__new__(Polynomial)
-        out.field = self.field
-        out.terms = terms
-        return out
+        terms: dict[Mono, Scalar] = {}
+        for m, c in self.terms.items():
+            for v, _ in m:
+                if v in zs:
+                    break
+            else:
+                terms[m] = c
+        return Polynomial._of_terms(self.field, terms)
 
     def partial(self, v: Var) -> "Polynomial":
         """Formal partial derivative (matches the usual one; in char p the
@@ -454,7 +484,7 @@ class Polynomial:
         for m, c in self.terms.items():
             for i, (w, e) in enumerate(m):
                 if w == v:
-                    coeff = f.mul(c, f.of(e))
+                    coeff = f.mul(c, e)
                     if not coeff:
                         break
                     rest = list(m)
@@ -469,7 +499,7 @@ class Polynomial:
                     else:
                         terms.pop(mm, None)
                     break
-        return Polynomial(f, terms)
+        return Polynomial._of_terms(f, terms)
 
     def split_by_degree(self, v: Var) -> dict[int, "Polynomial"]:
         """Write self as a polynomial in ``v``; maps degree -> coefficient."""
@@ -483,7 +513,7 @@ class Polynomial:
                 else:
                     rest.append((w, e))
             buckets.setdefault(deg, {})[tuple(rest)] = c
-        return {d: Polynomial(self.field, t) for d, t in buckets.items()}
+        return {d: Polynomial._of_terms(self.field, t) for d, t in buckets.items()}
 
     def coefficient_of(self, v: Var) -> tuple["Polynomial", "Polynomial"]:
         """Split ``self = c*v + rest`` with ``rest`` free of ``v``.
@@ -524,7 +554,7 @@ class Polynomial:
                     raise ValueError("monomial does not divide all terms")
                 d[v] -= e
             terms[mono_from_pairs(d.items())] = c
-        return Polynomial(self.field, terms)
+        return Polynomial._of_terms(self.field, terms)
 
     def substitute(self, values: Mapping[Var, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for variables (generic composition)."""

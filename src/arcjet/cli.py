@@ -171,7 +171,7 @@ def cmd_graph(args) -> int:
 
 
 def _oracle_section(pr: SingularityPreset, p: int, m: int, budget: int) -> dict:
-    pts = enumerate_fiber(pr.equation, p, m, budget=budget)
+    pts = enumerate_fiber(pr.system, p, m, budget=budget)
     tree = run_driver(pr.system, pr.covers, max_level=m)
     exclusive, partition = audit_tree(pr.system, tree, pts, m, probe_field(pr.equation.field, p))
     uncovered = exclusive["uncovered"]
@@ -190,7 +190,7 @@ def cmd_oracle(args) -> int:
     pr = _preset_from_args(args)
     p = args.p or pr.char
     if args.check == "counts":
-        pts = enumerate_fiber(pr.equation, p, args.level, budget=args.budget)
+        pts = enumerate_fiber(pr.system, p, args.level, budget=args.budget)
         report = {"preset": pr.label, "prime": p, "level": args.level, "points": len(pts), "ok": True}
     else:
         section = _oracle_section(pr, p, args.level, args.budget)

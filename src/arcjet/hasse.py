@@ -5,7 +5,8 @@ For ``f`` in the order-0 variables, ``derivative(m)`` is the coefficient of
 ``x -> sum_k x_k t^k``.  Two independent implementations are provided:
 
 * :class:`JetSystem` builds the coefficients bottom-up, one monomial of
-  ``f`` at a time, by convolving power series coefficient lists.  This is a
+  ``f`` at a time, by multiplying its factor series one at a time, with
+  the coefficient list of every factor prefix memoised.  This is a
   single code path valid in every characteristic.
 * :func:`series_oracle` substitutes honest truncated series (with an
   explicit ``t`` variable) into ``f`` and expands.  It exists purely as a
@@ -16,7 +17,7 @@ For ``f`` in the order-0 variables, ``derivative(m)`` is the coefficient of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .algebra import Polynomial, Var, var
 
@@ -35,8 +36,9 @@ class JetSystem:
         self.f = f
         self.field = f.field
         self._derivs: list[Polynomial] = []
-        # per (family, exponent): list of coefficient polynomials of (sum_k fam_k t^k)^e
-        self._pow_lists: dict[tuple[str, int], list[Polynomial]] = {}
+        # per monomial factor tuple, e.g. ("x", "y", "y", "z") for x*y^2*z:
+        # coefficient list of the product of the series sum_k fam_k t^k
+        self._tables: dict[tuple[str, ...], list[Polynomial]] = {}
 
     def derivative(self, m: int) -> Polynomial:
         while len(self._derivs) <= m:
@@ -46,21 +48,30 @@ class JetSystem:
     def _compute(self, m: int) -> Polynomial:
         out = Polynomial.zero(self.field)
         for mono, c in self.f.terms.items():
-            lists = [self._power_list((fam), e, m) for (fam, _), e in mono]
-            conv = self._convolve_many(lists, m)
-            out = out + conv.scale(c)
+            key = tuple(fam for (fam, _), e in mono for _ in range(e))
+            if key:
+                out = out + self._series(key, m)[m].scale(c)
+            elif m == 0:
+                # a constant term only contributes at order 0
+                out = out + Polynomial.const(self.field, c)
         return out
 
-    def _power_list(self, fam: str, e: int, up_to: int) -> list[Polynomial]:
-        lst = self._pow_lists.setdefault((fam, e), [])
-        # extend on demand
-        if e == 1:
-            while len(lst) <= up_to:
-                k = len(lst)
-                lst.append(Polynomial.variable(self.field, var(fam, k)))
+    def _series(self, key: tuple[str, ...], up_to: int) -> list[Polynomial]:
+        """Coefficients of t^0..t^up_to of the product over ``key`` of the
+        family series, extended on demand.  The table of ``key`` is that of
+        its prefix ``key[:-1]`` times one more series, so a power of one
+        family is a prefix of every higher power, and a monomial in several
+        families reuses the table of its leading factors."""
+        lst = self._tables.setdefault(key, [])
+        if len(lst) > up_to:
             return lst
-        lower = self._power_list(fam, e - 1, up_to)
-        base = self._power_list(fam, 1, up_to)
+        fam = key[-1]
+        if len(key) == 1:
+            while len(lst) <= up_to:
+                lst.append(Polynomial.variable(self.field, var(fam, len(lst))))
+            return lst
+        lower = self._series(key[:-1], up_to)
+        base = self._series((fam,), up_to)
         while len(lst) <= up_to:
             k = len(lst)
             acc = Polynomial.zero(self.field)
@@ -68,28 +79,6 @@ class JetSystem:
                 acc = acc + lower[i] * base[k - i]
             lst.append(acc)
         return lst
-
-    def _convolve_many(self, lists: Sequence[list[Polynomial]], m: int) -> Polynomial:
-        if not lists:
-            # a constant term only contributes at order 0
-            return Polynomial.const(self.field, 1) if m == 0 else Polynomial.zero(self.field)
-        if len(lists) == 1:
-            return lists[0][m]
-        # fold left: convolution coefficient at m only needs prefixes
-        cur = lists[0]
-        for nxt in lists[1:-1]:
-            cur = [
-                sum(
-                    (cur[i] * nxt[k - i] for i in range(k + 1)),
-                    Polynomial.zero(self.field),
-                )
-                for k in range(m + 1)
-            ]
-        last = lists[-1]
-        acc = Polynomial.zero(self.field)
-        for i in range(m + 1):
-            acc = acc + cur[i] * last[m - i]
-        return acc
 
 
 def series_oracle(f: Polynomial, m: int) -> list[Polynomial]:

@@ -118,7 +118,7 @@ def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list
     field = probe_field(sys.field, p)
     compiled = [compile_stratum(transport_stratum(d, field)) for d in pieces]
     sets: list[set[JetPoint]] = [set() for _ in compiled]
-    for pt in enumerate_fiber(sys.f, p, m):
+    for pt in enumerate_fiber(sys, p, m):
         for members, C in zip(sets, compiled):
             if C.contains(pt):
                 members.add(pt)

@@ -203,19 +203,22 @@ def probe_primes(field: Field) -> tuple[int, ...]:
 
 
 def enumerate_fiber(
-    f: Polynomial, p: int, m: int, budget: int = 10_000_000
+    sys: JetSystem, p: int, m: int, budget: int = 10_000_000
 ) -> list[JetPoint]:
-    """All F_p points of the level-``m`` fiber over the origin, in
-    lexicographic order.
+    """All F_p points of the level-``m`` fiber over the origin of the
+    equation of ``sys``, in lexicographic order.
 
-    Depth-first over jet orders 1..m on one flat prefix list; a partial
-    assignment is rejected as soon as some fully determined derivative
-    level is nonzero.
+    The derivatives are read off ``sys`` itself when its field is already
+    the probe field of ``p``, and off a tower of the equation moved into
+    that field otherwise.  Depth-first over jet orders 1..m on one flat
+    prefix list; a partial assignment is rejected as soon as some fully
+    determined derivative level is nonzero.
     """
     if p ** (3 * m) > budget:
         raise OracleError("fiber too large; reduce m or p")
-    field = probe_field(f.field, p)
-    sys = JetSystem(transport_poly(f, field))
+    field = probe_field(sys.field, p)
+    if field != sys.field:
+        sys = JetSystem(transport_poly(sys.f, field))
     # Each level is checked once the highest order among its surviving
     # terms (order-0 coordinates are pinned to 0) is assigned.
     by_order: dict[int, list[Compiled]] = {}
@@ -323,24 +326,32 @@ def _audit(
     """One pass over the points: each truncation is compiled once and tested
     once per point.  The hits give the leaf-group cover (``groups``: key ->
     positions in ``truncations``; skipped when empty) and the split
-    partition (``splits``: node id, parent position, child positions)."""
-    compiled = [compile_stratum(T) for T in truncations]
+    partition (``splits``: node id, parent position, child positions).
+
+    A point's hits are one int, bit ``i`` set when truncation ``i`` holds
+    it; groups and split children are read through precomputed masks."""
+    compiled = [(1 << i, compile_stratum(T)) for i, T in enumerate(truncations)]
+    group_masks = [(key, _mask(pos)) for key, pos in groups.items()]
+    split_masks = [(nid, 1 << parent, _mask(children)) for nid, parent, children in splits]
     uncovered: list[JetPoint] = []
     overlapping: list[tuple[JetPoint, list[object]]] = []
     failures = []
     for pt in points:
         if len(pt) != 3 * m:
             raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
-        hits = [C.contains(pt) for C in compiled]
-        if groups:
-            keys = [key for key, pos in groups.items() if any(hits[i] for i in pos)]
+        hits = 0
+        for bit, C in compiled:
+            if C.contains(pt):
+                hits |= bit
+        if group_masks:
+            keys = [key for key, mask in group_masks if hits & mask]
             if not keys:
                 uncovered.append(pt)
             elif len(keys) > 1:
                 overlapping.append((pt, keys))
-        for nid, parent, children in splits:
-            if hits[parent]:
-                n = sum(hits[c] for c in children)
+        for nid, parent, children in split_masks:
+            if hits & parent:
+                n = (hits & children).bit_count()
                 if n != 1:
                     failures.append({"node": nid, "point": pt, "hits": n})
     exclusive = {
@@ -350,6 +361,14 @@ def _audit(
         "overlapping": overlapping,
     }
     return exclusive, {"ok": not failures, "split_nodes": len(splits), "failures": failures}
+
+
+def _mask(positions: Iterable[int]) -> int:
+    """The bitmask of a set of positions in a truncation list."""
+    out = 0
+    for i in positions:
+        out |= 1 << i
+    return out
 
 
 def _leaf_groups(leaves: Iterable[tuple[Node, int]]) -> dict[object, list[int]]:

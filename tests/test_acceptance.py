@@ -303,7 +303,7 @@ def test_criterion_6_oracle_coverage_partition():
         pr = preset(kind, n=n, char=p)
         sysm = JetSystem(pr.equation)
         for m in range(2, max_m + 1):
-            pts = enumerate_fiber(pr.equation, p, m)
+            pts = enumerate_fiber(sysm, p, m)
             if (kind, n, p, m) == ("A", 1, 2, 2):
                 pinned = len(pts)
             tree = run_driver(sysm, pr.covers, max_level=m)

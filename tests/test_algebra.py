@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcjet.algebra import (
+    FAMILIES,
     Field,
     Gaussian,
     ParseError,
@@ -13,12 +14,20 @@ from arcjet.algebra import (
     QQ,
     RationalExpression,
     format_poly,
+    mono_from_pairs,
+    mono_mul,
     parse_poly,
     var,
 )
 
 
 FIELDS = [Field(0), Field(2), Field(3), Field(5), Field(7)]
+# the same, then the fields with i adjoined
+ALL_FIELDS = FIELDS + [
+    Field(3, i_adjoined=True),
+    Field(7, i_adjoined=True),
+    Field(0, i_adjoined=True),
+]
 
 
 def poly_strategy(field, max_terms=5, max_order=2, max_exp=3):
@@ -35,6 +44,16 @@ def poly_strategy(field, max_terms=5, max_order=2, max_exp=3):
             acc = acc + m
         return acc
     return st.lists(term, max_size=max_terms).map(build)
+
+
+def draw_poly(data, field):
+    """A drawn polynomial; over a field with i adjoined it also has
+    coefficients with a nonzero imaginary part."""
+    f = data.draw(poly_strategy(field))
+    if field.i_adjoined:
+        i = field.square_root(field.of(-1))
+        f = f + data.draw(poly_strategy(field)).scale(i)
+    return f
 
 
 # -- field scalars ----------------------------------------------------------
@@ -85,16 +104,34 @@ def test_gaussian_interop():
     assert Gaussian(5, 7) % 3 == Gaussian(2, 1)
 
 
+# -- monomials ----------------------------------------------------------------
+
+
+def mono_strategy():
+    """Monomials over all four families, t included: ("t", 1) < ("x", 0) as
+    tuples, but t sorts last in ``var_key``."""
+    variable = st.tuples(st.sampled_from(FAMILIES), st.integers(0, 3))
+    pairs = st.lists(st.tuples(variable, st.integers(1, 3)), max_size=5)
+    return pairs.map(mono_from_pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=mono_strategy(), b=mono_strategy())
+def test_mono_mul_matches_mono_from_pairs(a, b):
+    """The merge product against the dict-and-sort reference."""
+    assert mono_mul(a, b) == mono_from_pairs(a + b)
+
+
 # -- polynomial ring axioms -------------------------------------------------
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", ALL_FIELDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ring_axioms(field, data):
-    f = data.draw(poly_strategy(field))
-    g = data.draw(poly_strategy(field))
-    h = data.draw(poly_strategy(field))
+    f = draw_poly(data, field)
+    g = draw_poly(data, field)
+    h = draw_poly(data, field)
     assert f + g == g + f
     assert f * g == g * f
     assert (f + g) + h == f + (g + h)
@@ -154,24 +191,14 @@ def test_evaluate_respects_ring_ops(field, data):
     assert lhs == rhs
 
 
-EVAL_FIELDS = FIELDS + [
-    Field(3, i_adjoined=True),
-    Field(7, i_adjoined=True),
-    Field(0, i_adjoined=True),
-]
-
-
-@pytest.mark.parametrize("field", EVAL_FIELDS)
+@pytest.mark.parametrize("field", ALL_FIELDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_evaluate_matches_substitution(field, data):
     """``evaluate`` uses integer coordinates as they are; the reference
     substitutes them as constant polynomials (normalised into the field)
     and reads off the constant term."""
-    f = data.draw(poly_strategy(field))
-    if field.i_adjoined:
-        i = field.square_root(field.of(-1))
-        f = f + data.draw(poly_strategy(field)).scale(i)
+    f = draw_poly(data, field)
     point = {var(fam, o): data.draw(st.integers(0, 6)) for fam in "xyz" for o in range(3)}
     ref = f.substitute({v: Polynomial.const(field, a) for v, a in point.items()})
     assert f.evaluate(point) == ref.terms.get((), field.zero)

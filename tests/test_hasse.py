@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcjet.algebra import Field, Polynomial, QQ, parse_poly, var
+from arcjet.catalog import preset_grid
 from arcjet.hasse import (
     JetSystem,
     congruence_shape,
@@ -46,6 +47,19 @@ def test_derivatives_match_series_route(field, data):
     expected = series_oracle(f, m)
     for k in range(m + 1):
         assert sys.derivative(k) == expected[k], f"mismatch at order {k} for {f}"
+
+
+def test_derivatives_match_series_route_on_the_grid():
+    """The tower against the series route on every equation of the preset
+    grid, in its own field: powers up to y^5 (E8), Q(i) and F_p(i) (E6),
+    and the variants with three families in one monomial."""
+    equations = list(dict.fromkeys(pr.equation for pr in preset_grid()))
+    assert any(len(mono) == 3 for f in equations for mono in f.terms)
+    for f in equations:
+        sys = JetSystem(f)
+        expected = series_oracle(f, 7)
+        for k in range(8):
+            assert sys.derivative(k) == expected[k], f"mismatch at order {k} for {f}"
 
 
 def test_derivative_examples():

@@ -90,7 +90,7 @@ def test_probe_tests_points_in_probe_field(kind, n, m):
     pr = preset(kind, n=n, char=0)
     sys = JetSystem(pr.equation)
     target = probe_field(sys.field, 2)
-    pts = enumerate_fiber(pr.equation, 2, m)
+    pts = enumerate_fiber(sys, 2, m)
 
     def reference(strata):
         truncs = [truncate_stratum(sys, s, m, target) for s in strata]

@@ -12,6 +12,8 @@ from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.oracle import (
     OracleError,
+    _audit,
+    audit_tree,
     compile_poly,
     compile_stratum,
     coverage_check,
@@ -69,26 +71,26 @@ def brute_points(f, p, m):
 
 def test_pinned_smallest_fiber():
     f = parse_poly("z^2 + x*y", Field(2))
-    pts = enumerate_fiber(f, 2, 2)
+    pts = enumerate_fiber(JetSystem(f), 2, 2)
     assert len(pts) == 32
     assert sorted(pts) == sorted(brute_points(f, 2, 2))
 
 
 def test_enumerate_matches_reference_elsewhere():
     f3 = parse_poly("z^2 + x^2*y + x*y^2", Field(3))
-    assert sorted(enumerate_fiber(f3, 3, 2)) == sorted(brute_points(f3, 3, 2))
+    assert sorted(enumerate_fiber(JetSystem(f3), 3, 2)) == sorted(brute_points(f3, 3, 2))
     f2 = parse_poly("z^2 + x^3 + y^5", Field(2))
-    assert sorted(enumerate_fiber(f2, 2, 3)) == sorted(brute_points(f2, 2, 3))
+    assert sorted(enumerate_fiber(JetSystem(f2), 2, 3)) == sorted(brute_points(f2, 2, 3))
     # i adjoined: the DFS reads real and imaginary tables
-    e6 = preset("E6", char=3).equation
+    e6 = preset("E6", char=3).system
     assert e6.field.i_adjoined
-    assert enumerate_fiber(e6, 3, 2) == brute_points(e6, 3, 2)
+    assert enumerate_fiber(e6, 3, 2) == brute_points(e6.f, 3, 2)
 
 
 def test_budget_guard():
     f = parse_poly("z^2 + x*y", Field(3))
     with pytest.raises(OracleError):
-        enumerate_fiber(f, 3, 6, budget=1000)
+        enumerate_fiber(JetSystem(f), 3, 6, budget=1000)
 
 
 def test_probe_field_carries_extension():
@@ -111,7 +113,7 @@ AUDIT_CASES = [
 
 def audit(pr, p, m):
     sys = JetSystem(pr.equation)
-    pts = enumerate_fiber(pr.equation, p, m)
+    pts = enumerate_fiber(sys, p, m)
     tree = run_driver(sys, pr.covers, max_level=m)
     target = probe_field(pr.equation.field, p)
     leaves = truncated_leaves(sys, tree, m, target)
@@ -134,7 +136,7 @@ def test_driver_run_covers_and_partitions(kind, n, p, m):
 def test_char_zero_preset_audited_at_probe_prime():
     pr = preset("A", n=2, char=0)
     sys = JetSystem(pr.equation)
-    pts = enumerate_fiber(pr.equation, 5, 2)
+    pts = enumerate_fiber(sys, 5, 2)
     tree = run_driver(sys, pr.covers, max_level=2)
     target = probe_field(pr.equation.field, 5)
     leaves = truncated_leaves(sys, tree, 2, target)
@@ -144,7 +146,7 @@ def test_char_zero_preset_audited_at_probe_prime():
 def test_negative_control_dropped_leaf():
     pr = preset("A", n=1, char=2)
     sys = JetSystem(pr.equation)
-    pts = enumerate_fiber(pr.equation, 2, 2)
+    pts = enumerate_fiber(sys, 2, 2)
     tree = run_driver(sys, pr.covers, max_level=2)
     target = probe_field(pr.equation.field, 2)
     leaves = truncated_leaves(sys, tree, 2, target)
@@ -159,7 +161,7 @@ def test_stratum_membership_basics():
     tree = run_driver(sys, pr.covers, max_level=2)
     target = probe_field(pr.equation.field, 2)
     leaves = truncated_leaves(sys, tree, 2, target)
-    pts = enumerate_fiber(pr.equation, 2, 2)
+    pts = enumerate_fiber(sys, 2, 2)
     hits = {
         pt: sum(1 for _, T in leaves if stratum_membership(point_assignment(pt, 2), T))
         for pt in pts
@@ -182,7 +184,7 @@ def test_truncation_forgets_constraints_above_its_level():
     T = truncate_stratum(pr.system, s, 3)
     assert T.units == () and T.zero_monomials == ()
     C = compile_stratum(T)
-    assert all(C.contains(pt) for pt in enumerate_fiber(pr.equation, 2, 3))
+    assert all(C.contains(pt) for pt in enumerate_fiber(pr.system, 2, 3))
 
 
 @pytest.mark.parametrize(
@@ -197,7 +199,7 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
     tree = run_driver(sys, pr.covers, max_level=m)
     target = probe_field(pr.equation.field, p)
     leaves = [T for _, T in truncated_leaves(sys, tree, m, target)]
-    pts = enumerate_fiber(pr.equation, p, m)
+    pts = enumerate_fiber(sys, p, m)
     assigns = {pt: point_assignment(pt, m) for pt in pts}
     members = [[pt for pt in pts if stratum_membership(assigns[pt], T)] for T in leaves]
     proper = 0
@@ -263,7 +265,88 @@ def test_compiled_truncations_match_membership(kind, n, char, p, m):
     if target.i_adjoined:
         # F_3(i) is exercised: some table has an imaginary part
         assert any(len(e) == 2 for C in compiled for e in C.equations + C.units)
-    for pt in enumerate_fiber(pr.equation, p, m):
+    for pt in enumerate_fiber(sys, p, m):
         assign = point_assignment(pt, m)
         for T, C in zip(truncs, compiled):
             assert C.contains(pt) == stratum_membership(assign, T), (pt, T.describe())
+
+
+def reference_audit(pts, m, truncs, groups, splits):
+    """The audit's two reports by the reference route: ``stratum_membership``
+    on unpacked points, ``any`` over each group, ``sum`` over each split's
+    children."""
+    uncovered, overlapping, failures = [], [], []
+    for pt in pts:
+        assign = point_assignment(pt, m)
+        hits = [stratum_membership(assign, T) for T in truncs]
+        keys = [key for key, pos in groups.items() if any(hits[i] for i in pos)]
+        if not keys:
+            uncovered.append(pt)
+        elif len(keys) > 1:
+            overlapping.append((pt, keys))
+        for nid, parent, children in splits:
+            if hits[parent]:
+                n = sum(hits[c] for c in children)
+                if n != 1:
+                    failures.append({"node": nid, "point": pt, "hits": n})
+    exclusive = {
+        "ok": not uncovered and not overlapping,
+        "groups": len(groups),
+        "uncovered": uncovered,
+        "overlapping": overlapping,
+    }
+    return exclusive, {"ok": not failures, "split_nodes": len(splits), "failures": failures}
+
+
+@pytest.mark.parametrize("kind,n,char,p,m", MEMBERSHIP_CASES)
+def test_audit_tree_matches_reference(kind, n, char, p, m):
+    """``audit_tree``'s cover and partition reports equal the reference
+    route's on the same truncations: nonempty leaves grouped by component,
+    then every open/closed split with its two children.  Negative controls:
+    a leaf also charted under a second group key overlaps, a split with one
+    child dropped fails the partition, and so does one that lists its parent
+    as a further child (two hits)."""
+    pr = preset(kind, n=n, char=char)
+    sys = pr.system
+    tree = run_driver(sys, pr.covers, max_level=m)
+    target = probe_field(pr.equation.field, p)
+    pts = enumerate_fiber(sys, p, m)
+    leaves = [node for node in tree.leaves() if node.kind != "empty"]
+    split_nodes = [
+        node
+        for node in tree.nodes
+        if node.note.startswith("split on ") and len(node.children) == 2
+    ]
+    nids = [node.nid for node in leaves]
+    nids += [k for node in split_nodes for k in (node.nid, *node.children) if k not in nids]
+    pos = {nid: i for i, nid in enumerate(nids)}
+    truncs = [truncate_stratum(sys, tree.node(nid).stratum, m, target) for nid in nids]
+    groups = {}
+    for node in leaves:
+        key = ("component", node.component) if node.component is not None else ("leaf", node.nid)
+        groups.setdefault(key, []).append(pos[node.nid])
+    splits = [
+        (node.nid, pos[node.nid], tuple(pos[c] for c in node.children))
+        for node in split_nodes
+    ]
+    ref = reference_audit(pts, m, truncs, groups, splits)
+    assert audit_tree(sys, tree, pts, m, target) == ref
+    assert ref[0]["ok"] and ref[1]["ok"]
+
+    assigns = [point_assignment(pt, m) for pt in pts]
+    held = next(i for i in range(len(leaves)) if any(stratum_membership(a, truncs[i]) for a in assigns))
+    duplicated = {**groups, ("duplicate",): [held]}
+    exclusive, _ = _audit(pts, m, truncs, duplicated, splits)
+    assert exclusive["overlapping"]
+    assert exclusive == reference_audit(pts, m, truncs, duplicated, splits)[0]
+
+    dropped = [(nid, parent, children[:1]) for nid, parent, children in splits]
+    _, partition = _audit(pts, m, truncs, groups, dropped)
+    assert bool(partition["failures"]) == bool(splits)
+    assert partition == reference_audit(pts, m, truncs, groups, dropped)[1]
+
+    # the parent as a third child holds every point a real child holds
+    widened = [(nid, parent, (parent, *children)) for nid, parent, children in splits]
+    _, partition = _audit(pts, m, truncs, groups, widened)
+    assert {f["hits"] for f in partition["failures"]} == ({2} if splits else set())
+    assert partition == reference_audit(pts, m, truncs, groups, widened)[1]
