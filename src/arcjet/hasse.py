@@ -5,8 +5,13 @@ For ``f`` in the order-0 variables, ``derivative(m)`` is the coefficient of
 ``x -> sum_k x_k t^k``.  Two independent implementations are provided:
 
 * :class:`JetSystem` builds the coefficients bottom-up, one monomial of
-  ``f`` at a time, by multiplying its factor series one at a time, with
-  the coefficient list of every factor prefix memoised.  This is a
+  ``f`` at a time, without multiplying polynomials.  For every factor
+  prefix of the monomial it memoises integer tables: the coefficient of
+  ``t^k`` in the product of the factor series, as a map from jet
+  monomials to multinomial counts (reduced mod p in characteristic p, so
+  counts divisible by p drop out).  One more factor inserts one
+  coordinate into each monomial of the prefix's table.  The coefficients
+  of ``f`` enter once per output term, multiplying a count.  This is a
   single code path valid in every characteristic.
 * :func:`series_oracle` substitutes honest truncated series (with an
   explicit ``t`` variable) into ``f`` and expands.  It exists purely as a
@@ -19,26 +24,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import Polynomial, Var, var
+from .algebra import Mono, Polynomial, Scalar, Var
 
 
 class JetSystem:
     """Derivatives ``f_0, f_1, ...`` of one equation, memoized.
 
-    ``f`` must involve only order-0 variables.  ``f_m`` lives in the
+    ``f`` must involve only order-0 variables of the families x, y and z
+    (the arc parameter ``t`` is not a coordinate).  ``f_m`` lives in the
     coordinates of order <= m.
     """
 
     def __init__(self, f: Polynomial):
-        for v in f.variables():
-            if v[1] != 0:
+        for fam, order in f.variables():
+            if fam not in ("x", "y", "z"):
+                raise ValueError(f"defining equation must use x, y and z only, not {fam}")
+            if order != 0:
                 raise ValueError("defining equation must use order-0 variables only")
         self.f = f
         self.field = f.field
         self._derivs: list[Polynomial] = []
         # per monomial factor tuple, e.g. ("x", "y", "y", "z") for x*y^2*z:
-        # coefficient list of the product of the series sum_k fam_k t^k
-        self._tables: dict[tuple[str, ...], list[Polynomial]] = {}
+        # level k maps each jet monomial to its count (mod p in
+        # characteristic p) in the coefficient of t^k of the product of the
+        # series sum_k fam_k t^k; the empty product is the series 1
+        self._tables: dict[tuple[str, ...], list[dict[Mono, int]]] = {(): [{(): 1}]}
 
     def derivative(self, m: int) -> Polynomial:
         while len(self._derivs) <= m:
@@ -46,38 +56,57 @@ class JetSystem:
         return self._derivs[m]
 
     def _compute(self, m: int) -> Polynomial:
-        out = Polynomial.zero(self.field)
+        # distinct monomials of f differ in the degree of some family, and
+        # so do all the jet monomials they contribute: nothing collides
+        p = self.field.char
+        out: dict[Mono, Scalar] = {}
         for mono, c in self.f.terms.items():
             key = tuple(fam for (fam, _), e in mono for _ in range(e))
-            if key:
-                out = out + self._series(key, m)[m].scale(c)
-            elif m == 0:
-                # a constant term only contributes at order 0
-                out = out + Polynomial.const(self.field, c)
-        return out
+            for jm, n in self._series(key, m)[m].items():
+                val = c * n % p if p else c * n
+                if val:
+                    out[jm] = val
+        return Polynomial._of_terms(self.field, out)
 
-    def _series(self, key: tuple[str, ...], up_to: int) -> list[Polynomial]:
-        """Coefficients of t^0..t^up_to of the product over ``key`` of the
+    def _series(self, key: tuple[str, ...], up_to: int) -> list[dict[Mono, int]]:
+        """Count tables of t^0..t^up_to of the product over ``key`` of the
         family series, extended on demand.  The table of ``key`` is that of
-        its prefix ``key[:-1]`` times one more series, so a power of one
-        family is a prefix of every higher power, and a monomial in several
-        families reuses the table of its leading factors."""
+        its prefix ``key[:-1]`` times one more series: level k collects,
+        for each i, the monomials of the prefix's level i with the
+        coordinate ``(fam, k - i)`` inserted.  So a power of one family is
+        a prefix of every higher power, and a monomial in several families
+        reuses the table of its leading factors."""
         lst = self._tables.setdefault(key, [])
         if len(lst) > up_to:
             return lst
-        fam = key[-1]
-        if len(key) == 1:
-            while len(lst) <= up_to:
-                lst.append(Polynomial.variable(self.field, var(fam, len(lst))))
+        if not key:
+            lst.extend({} for _ in range(up_to + 1 - len(lst)))
             return lst
+        fam = key[-1]
+        p = self.field.char
         lower = self._series(key[:-1], up_to)
-        base = self._series((fam,), up_to)
         while len(lst) <= up_to:
             k = len(lst)
-            acc = Polynomial.zero(self.field)
+            level: dict[Mono, int] = {}
+            get = level.get
             for i in range(k + 1):
-                acc = acc + lower[i] * base[k - i]
-            lst.append(acc)
+                order = k - i
+                v = (fam, order)
+                single = ((v, 1),)
+                for jm, n in lower[i].items():
+                    # the pairs of fam trail jm (key is sorted by family),
+                    # in increasing order: find where v goes among them
+                    j = len(jm)
+                    while j and jm[j - 1][0][0] == fam and jm[j - 1][0][1] > order:
+                        j -= 1
+                    if j and jm[j - 1][0] == v:
+                        new = jm[: j - 1] + ((v, jm[j - 1][1] + 1),) + jm[j:]
+                    else:
+                        new = jm[:j] + single + jm[j:]
+                    level[new] = get(new, 0) + n
+            if p:
+                level = {jm: r for jm, n in level.items() if (r := n % p)}
+            lst.append(level)
         return lst
 
 

@@ -17,9 +17,11 @@ pair is flagged in the report rather than merged.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .algebra import QQ, Field, Polynomial, format_poly, var_name
 from .driver import Covers, run_driver
@@ -42,13 +44,14 @@ def descriptor_contains(b: Stratum, a: Stratum, field: Field) -> bool:
     return closure_contains(b, a, field)
 
 
-def descriptor_key(d: Stratum) -> tuple:
-    """Canonical, hashable, printable form of a truncated descriptor."""
+def descriptor_key(d: Stratum, fmt: Callable[[Polynomial], str]) -> tuple:
+    """Canonical, hashable, printable form of a truncated descriptor;
+    ``fmt`` is ``format_poly`` or a cache of it."""
     return (
         tuple(sorted(var_name(v) for v in d.zero_vars)),
-        tuple(sorted(format_poly(Polynomial.monomial(QQ, mm)) for mm in d.zero_monomials)),
-        tuple(sorted(format_poly(u) for u in d.units)),
-        tuple(sorted(format_poly(e) for e in d.equations)),
+        tuple(sorted(fmt(Polynomial.monomial(QQ, mm)) for mm in d.zero_monomials)),
+        tuple(sorted(fmt(u) for u in d.units)),
+        tuple(sorted(fmt(e) for e in d.equations)),
     )
 
 
@@ -129,6 +132,9 @@ def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
     levels: dict[int, list[tuple[object, Stratum]]] = {}
     for m in range(1, M + 1):
         levels[m] = _level_pieces(sys, covers, m)
+    # deeper pieces repeat the equations of shallower ones: print each
+    # distinct polynomial once per graph
+    fmt = functools.cache(format_poly)
 
     vertices: list[GraphVertex] = []
     edges: list[tuple[int, int]] = []
@@ -145,7 +151,7 @@ def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
                     level=m,
                     label="",  # filled after component ids propagate
                     component_ids=(),
-                    descriptor=descriptor_key(d),
+                    descriptor=descriptor_key(d, fmt),
                 )
             )
         # edges down to level m-1

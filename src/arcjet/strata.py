@@ -67,25 +67,29 @@ def rewrite_rules_for(equations: Sequence[Polynomial]) -> tuple[RewriteRule, ...
 
 
 def _lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
-    field = eq.field
-    candidates: list[tuple[tuple, Var, int, Polynomial]] = []
+    # a lead is a pure power c*v^e whose variable occurs in no other term
+    occurrences: dict[Var, int] = {}
+    for mono in eq.terms:
+        for v, _ in mono:
+            occurrences[v] = occurrences.get(v, 0) + 1
+    best = None
     for mono, c in eq.terms.items():
-        if len(mono) != 1:
-            continue
-        (v, e) = mono[0]
-        if eq.degree_in(v) != e:
-            continue  # not a true lead in v
-        rest = Polynomial(field, {m: cc for m, cc in eq.terms.items() if m != mono})
-        if any(v in mono_vars(m) for m in rest.terms):
-            continue
-        rhs = rest.scale(field.neg(field.inv(c)))
-        # prefer linear leads, then high variables
-        candidates.append(((0 if e == 1 else 1, [-k for k in var_key(v)]), v, e, rhs))
-    if not candidates:
+        if len(mono) == 1 and occurrences[mono[0][0]] == 1:
+            (v, e) = mono[0]
+            # prefer linear leads, then high variables
+            rank = (0 if e == 1 else 1, [-k for k in var_key(v)])
+            if best is None or rank < best[0]:
+                best = (rank, mono, c)
+    if best is None:
         return None
-    candidates.sort(key=lambda t: t[0])
-    _, v, e, rhs = candidates[0]
-    return RewriteRule(v, e, rhs)
+    _, lead, c = best
+    field = eq.field
+    k = field.neg(field.inv(c))
+    # a product of nonzero field values is nonzero
+    rhs = Polynomial._of_terms(
+        field, {m: field.mul(cc, k) for m, cc in eq.terms.items() if m != lead}
+    )
+    return RewriteRule(lead[0][0], lead[0][1], rhs)
 
 
 def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:

@@ -133,6 +133,7 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         ["derive", "--equation", "z^2 + x*"],
         ["derive", "--equation", "z^2 + x*y", "--reduce", "q0"],
         ["derive", "--equation", "z^2 + x*y", "--char", "4"],
+        ["derive", "--equation", "z^2 + x*y + t"],
         ["oracle", "--kind", "A", "--n", "1", "--p", "4"],
         ["oracle", "--kind", "A", "--n", "1", "--p", "1"],
         ["oracle", "--kind", "A", "--n", "1", "--p", "-3", "--check", "counts"],
@@ -141,6 +142,7 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         "parse-error",
         "bad-coordinate",
         "non-prime-char",
+        "arc-parameter-in-equation",
         "oracle-composite-p",
         "oracle-p-one",
         "oracle-negative-p",

@@ -17,10 +17,11 @@ from arcjet.hasse import (
 FIELDS = [QQ, Field(2), Field(3), Field(5)]
 
 
-def base_poly_strategy(field):
+def base_poly_strategy(field, max_exp=2, max_terms=5, max_degree=6):
     """Polynomials in x0, y0, z0 only (base equations)."""
     coeff = st.integers(min_value=-9, max_value=9).filter(bool)
-    mono = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    exp = st.integers(0, max_exp)
+    mono = st.tuples(exp, exp, exp).filter(lambda e: sum(e) <= max_degree)
     term = st.tuples(mono, coeff)
     def build(terms):
         acc = Polynomial.zero(field)
@@ -31,7 +32,7 @@ def base_poly_strategy(field):
                     m = m * Polynomial.variable(field, var(fam, 0), e)
             acc = acc + m
         return acc
-    return st.lists(term, min_size=1, max_size=5).map(build)
+    return st.lists(term, min_size=1, max_size=max_terms).map(build)
 
 
 # -- the two derivative routes must agree -----------------------------------
@@ -47,6 +48,37 @@ def test_derivatives_match_series_route(field, data):
     expected = series_oracle(f, m)
     for k in range(m + 1):
         assert sys.derivative(k) == expected[k], f"mismatch at order {k} for {f}"
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_derivatives_match_series_route_high_powers(field, data):
+    """Exponents up to 5: the inserted coordinate lands inside runs of
+    repeated same-family coordinates, and counts divisible by p vanish."""
+    f = data.draw(base_poly_strategy(field, max_exp=5, max_terms=3))
+    m = data.draw(st.integers(0, 7))
+    sys = JetSystem(f)
+    expected = series_oracle(f, m)
+    for k in range(m + 1):
+        assert sys.derivative(k) == expected[k], f"mismatch at order {k} for {f}"
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_e8_derivatives_match_series_route_to_level_12(field):
+    f = parse_poly("z^2 + x^3 + y^5", field)
+    sys = JetSystem(f)
+    expected = series_oracle(f, 12)
+    for k in range(13):
+        assert sys.derivative(k) == expected[k], f"mismatch at order {k} over {field}"
+
+
+@pytest.mark.parametrize("text", ["z^2 + x*y + t", "z^2 + x*y*t^2", "z^2 + x1*y"])
+def test_equation_outside_the_order_zero_coordinates_is_rejected(text):
+    """The arc parameter t is not a coordinate, and the tower's input is in
+    x0, y0 and z0 only."""
+    with pytest.raises(ValueError):
+        JetSystem(parse_poly(text, QQ))
 
 
 def test_derivatives_match_series_route_on_the_grid():

@@ -1,8 +1,10 @@
 """Level-by-level component graph: construction, chain detection, export."""
 
+import hashlib
+
 import pytest
 
-from arcjet.catalog import preset
+from arcjet.catalog import preset, preset_grid
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import (
@@ -123,6 +125,21 @@ def test_e6_char0_graph_probes_only_where_i_lives():
     the merge probe runs at p = 3 only and flags nothing."""
     pr = preset("E6", char=0)
     assert not build_graph(pr.system, pr.covers, 6).flags
+
+
+# sha256 of the JSON export (plus a newline) of the level-6 graph of every
+# preset, concatenated in preset_grid() order
+GRID_LEVEL6_GRAPHS_SHA256 = "7b22ce2891917916d4003aa6a0f9eacaf0eabf3a4a96cb06d78827b9502b350f"
+
+
+def test_level6_graphs_of_the_grid_are_unchanged():
+    presets = list(preset_grid())
+    assert len(presets) == 69
+    digest = hashlib.sha256()
+    for pr in presets:
+        text = export(build_graph(pr.system, pr.covers, 6), "json") + "\n"
+        digest.update(text.encode())
+    assert digest.hexdigest() == GRID_LEVEL6_GRAPHS_SHA256
 
 
 def test_export_json_round_trip():

@@ -1,15 +1,20 @@
 """Stratum bookkeeping: rewriting, unit inference, elimination, soundness."""
 
 from dataclasses import replace
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arcjet.algebra import Field, Polynomial, QQ, parse_poly, var
+from arcjet import strata
+from arcjet.algebra import Field, Polynomial, QQ, mono_vars, parse_poly, var, var_key
 from arcjet.catalog import preset
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
+from arcjet.jetgraph import build_graph
 from arcjet.strata import (
     EngineError,
+    RewriteRule,
     Stratum,
     add_equation,
     check_elimination_soundness,
@@ -50,6 +55,88 @@ def test_rewrite_power_rule():
 def test_rewrite_no_usable_lead():
     # every term has multiple variables: the equation contributes no rule
     assert rewrite_rules_for((P("x1*y1 + x2*y2"),)) == ()
+
+
+def reference_lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
+    """The quadratic lead-rule search, kept as the reference of
+    ``strata._lead_rule``: every pure-power term is tested against every
+    other term, and its rule is built before the best one is chosen."""
+    field = eq.field
+    candidates = []
+    for mono, c in eq.terms.items():
+        if len(mono) != 1:
+            continue
+        (v, e) = mono[0]
+        if eq.degree_in(v) != e:
+            continue  # not a true lead in v
+        rest = Polynomial(field, {m: cc for m, cc in eq.terms.items() if m != mono})
+        if any(v in mono_vars(m) for m in rest.terms):
+            continue
+        rhs = rest.scale(field.neg(field.inv(c)))
+        candidates.append(((0 if e == 1 else 1, [-k for k in var_key(v)]), v, e, rhs))
+    if not candidates:
+        return None
+    candidates.sort(key=lambda t: t[0])
+    _, v, e, rhs = candidates[0]
+    return RewriteRule(v, e, rhs)
+
+
+def assert_same_rule(eq):
+    got, want = strata._lead_rule(eq), reference_lead_rule(eq)
+    if want is None:
+        assert got is None, eq
+    else:
+        assert got is not None, eq
+        assert (got.v, got.power, got.rhs) == (want.v, want.power, want.rhs), eq
+        assert got.rhs.field == eq.field
+
+
+LEAD_VARS = [var("x", 1), var("x", 2), var("y", 1), var("z", 0), var("z", 3)]
+LEAD_FIELDS = [QQ, Field(2), Field(5), Field(3, i_adjoined=True)]
+
+
+@st.composite
+def lead_equations(draw):
+    """Sums of pure powers and of products over a few shared variables."""
+    field = draw(st.sampled_from(LEAD_FIELDS))
+    v = st.sampled_from(LEAD_VARS)
+    power = st.tuples(v, st.integers(1, 3)).map(lambda ve: [ve])
+    product = st.lists(st.tuples(v, st.integers(1, 2)), min_size=0, max_size=3)
+    terms = draw(st.lists(st.one_of(power, power, product), min_size=1, max_size=5))
+    eq = Polynomial.zero(field)
+    for factors in terms:
+        t = Polynomial.const(field, draw(st.integers(-4, 4).filter(bool)))
+        for w, e in factors:
+            t = t * Polynomial.variable(field, w, e)
+        eq = eq + t
+    return eq
+
+
+@settings(max_examples=300, deadline=None)
+@given(eq=lead_equations())
+def test_lead_rule_matches_reference(eq):
+    assert_same_rule(eq)
+
+
+def test_lead_rule_matches_reference_on_the_e8_graph(monkeypatch):
+    """Every equation whose rule the E8 (char 0) graph to level 12 asks for."""
+    seen = []
+    lead_rule = strata._lead_rule
+
+    def recording(eq):
+        seen.append(eq)
+        return lead_rule(eq)
+
+    monkeypatch.setattr(strata, "_lead_rule", recording)
+    pr = preset("E8", char=0)
+    build_graph(JetSystem(pr.equation), pr.covers, 12)
+    monkeypatch.undo()
+    equations = list(dict.fromkeys(seen))
+    assert len(equations) >= 10
+    # both outcomes occur: some equations have a lead, some have none
+    assert {reference_lead_rule(eq) is None for eq in equations} == {True, False}
+    for eq in equations:
+        assert_same_rule(eq)
 
 
 def test_stratum_simplify_combines_zeros_and_rules():
