@@ -57,9 +57,11 @@ Covers = Mapping[int, tuple[tuple[Var, ...], ...]]
 @dataclass
 class Node:
     nid: int
-    parent: Optional[int]
     level: int  # level of the decision that created this node
-    kind: str  # interior | chart | residual | stabilized | empty
+    # the node's decision: split | cover (inner nodes) or
+    # chart | residual | stabilized | empty (leaves); "interior" only
+    # until it is made
+    kind: str
     stratum: Stratum
     children: list[int] = dc_field(default_factory=list)
     component: Optional[int] = None
@@ -70,9 +72,12 @@ class Node:
 @dataclass
 class Component:
     index: int
-    name: str
     emergence: int
-    chart_nodes: list[int]
+    chart_nodes: list[int] = dc_field(default_factory=list)
+
+    @property
+    def name(self) -> str:
+        return f"K{self.index + 1}"
 
 
 @dataclass
@@ -109,11 +114,24 @@ def run_driver(
 
 
 def _new_node(tree: StratificationTree, parent: Optional[int], level: int, s: Stratum) -> Node:
-    node = Node(nid=len(tree.nodes), parent=parent, level=level, kind="interior", stratum=s)
+    node = Node(nid=len(tree.nodes), level=level, kind="interior", stratum=s)
     tree.nodes.append(node)
     if parent is not None:
         tree.nodes[parent].children.append(node.nid)
     return node
+
+
+def _new_component(tree: StratificationTree, n: int) -> Component:
+    comp = Component(index=len(tree.components), emergence=n)
+    tree.components.append(comp)
+    return comp
+
+
+def _mark_chart(node: Node, chart: Stratum, comp: Component) -> None:
+    node.stratum = chart
+    node.kind = "chart"
+    node.component = comp.index
+    comp.chart_nodes.append(node.nid)
 
 
 def _process(
@@ -163,16 +181,7 @@ def _process(
             pivot = find_pivot(s, q)
             if pivot is not None:
                 chart = eliminate_tail(sys, s, n, q, pivot)
-                node.stratum = chart
-                node.kind = "chart"
-                comp = Component(
-                    index=len(tree.components),
-                    name=f"K{len(tree.components) + 1}",
-                    emergence=n,
-                    chart_nodes=[node.nid],
-                )
-                node.component = comp.index
-                tree.components.append(comp)
+                _mark_chart(node, chart, _new_component(tree, n))
                 return node
         _do_cover(sys, covers, tree, node, s, n, q)
         return node
@@ -180,6 +189,7 @@ def _process(
 
 def _do_split(sys, covers, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
     open_part, closed_part = split(s, v, sys.field)
+    node.kind = "split"
     node.note = f"split on {var_name(v)} at level {n}"
     _process(sys, covers, tree, open_part, n, node.nid)
     _process(sys, covers, tree, closed_part, n, node.nid)
@@ -255,6 +265,7 @@ def _do_cover(
     field = sys.field
     unit_sets = covers.get(n) or _auto_cover(s, q)
     terminal = coxeter_number(q) == n
+    node.kind = "cover"
     node.note = (
         f"cover at level {n} localizing "
         + " | ".join(",".join(var_name(v) for v in us) for us in unit_sets)
@@ -271,27 +282,12 @@ def _do_cover(
             # each gets its own component.
             for lin in factors:
                 chart = _factor_chart(sys, s_ch, n, lin, tree.max_level)
-                fcomp = Component(
-                    index=len(tree.components),
-                    name=f"K{len(tree.components) + 1}",
-                    emergence=n,
-                    chart_nodes=[],
-                )
-                tree.components.append(fcomp)
                 child = _new_node(tree, node.nid, n, chart)
-                child.kind = "chart"
                 child.note = f"factor {format_poly(lin)}"
-                child.component = fcomp.index
-                fcomp.chart_nodes.append(child.nid)
+                _mark_chart(child, chart, _new_component(tree, n))
             continue
         if comp is None:
-            comp = Component(
-                index=len(tree.components),
-                name=f"K{len(tree.components) + 1}",
-                emergence=n,
-                chart_nodes=[],
-            )
-            tree.components.append(comp)
+            comp = _new_component(tree, n)
         pivot = find_pivot(s_ch, q)
         if pivot is None:
             raise EngineError(
@@ -299,10 +295,7 @@ def _do_cover(
                 f"{{{','.join(var_name(v) for v in uset)}}} in characteristic {field.char}"
             )
         chart = eliminate_tail(sys, s_ch, n, q, pivot)
-        child = _new_node(tree, node.nid, n, chart)
-        child.kind = "chart"
-        child.component = comp.index
-        comp.chart_nodes.append(child.nid)
+        _mark_chart(_new_node(tree, node.nid, n, chart), chart, comp)
     # closed complement
     cover_vars = sorted({v for us in unit_sets for v in us}, key=var_key)
     if len(unit_sets) == 1 and len(unit_sets[0]) > 1:

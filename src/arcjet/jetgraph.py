@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable
 
 from .algebra import QQ, Field, Polynomial, format_poly, var_name
@@ -94,9 +95,7 @@ def _level_pieces(
     for comp in tree.components:
         cands.append((comp.index, truncate_stratum(sys, tree.chart_of(comp).stratum, m)))
     for node in tree.leaves():
-        if node.kind in ("stabilized", "residual") and node.component is None:
-            if node.absorbed_into is not None:
-                continue
+        if node.kind in ("stabilized", "residual") and node.absorbed_into is None:
             cands.append((None, truncate_stratum(sys, node.stratum, m)))
     # drop pieces strictly inside another piece's closure; of pieces with
     # equal closures keep the first.  inside[i][j]: piece i lies in the
@@ -129,86 +128,71 @@ def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list
 
 
 def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
-    levels: dict[int, list[tuple[object, Stratum]]] = {}
-    for m in range(1, M + 1):
-        levels[m] = _level_pieces(sys, covers, m)
+    # levels[m - 1]: the level-m pieces, whose vids run from first[m - 1]
+    levels = [_level_pieces(sys, covers, m) for m in range(1, M + 1)]
+    first = [0, *accumulate(len(pieces) for pieces in levels)]
     # deeper pieces repeat the equations of shallower ones: print each
     # distinct polynomial once per graph
     fmt = functools.cache(format_poly)
 
-    vertices: list[GraphVertex] = []
     edges: list[tuple[int, int]] = []
     flags: list[str] = []
-    vid_of: dict[tuple[int, int], int] = {}  # (level, index within level) -> vid
-
-    for m in range(1, M + 1):
-        for idx, (comp, d) in enumerate(levels[m]):
-            vid_of[(m, idx)] = len(vertices) + idx
-        for idx, (comp, d) in enumerate(levels[m]):
-            vertices.append(
-                GraphVertex(
-                    vid=vid_of[(m, idx)],
-                    level=m,
-                    label="",  # filled after component ids propagate
-                    component_ids=(),
-                    descriptor=descriptor_key(d, fmt),
-                )
-            )
+    for m, pieces in enumerate(levels, start=1):
         # edges down to level m-1
         if m > 1:
-            for idx, (comp, d) in enumerate(levels[m]):
+            for idx, (_, d) in enumerate(pieces):
                 cut = truncate_stratum(sys, d, m - 1)
                 hits = [
                     pidx
-                    for pidx, (_, pd) in enumerate(levels[m - 1])
+                    for pidx, (_, pd) in enumerate(levels[m - 2])
                     if descriptor_contains(pd, cut, sys.field)
                 ]
                 if not hits:
                     flags.append(
                         f"level {m} piece {idx} has no truncation target at {m - 1}"
                     )
-                for pidx in hits:
-                    edges.append((vid_of[(m - 1, pidx)], vid_of[(m, idx)]))
+                edges.extend((first[m - 2] + pidx, first[m - 1] + idx) for pidx in hits)
         # undecidable-merge probe: syntactically distinct same-level pieces
         # whose finite point sets agree at every tested prime
         tested = [p for p in probe_primes(sys.field) if p ** (3 * m) <= PROBE_BUDGET]
-        if len(levels[m]) > 1 and tested:
-            pieces = [d for _, d in levels[m]]
-            point_sets = [_piece_points(sys, pieces, p, m) for p in tested]
-            for i, j in combinations(range(len(pieces)), 2):
+        if len(pieces) > 1 and tested:
+            strata = [d for _, d in pieces]
+            point_sets = [_piece_points(sys, strata, p, m) for p in tested]
+            for i, j in combinations(range(len(strata)), 2):
                 if all(sets[i] == sets[j] for sets in point_sets):
                     flags.append(
                         f"level {m}: pieces {i} and {j} are syntactically distinct "
                         f"but share every tested F_p point set"
                     )
+    edges.sort()
 
-    # propagate stable component ids from the top level downward
-    comp_ids: dict[int, set[int]] = {v.vid: set() for v in vertices}
-    for idx, (comp, _) in enumerate(levels[M]):
+    # propagate stable component ids from the top level downward: an edge's
+    # lower end has the smaller vid, so in descending order every vertex is
+    # complete before its ids flow down
+    comp_ids: list[set[int]] = [set() for _ in range(first[-1])]
+    for idx, (comp, _) in enumerate(levels[M - 1]):
         if comp is not None:
-            comp_ids[vid_of[(M, idx)]].add(int(comp))
-    for m in range(M, 1, -1):
-        for a, b in edges:
-            if vertices[b].level == m:
-                comp_ids[a] |= comp_ids[b]
-    out: list[GraphVertex] = []
-    for v in vertices:
-        ids = tuple(sorted(comp_ids[v.vid]))
-        label = (f"K{ids[0] + 1}" if ids else f"V{v.vid}") + f"@{v.level}"
-        out.append(
-            GraphVertex(
-                vid=v.vid,
-                level=v.level,
-                label=label,
-                component_ids=ids,
-                descriptor=v.descriptor,
+            comp_ids[first[M - 1] + idx].add(int(comp))
+    for a, b in reversed(edges):
+        comp_ids[a] |= comp_ids[b]
+    vertices = []
+    for m, pieces in enumerate(levels, start=1):
+        for vid, (_, d) in enumerate(pieces, start=first[m - 1]):
+            ids = tuple(sorted(comp_ids[vid]))
+            vertices.append(
+                GraphVertex(
+                    vid=vid,
+                    level=m,
+                    label=(f"K{ids[0] + 1}" if ids else f"V{vid}") + f"@{m}",
+                    component_ids=ids,
+                    descriptor=descriptor_key(d, fmt),
+                )
             )
-        )
     return JetComponentGraph(
         schema=SCHEMA,
         max_level=M,
-        vertices=tuple(out),
-        edges=tuple(sorted(edges)),
+        vertices=tuple(vertices),
+        edges=tuple(edges),
         flags=tuple(flags),
     )
 
@@ -216,9 +200,8 @@ def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
 def simple_branch_check(g: JetComponentGraph) -> dict:
     """Smallest level t such that no vertex at level >= t branches
     (has two or more next-level children) within the window."""
-    branch_levels = [
-        v.level for v in g.vertices if len(g.children(v.vid)) > 1
-    ]
+    out_degree = Counter(a for a, _ in g.edges)
+    branch_levels = [v.level for v in g.vertices if out_degree[v.vid] > 1]
     threshold = max(branch_levels) + 1 if branch_levels else min(
         (v.level for v in g.vertices), default=1
     )

@@ -414,11 +414,7 @@ def _tree_audit(
 ) -> tuple[dict, dict]:
     """Truncate each node the checks need once (``leaves``, every split
     parent and its children), then audit the points in one pass."""
-    split_nodes = [
-        node
-        for node in tree.nodes
-        if node.note.startswith("split on ") and len(node.children) == 2
-    ]
+    split_nodes = [node for node in tree.nodes if node.kind == "split"]
     pos: dict[int, int] = {}
     for nid in [n.nid for n in leaves] + [k for n in split_nodes for k in (n.nid, *n.children)]:
         pos.setdefault(nid, len(pos))

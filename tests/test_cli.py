@@ -166,6 +166,7 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         ["graph", "--kind", "A", "--n", "1", "--max-level", "0"],
         ["verify", "--kind", "A", "--n", "1", "--graph-level", "-1"],
         ["ARCJET_WORKERS=abc", "verify", "--all"],
+        ["ARCJET_WORKERS=\u00b2", "verify", "--all"],
     ],
     ids=[
         "missing-config",
@@ -176,6 +177,7 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         "graph-zero-max-level",
         "verify-negative-graph-level",
         "verify-all-bad-workers",
+        "verify-all-superscript-workers",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):

@@ -160,3 +160,28 @@ def test_driver_alone_reaches_the_rank():
         tree = run_driver(pr.system, {}, pr.max_level)
         assert len(tree.components) == pr.expected_count, pr.label
         assert all(r.absorbed_into is not None for r in tree.residuals()), pr.label
+
+
+# -- the tree's shape ----------------------------------------------------------
+
+LEAF_KINDS = {"chart", "residual", "stabilized", "empty"}
+
+
+def test_every_node_records_its_decision():
+    # split and cover nodes carry their decision as their kind, so readers
+    # (the oracle's split audit among them) never parse a note
+    from arcjet.catalog import preset_grid
+
+    for pr in preset_grid():
+        tree = run_driver(pr.system, pr.covers, pr.max_level)
+        for node in tree.nodes:
+            assert node.kind in LEAF_KINDS | {"split", "cover"}, (pr.label, node.nid)
+            assert (node.kind in LEAF_KINDS) == (not node.children), (pr.label, node.nid)
+            if node.kind == "split":
+                assert len(node.children) == 2, (pr.label, node.nid)
+        for comp in tree.components:
+            assert comp.name == f"K{comp.index + 1}"
+            assert comp.chart_nodes, (pr.label, comp.name)
+            for nid in comp.chart_nodes:
+                node = tree.node(nid)
+                assert node.kind == "chart" and node.component == comp.index, (pr.label, nid)

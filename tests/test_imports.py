@@ -115,3 +115,18 @@ def test_no_eval_exec_compile(path):
         and node.func.id in ("eval", "exec", "compile")
     ]
     assert not calls, f"{path.name} runs generated code: {', '.join(calls)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_a_note(path):
+    # notes are for people: a decision is read from a node's kind.  Writing
+    # a note (``node.note = ...``, ``+=``) is a store and stays allowed.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "note"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert not reads, f"{path.name} reads a note: {', '.join(reads)}"

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import arcjet.jetgraph as jetgraph
 from arcjet.catalog import preset, preset_grid
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
@@ -140,6 +141,48 @@ def test_level6_graphs_of_the_grid_are_unchanged():
         text = export(build_graph(pr.system, pr.covers, 6), "json") + "\n"
         digest.update(text.encode())
     assert digest.hexdigest() == GRID_LEVEL6_GRAPHS_SHA256
+
+
+# The flags of the A3 (char 0) graph to level 6 when every piece is given
+# the same point set: each level with two or more pieces flags each pair.
+# (Level 6 is past the probe budget.)
+SHARED = "are syntactically distinct but share every tested F_p point set"
+A3_LEVEL6_PROBE_FLAGS = (
+    "level 2: pieces 0 and 1 " + SHARED,
+    "level 3: pieces 0 and 1 " + SHARED,
+    "level 3: pieces 0 and 2 " + SHARED,
+    "level 3: pieces 1 and 2 " + SHARED,
+    "level 4: pieces 0 and 1 " + SHARED,
+    "level 4: pieces 0 and 2 " + SHARED,
+    "level 4: pieces 1 and 2 " + SHARED,
+    "level 5: pieces 0 and 1 " + SHARED,
+    "level 5: pieces 0 and 2 " + SHARED,
+    "level 5: pieces 1 and 2 " + SHARED,
+)
+
+
+def test_flag_order_is_pinned(monkeypatch):
+    """No preset's graph up to level 12 raises a flag, so the golden hashes
+    do not cover the order of flags; pin it on forced flags."""
+    pr = preset("A", n=3, char=0)
+    monkeypatch.setattr(jetgraph, "_piece_points", lambda sys, pieces, p, m: [set() for _ in pieces])
+    assert build_graph(pr.system, pr.covers, 6).flags == A3_LEVEL6_PROBE_FLAGS
+    # with no containment at all every level also flags each piece without
+    # a truncation target: a level's edge flags come before its probe flags
+    levels = {m: _level_pieces(pr.system, pr.covers, m) for m in range(1, 7)}
+    monkeypatch.setattr(jetgraph, "_level_pieces", lambda sys, covers, m: levels[m])
+    monkeypatch.setattr(jetgraph, "descriptor_contains", lambda b, a, field: False)
+    g = build_graph(pr.system, pr.covers, 6)
+    assert not g.edges
+    expected = []
+    for m in range(2, 7):
+        expected += [
+            f"level {m} piece {i} has no truncation target at {m - 1}"
+            for i in range(len(levels[m]))
+        ]
+        expected += [f for f in A3_LEVEL6_PROBE_FLAGS if f.startswith(f"level {m}:")]
+    assert [len(levels[m]) for m in range(1, 7)] == [1, 2, 3, 3, 3, 3]
+    assert g.flags == tuple(expected)
 
 
 def test_export_json_round_trip():
