@@ -315,7 +315,10 @@ QQ = Field(0)
 class Polynomial:
     """Immutable sparse multivariate polynomial over a fixed Field."""
 
-    __slots__ = ("field", "terms")
+    # ``_hash`` is computed on first use: no method mutates ``terms`` after
+    # construction, and every ``_of_terms`` caller hands over a dict it
+    # built for the new polynomial alone
+    __slots__ = ("field", "terms", "_hash")
 
     def __init__(self, field: Field, terms: Mapping[Mono, Scalar]):
         norm: dict[Mono, Scalar] = {}
@@ -325,6 +328,7 @@ class Polynomial:
                 norm[m] = c
         self.field = field
         self.terms = norm
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -335,6 +339,7 @@ class Polynomial:
         out = Polynomial.__new__(Polynomial)
         out.field = field
         out.terms = terms
+        out._hash = None
         return out
 
     @staticmethod
@@ -364,10 +369,18 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        # terms first: dicts of different sizes differ at once
+        return self.terms == other.terms and self.field == other.field
 
     def __hash__(self) -> int:
-        return hash((self.field.char, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.field.char, frozenset(self.terms.items())))
+        return h
+
+    def __reduce__(self):
+        # a string hash differs between processes: never pickle ``_hash``
+        return Polynomial._of_terms, (self.field, self.terms)
 
     def sorted_terms(self) -> list[tuple[Mono, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
@@ -379,7 +392,7 @@ class Polynomial:
         return out
 
     def max_order(self) -> int:
-        return max((v[1] for m in self.terms for v in mono_vars(m)), default=-1)
+        return max((order for m in self.terms for (_, order), _ in m), default=-1)
 
     def degree_in(self, v: Var) -> int:
         deg = 0
@@ -463,8 +476,9 @@ class Polynomial:
         """Drop every term containing one of the given variables.
 
         This is reduction modulo the ideal generated by the variables.
+        When no term drops, ``self`` itself is returned (with its hash).
         """
-        zs = set(zero_vars)
+        zs = zero_vars if isinstance(zero_vars, (set, frozenset)) else set(zero_vars)
         if not zs:
             return self
         terms: dict[Mono, Scalar] = {}
@@ -474,6 +488,8 @@ class Polynomial:
                     break
             else:
                 terms[m] = c
+        if len(terms) == len(self.terms):
+            return self
         return Polynomial._of_terms(self.field, terms)
 
     def partial(self, v: Var) -> "Polynomial":
@@ -662,12 +678,19 @@ class ParseError(ValueError):
     pass
 
 
+# the largest product of the exponents any number or variable of a parsed
+# polynomial is raised to: it bounds both the degree and the size of the
+# coefficients a short text can ask for (``z^99999999999``, ``((2^99)^99)^99``)
+MAX_EXPONENT = 128
+
+
 def parse_poly(text: str, field: Field) -> Polynomial:
     """Parse the plain-text syntax: ``z3^2 + x2^3``, ``2*x1y1 - 1/2 z0``.
 
     A bare family letter (``x``) means order 0 (``x0``).  The ``*`` between
     factors is optional.  ``^`` denotes powers with nonnegative integer
-    exponents.
+    exponents; nested powers multiply, and their product may not exceed
+    ``MAX_EXPONENT``.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -683,38 +706,47 @@ def parse_poly(text: str, field: Field) -> Polynomial:
         pos += 1
         return tok
 
-    def parse_expr() -> Polynomial:
+    # each parse_* returns its polynomial and the largest exponent product
+    # applied inside it (1 for a plain number or variable)
+    def parse_expr() -> tuple[Polynomial, int]:
         sign = 1
         while peek() == "op" and tokens[pos][1] in "+-":
             if take()[1] == "-":
                 sign = -sign
-        acc = parse_term().scale(sign)
+        acc, power = parse_term()
+        acc = acc.scale(sign)
         while peek() == "op" and tokens[pos][1] in "+-":
             sign = 1
             while peek() == "op" and tokens[pos][1] in "+-":
                 if take()[1] == "-":
                     sign = -sign
-            acc = acc + parse_term().scale(sign)
-        return acc
+            term, p = parse_term()
+            acc, power = acc + term.scale(sign), max(power, p)
+        return acc, power
 
-    def parse_term() -> Polynomial:
-        acc = parse_factor()
+    def parse_term() -> tuple[Polynomial, int]:
+        acc, power = parse_factor()
         while True:
             nxt = peek()
             if nxt == "op" and tokens[pos][1] == "*":
                 take()
-                acc = acc * parse_factor()
-            elif nxt in ("num", "var", "imag") or (nxt == "op" and tokens[pos][1] == "("):
-                acc = acc * parse_factor()
-            else:
-                return acc
+            elif not (nxt in ("num", "var", "imag") or (nxt == "op" and tokens[pos][1] == "(")):
+                return acc, power
+            factor, p = parse_factor()
+            acc, power = acc * factor, max(power, p)
 
-    def parse_factor() -> Polynomial:
+    def parse_factor() -> tuple[Polynomial, int]:
         kind, text_ = take()
+        power = 1
         if kind == "num":
             if "/" in text_:
                 a, b = text_.split("/")
-                base = Polynomial.const(field, Fraction(int(a), int(b)))
+                try:
+                    base = Polynomial.const(field, Fraction(int(a), int(b)))
+                except ZeroDivisionError:
+                    raise ParseError(
+                        f"{text_} has no value in characteristic {field.char}"
+                    ) from None
             else:
                 base = Polynomial.const(field, int(text_))
         elif kind == "imag":
@@ -726,7 +758,7 @@ def parse_poly(text: str, field: Field) -> Polynomial:
             order = int(text_[1:]) if len(text_) > 1 else 0
             base = Polynomial.variable(field, var(fam, order))
         elif kind == "op" and text_ == "(":
-            base = parse_expr()
+            base, power = parse_expr()
             k, t = take() if pos < len(tokens) else ("", "")
             if (k, t) != ("op", ")"):
                 raise ParseError("unbalanced parentheses")
@@ -737,10 +769,15 @@ def parse_poly(text: str, field: Field) -> Polynomial:
             k, t = take() if pos < len(tokens) else ("", "")
             if k != "num" or "/" in t:
                 raise ParseError("exponent must be a nonnegative integer")
-            base = base ** int(t)
-        return base
+            e = int(t)
+            if power * e > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {t} raises a factor to a power above {MAX_EXPONENT}"
+                )
+            base, power = base ** e, power * max(e, 1)
+        return base, power
 
-    result = parse_expr()
+    result, _ = parse_expr()
     if pos != len(tokens):
         raise ParseError(f"trailing input near {tokens[pos][1]!r}")
     return result

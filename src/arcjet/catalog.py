@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .algebra import Field, Polynomial, Var, format_poly, parse_poly, var, var_name
+from .algebra import Field, ParseError, Polynomial, Var, format_poly, parse_poly, var, var_name
 from .hasse import JetSystem
 from .driver import Covers, StratificationTree, run_driver
 from .strata import (
@@ -121,7 +121,10 @@ def preset(kind: str, n: int = 0, char: int = 0, variant: str = "") -> Singulari
     text = _base_equation(kind, n)
     if variant:
         text += " + " + variant
-    eq = parse_poly(text, field)
+    try:
+        eq = parse_poly(text, field)
+    except ParseError as exc:  # an exponent n + 1 or n above the parser's bound
+        raise PresetError(f"{kind} with n = {n}: {exc}") from None
     expected = {"A": n, "D": 2 * n, "E6": 6, "E7": 7, "E8": 8}[kind]
     max_level = {
         "A": n + 6,

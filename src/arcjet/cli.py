@@ -44,7 +44,8 @@ from .oracle import PROBE_BUDGET, OracleError, audit_tree, enumerate_fiber, prob
 
 
 class InputError(ValueError):
-    """A malformed equation, coordinate or characteristic on the command line."""
+    """A malformed equation, coordinate or characteristic on the command line,
+    or an output file that cannot be written."""
 
 
 def _jsonable(obj):
@@ -67,7 +68,11 @@ def _jsonable(obj):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         _sys.stdout.write(text)
@@ -297,20 +302,20 @@ def cmd_verify(args) -> int:
 # -- argument plumbing ------------------------------------------------------
 
 
-def _level_at_least(low: int):
-    """An argparse type for a level flag: an integer no smaller than ``low``
-    (anything else is a usage error, exit 2)."""
+def _int_at_least(low: int, what: str):
+    """An argparse type for a level or budget flag: an integer no smaller
+    than ``low`` (anything else is a usage error, exit 2)."""
 
-    def level(text: str) -> int:
+    def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid level {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"level must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
         return value
 
-    return level
+    return parse
 
 
 def _worker_count(ap: argparse.ArgumentParser) -> int:
@@ -361,7 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="print derivative levels")
     _add_preset_flags(p, required=False)
     p.add_argument("--equation", default="", help="raw equation text instead of a preset")
-    p.add_argument("--level", type=_level_at_least(0), default=8)
+    p.add_argument("--level", type=_int_at_least(0, "level"), default=8)
     p.add_argument("--reduce", default="", help="comma list of coordinates to zero out")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_derive)
@@ -373,7 +378,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build and export the level graph")
     _add_preset_flags(p)
-    p.add_argument("--max-level", type=_level_at_least(1), default=16)
+    p.add_argument("--max-level", type=_int_at_least(1, "level"), default=16)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_graph)
@@ -381,9 +386,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="finite-field brute-force checks")
     _add_preset_flags(p)
     p.add_argument("--p", type=int, default=0, help="probe prime (defaults to preset characteristic)")
-    p.add_argument("--level", type=_level_at_least(0), default=3)
+    p.add_argument("--level", type=_int_at_least(0, "level"), default=3)
     p.add_argument("--check", choices=("counts", "coverage", "partition"), default="coverage")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_int_at_least(1, "budget"), default=10_000_000)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_oracle)
 
@@ -392,7 +397,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_preset_flags(p, required=False)
     p.add_argument(
         "--graph-level",
-        type=_level_at_least(0),
+        type=_int_at_least(0, "level"),
         default=0,
         help="also build the level graph to this level (0: no graph)",
     )

@@ -22,13 +22,17 @@ For ``f`` in the order-0 variables, ``derivative(m)`` is the coefficient of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .algebra import Mono, Polynomial, Scalar, Var
 
+if TYPE_CHECKING:
+    from .strata import Stratum
+
 
 class JetSystem:
-    """Derivatives ``f_0, f_1, ...`` of one equation, memoized.
+    """Derivatives ``f_0, f_1, ...`` of one equation, memoized, and their
+    reductions modulo strata.
 
     ``f`` must involve only order-0 variables of the families x, y and z
     (the arc parameter ``t`` is not a coordinate).  ``f_m`` lives in the
@@ -49,11 +53,24 @@ class JetSystem:
         # characteristic p) in the coefficient of t^k of the product of the
         # series sum_k fam_k t^k; the empty product is the series 1
         self._tables: dict[tuple[str, ...], list[dict[Mono, int]]] = {(): [{(): 1}]}
+        # (zero_vars, equations, m) -> f_m simplified modulo the stratum
+        self._reduced: dict[tuple, Polynomial] = {}
 
     def derivative(self, m: int) -> Polynomial:
         while len(self._derivs) <= m:
             self._derivs.append(self._compute(len(self._derivs)))
         return self._derivs[m]
+
+    def reduced(self, s: Stratum, m: int) -> Polynomial:
+        """``s.simplify(self.derivative(m))``, computed once per stratum and
+        level.  The key is what ``simplify`` reads, the vanishing
+        coordinates and the equations, so the strata of repeated driver
+        runs, their charts and their truncations share one entry."""
+        key = (s.zero_vars, s.equations, m)
+        r = self._reduced.get(key)
+        if r is None:
+            r = self._reduced[key] = s.simplify(self.derivative(m))
+        return r
 
     def _compute(self, m: int) -> Polynomial:
         # distinct monomials of f differ in the degree of some family, and

@@ -243,6 +243,10 @@ def enumerate_fiber(
                 dfs(o + 1)
 
     dfs(1)
+    # dfs refers to itself through its closure cell: drop it, or the cycle
+    # keeps ``out`` alive after the caller is done with the points, until
+    # the next full garbage collection
+    del dfs
     return out
 
 
@@ -267,7 +271,7 @@ def truncate_stratum(
     eqs = [e for e in s.equations if e.max_order() <= m]
     levels = sorted({lvl for rule in s.rules for lvl in range(rule.start_level, m + 1)})
     for lvl in levels:
-        r = s.simplify(sys.derivative(lvl))
+        r = sys.reduced(s, lvl)
         if not r.is_zero() and r.max_order() <= m:
             eqs.append(r)
     T = Stratum(

@@ -9,14 +9,15 @@ of the remaining free coordinates.
 A truncation to jet level ``m`` (``oracle.truncate_stratum``) is a stratum
 too, with no rules and ``consumed = m``.  Every reduction modulo a stratum
 goes through ``Stratum.simplify``: the vanishing coordinates drop out, then
-the rewrite rules of the equations, derived once per stratum, are applied
-to a fixpoint.
+the rewrite rules of the equations (one per distinct reduced equation,
+gathered once per stratum) are applied to a fixpoint.  A derivative level
+is reduced through ``JetSystem.reduced``, once per stratum and level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -57,15 +58,15 @@ def rewrite_rules_for(equations: Sequence[Polynomial]) -> tuple[RewriteRule, ...
     Preference: a linear single-variable term with constant coefficient;
     otherwise a pure power ``c*v^d`` with the largest variable.  Equations
     with no such term contribute no rule (they still define the stratum).
+    Each distinct equation's rule is built once (``_lead_rule`` is cached).
     """
-    rules = []
-    for eq in equations:
-        rule = _lead_rule(eq)
-        if rule is not None:
-            rules.append(rule)
-    return tuple(rules)
+    return tuple(rule for eq in equations if (rule := _lead_rule(eq)) is not None)
 
 
+# the same reduced equation recurs in every stratum of a chart's descent and
+# in every truncation of it; rules and polynomials are immutable, so one rule
+# serves them all (``_lead_rule.__wrapped__`` is the uncached search)
+@lru_cache(maxsize=1 << 12)
 def _lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
     # a lead is a pure power c*v^e whose variable occurs in no other term
     occurrences: dict[Var, int] = {}
@@ -93,7 +94,12 @@ def _lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
 
 
 def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
-    """Reduce every occurrence of each rule's lead power, to a fixpoint."""
+    """Reduce every occurrence of each rule's lead power, to a fixpoint.
+
+    A rule applies only where its lead ``v^power`` occurs: the top exponent
+    of every variable is read in one sweep over ``p``, again after each
+    rule that fires, and ``p`` is split by ``v`` only for a rule whose lead
+    occurs."""
     if not rules:
         return p
     changed = True
@@ -103,13 +109,13 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
         guard += 1
         if guard > 1000:
             raise EngineError("rewriting did not terminate")
+        top = _top_exponents(p)
         for rule in rules:
-            parts = p.split_by_degree(rule.v)
-            if all(d < rule.power for d in parts):
+            if top.get(rule.v, 0) < rule.power:
                 continue
             field = p.field
             acc = Polynomial.zero(field)
-            for d, coeff in parts.items():
+            for d, coeff in p.split_by_degree(rule.v).items():
                 q, r = divmod(d, rule.power)
                 term = coeff
                 if q:
@@ -119,7 +125,19 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
                     term = term * Polynomial.variable(field, rule.v, r)
                 acc = acc + term
             p = acc
+            top = _top_exponents(p)
     return p
+
+
+def _top_exponents(p: Polynomial) -> dict[Var, int]:
+    """The highest exponent of each variable of ``p``."""
+    top: dict[Var, int] = {}
+    get = top.get
+    for mono in p.terms:
+        for v, e in mono:
+            if e > get(v, 0):
+                top[v] = e
+    return top
 
 
 def closure_contains(b: Stratum, a: Stratum, field: Field) -> bool:
@@ -254,7 +272,7 @@ def next_nontrivial(
     """Smallest unconsumed level whose derivative survives reduction, with
     its simplified reduction.  None if everything vanishes up to max_level."""
     for n in range(s.consumed + 1, max_level + 1):
-        r = s.simplify(sys.derivative(n))
+        r = sys.reduced(s, n)
         if r:
             return n, r
     return None
@@ -370,7 +388,7 @@ def rule_instance(
     the reduced equation reads ``coeff * w - numerator = 0``."""
     if m < rule.start_level:
         raise ValueError("level below rule start")
-    r = chart.simplify(sys.derivative(m))
+    r = sys.reduced(chart, m)
     w = (rule.family, rule.solved_order(m))
     c_m, rest = r.coefficient_of(w)
     return w, c_m, -rest
@@ -437,7 +455,7 @@ def check_elimination_soundness(
     point = generic_point(sys, chart, up_to)
     bad = []
     for m in range(start, up_to + 1):
-        val = evaluate_rational(chart.simplify(sys.derivative(m)), point, chart.simplify)
+        val = evaluate_rational(sys.reduced(chart, m), point, chart.simplify)
         if not chart.simplify(val.num).is_zero():
             bad.append(m)
     return bad

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: fields, polynomials, parsing, printing."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcjet.algebra import (
     FAMILIES,
+    MAX_EXPONENT,
     Field,
     Gaussian,
     ParseError,
@@ -163,6 +165,59 @@ def test_parse_syntax():
     q = parse_poly("z2 + i*y1^2", Fi)
     assert p * q == parse_poly("z2^2 + y1^4", Fi)
     assert format_poly(p) == "z2 - i*y1^2"
+
+
+def test_parse_bounds_exponents_before_expanding(monkeypatch):
+    # a power above the bound is refused before it is computed: no test
+    # here may reach Polynomial.__pow__ with such an exponent
+    power = Polynomial.__pow__
+
+    def bounded(self, n):
+        assert n <= MAX_EXPONENT, n
+        return power(self, n)
+
+    monkeypatch.setattr(Polynomial, "__pow__", bounded)
+    z = var("z", 0)
+    assert parse_poly(f"z^{MAX_EXPONENT}", QQ) == Polynomial.variable(QQ, z, MAX_EXPONENT)
+    assert parse_poly("(z^2)^64 + z^128*z^128", QQ).degree_in(z) == 256
+    for text in (
+        "z^99999999999",
+        f"x + z^{MAX_EXPONENT + 1}",
+        "(z^2)^65",
+        "((2^99)^99)^99",
+        "(x*(y + z^64))^3",
+    ):
+        with pytest.raises(ParseError, match="above"):
+            parse_poly(text, QQ)
+
+
+@pytest.mark.parametrize(
+    "text,field", [("1/0", QQ), ("x + 1/0", Field(5)), ("z^2 + 1/3", Field(3))]
+)
+def test_parse_rejects_a_fraction_without_value(text, field):
+    with pytest.raises(ParseError, match="no value"):
+        parse_poly(text, field)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hash_is_cached_and_follows_equality(field, data):
+    f = draw_poly(data, field)
+    twin = Polynomial(field, dict(f.terms))  # equal, built apart
+    assert f == twin
+    assert hash(f) == hash(twin) == hash((field.char, frozenset(f.terms.items())))
+    assert f._hash == hash(f)  # kept after the first call
+    # the cache never crosses a pickle: string hashes differ by process
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and copy._hash is None and hash(copy) == hash(f)
+
+
+def test_reduce_mod_vars_returns_an_untouched_polynomial_itself():
+    f = parse_poly("x1*z1 + y2", QQ)
+    assert f.reduce_mod_vars({var("x", 2)}) is f
+    assert f.reduce_mod_vars(frozenset()) is f
+    assert f.reduce_mod_vars({var("z", 1)}) == parse_poly("y2", QQ)
 
 
 def test_structural_operations():

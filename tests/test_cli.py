@@ -5,6 +5,7 @@ import json
 import pytest
 
 from arcjet import cli, oracle
+from arcjet.algebra import MAX_EXPONENT
 from arcjet.catalog import preset
 from arcjet.cli import _oracle_plan, _oracle_section, main
 
@@ -137,6 +138,11 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         ["oracle", "--kind", "A", "--n", "1", "--p", "4"],
         ["oracle", "--kind", "A", "--n", "1", "--p", "1"],
         ["oracle", "--kind", "A", "--n", "1", "--p", "-3", "--check", "counts"],
+        ["derive", "--equation", "1/0"],
+        ["derive", "--equation", "z^2 + 1/3", "--char", "3"],
+        # one above the bound: cheap to expand, should the bound ever go
+        ["derive", "--equation", f"z^{MAX_EXPONENT + 1}"],
+        ["derive", "--kind", "A", "--n", "1000"],
     ],
     ids=[
         "parse-error",
@@ -146,6 +152,10 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         "oracle-composite-p",
         "oracle-p-one",
         "oracle-negative-p",
+        "zero-denominator",
+        "denominator-vanishes-mod-p",
+        "exponent-above-bound",
+        "preset-exponent-above-bound",
     ],
 )
 def test_malformed_input_is_a_json_error(capsys, argv):
@@ -167,6 +177,8 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         ["verify", "--kind", "A", "--n", "1", "--graph-level", "-1"],
         ["ARCJET_WORKERS=abc", "verify", "--all"],
         ["ARCJET_WORKERS=\u00b2", "verify", "--all"],
+        ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "0"],
+        ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "-5"],
     ],
     ids=[
         "missing-config",
@@ -178,6 +190,8 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         "verify-negative-graph-level",
         "verify-all-bad-workers",
         "verify-all-superscript-workers",
+        "oracle-zero-budget",
+        "oracle-negative-budget",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -191,6 +205,26 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--kind", "A", "--n", "1"],
+        ["components", "--kind", "A", "--n", "1"],
+        ["graph", "--kind", "A", "--n", "1", "--max-level", "2"],
+        ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--level", "1"],
+        ["verify", "--kind", "A", "--n", "1", "--char", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_json_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, out = run(capsys, *argv, "--out", str(target))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False and str(target) in payload["error"]
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("kind,n,char,calls", [("D", 2, 3, 5), ("A", 3, 0, 13)])

@@ -130,3 +130,30 @@ def test_no_module_reads_a_note(path):
         and isinstance(node.ctx, ast.Load)
     ]
     assert not reads, f"{path.name} reads a note: {', '.join(reads)}"
+
+
+def calls_to(node: ast.AST, attr: str):
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == attr
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "hasse.py"],
+    ids=lambda p: p.name,
+)
+def test_reductions_of_the_tower_go_through_the_memo(path):
+    # ``JetSystem.reduced(s, m)`` is the one place a derivative is
+    # simplified modulo a stratum, so every caller shares its memo
+    tree = ast.parse(path.read_text(), filename=str(path))
+    direct = [
+        f"line {call.lineno}"
+        for call in calls_to(tree, "simplify")
+        if any(calls_to(arg, "derivative") for arg in call.args)
+    ]
+    assert not direct, f"{path.name} simplifies a derivative directly: {', '.join(direct)}"

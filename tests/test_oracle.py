@@ -1,5 +1,6 @@
 """Brute-force finite-field fiber enumeration and cover/partition audits."""
 
+import gc
 from dataclasses import replace
 from itertools import product
 
@@ -85,6 +86,22 @@ def test_enumerate_matches_reference_elsewhere():
     e6 = preset("E6", char=3).system
     assert e6.field.i_adjoined
     assert enumerate_fiber(e6, 3, 2) == brute_points(e6.f, 3, 2)
+
+
+@pytest.mark.parametrize("char", [2, 0], ids=["same-field", "moved-field"])
+def test_enumerate_fiber_leaves_no_garbage_cycle(char):
+    # the point list is freed as soon as the caller drops it, not at some
+    # later garbage collection: the call leaves no reference cycle behind
+    sys = JetSystem(parse_poly("z^2 + x*y", Field(char)))
+    gc.collect()
+    gc.disable()
+    try:
+        pts = enumerate_fiber(sys, 2, 2)
+        assert len(pts) == 32
+        del pts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_budget_guard():

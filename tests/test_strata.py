@@ -4,11 +4,11 @@ from dataclasses import replace
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcjet import strata
 from arcjet.algebra import Field, Polynomial, QQ, mono_vars, parse_poly, var, var_key
-from arcjet.catalog import preset
+from arcjet.catalog import preset, preset_grid
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import build_graph
@@ -82,7 +82,7 @@ def reference_lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
 
 
 def assert_same_rule(eq):
-    got, want = strata._lead_rule(eq), reference_lead_rule(eq)
+    got, want = strata._lead_rule.__wrapped__(eq), reference_lead_rule(eq)
     if want is None:
         assert got is None, eq
     else:
@@ -119,15 +119,20 @@ def test_lead_rule_matches_reference(eq):
 
 
 def test_lead_rule_matches_reference_on_the_e8_graph(monkeypatch):
-    """Every equation whose rule the E8 (char 0) graph to level 12 asks for."""
+    """Every equation whose rule the E8 (char 0) graph to level 12 asks for.
+
+    The equations are recorded where rules are asked for,
+    ``rewrite_rules_for``, ahead of the rule cache: the search itself runs
+    only on a cache miss, so earlier tests of the same pytest run may have built
+    every rule already."""
     seen = []
-    lead_rule = strata._lead_rule
+    rules_for = strata.rewrite_rules_for
 
-    def recording(eq):
-        seen.append(eq)
-        return lead_rule(eq)
+    def recording(equations):
+        seen.extend(equations)
+        return rules_for(equations)
 
-    monkeypatch.setattr(strata, "_lead_rule", recording)
+    monkeypatch.setattr(strata, "rewrite_rules_for", recording)
     pr = preset("E8", char=0)
     build_graph(JetSystem(pr.equation), pr.covers, 12)
     monkeypatch.undo()
@@ -137,6 +142,143 @@ def test_lead_rule_matches_reference_on_the_e8_graph(monkeypatch):
     assert {reference_lead_rule(eq) is None for eq in equations} == {True, False}
     for eq in equations:
         assert_same_rule(eq)
+        assert strata._lead_rule(eq) == strata._lead_rule.__wrapped__(eq), eq
+
+
+def uncached_rules(equations):
+    """``rewrite_rules_for`` without the rule cache."""
+    search = strata._lead_rule.__wrapped__
+    return tuple(r for eq in equations if (r := search(eq)) is not None)
+
+
+def reference_rewrite(p: Polynomial, rules) -> Polynomial:
+    """The rewrite loop before the lead-occurrence skip, kept as the
+    reference of ``strata.rewrite``: every rule splits ``p`` on every pass."""
+    if not rules:
+        return p
+    changed = True
+    guard = 0
+    while changed:
+        changed = False
+        guard += 1
+        if guard > 1000:
+            raise EngineError("rewriting did not terminate")
+        for rule in rules:
+            parts = p.split_by_degree(rule.v)
+            if all(d < rule.power for d in parts):
+                continue
+            field = p.field
+            acc = Polynomial.zero(field)
+            for d, coeff in parts.items():
+                q, r = divmod(d, rule.power)
+                term = coeff
+                if q:
+                    term = term * (rule.rhs ** q)
+                    changed = True
+                if r:
+                    term = term * Polynomial.variable(field, rule.v, r)
+                acc = acc + term
+            p = acc
+    return p
+
+
+REWRITE_VARS = [var("x", 1), var("y", 1), var("z", 1), var("x", 2), var("z", 3)]
+
+
+@st.composite
+def rewrite_cases(draw):
+    """A polynomial and a terminating rule list in the variables above.
+
+    A rule's right-hand side uses only variables after its lead in a random
+    order, so every rewrite step trades a lead for later variables and the
+    loop ends.  Two rules may share a lead with different powers: then the
+    result depends on which rule applies first, as in the reference."""
+    field = draw(st.sampled_from(LEAD_FIELDS))
+    order = draw(st.permutations(REWRITE_VARS))
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def poly(variables, max_terms):
+        out = Polynomial.zero(field)
+        for _ in range(draw(st.integers(0, max_terms))):
+            t = Polynomial.const(field, draw(coeff))
+            for w in draw(st.lists(st.sampled_from(variables), max_size=3)):
+                t = t * Polynomial.variable(field, w)
+            out = out + t
+        return out
+
+    rules = []
+    for k in draw(st.lists(st.integers(0, 2), max_size=4)):
+        rules.append(RewriteRule(order[k], draw(st.integers(1, 3)), poly(order[k + 1:], 2)))
+    return poly(REWRITE_VARS, 5), rules
+
+
+# z1 -> x1^3 makes the lead of the third rule within a pass, and the third
+# rule must apply (giving z3) before the first gets another turn (x1*y1)
+@example(
+    case=(
+        P("z1"),
+        [
+            RewriteRule(var("x", 1), 2, P("y1")),
+            RewriteRule(var("z", 1), 1, P("x1^3")),
+            RewriteRule(var("x", 1), 3, P("z3")),
+        ],
+    )
+)
+@settings(max_examples=300, deadline=None)
+@given(case=rewrite_cases())
+def test_rewrite_matches_reference_loop(case):
+    p, rules = case
+    assert rewrite(p, rules) == reference_rewrite(p, rules)
+
+
+def test_rewrite_skips_absent_leads(monkeypatch):
+    # a lead below its power is never split on; one that occurs is
+    rules = rewrite_rules_for((P("z1^2 + x1^3"), P("y2 - x1*y1")))
+    calls = []
+    split_by_degree = Polynomial.split_by_degree
+
+    def counting(self, v):
+        calls.append(v)
+        return split_by_degree(self, v)
+
+    monkeypatch.setattr(Polynomial, "split_by_degree", counting)
+    assert rewrite(P("z1 + x1"), rules) == P("z1 + x1")
+    assert calls == []
+    assert rewrite(P("z1^2 + y2"), rules) == P("-x1^3 + x1*y1")
+    assert calls == [var("z", 1), var("y", 2)]
+
+
+@pytest.mark.parametrize(
+    "pr", list(preset_grid()), ids=lambda pr: pr.label.replace(" ", "")
+)
+def test_memo_and_rule_cache_match_uncached_routes(pr):
+    """On every node stratum of a driver run: the tower memo gives what
+    ``simplify`` gives, and the cached rules are the uncached ones and the
+    reference search's."""
+    sys = JetSystem(pr.equation)
+    tree = run_driver(sys, pr.covers, pr.max_level)
+    for node in tree.nodes:
+        s = node.stratum
+        reduced_eqs = tuple(e.reduce_mod_vars(s.zero_vars) for e in s.equations)
+        assert s.rewriters == uncached_rules(reduced_eqs), (pr.label, node.nid)
+        for eq in reduced_eqs:
+            assert_same_rule(eq)
+        for m in range(pr.max_level + 1):
+            assert sys.reduced(s, m) == s.simplify(sys.derivative(m)), (pr.label, node.nid, m)
+
+
+def test_reduced_is_computed_once_per_stratum_and_level():
+    sys = JetSystem(P("z^2 + x*y"))
+    s = Stratum(zero_vars=frozenset({var("x", 0), var("y", 0), var("z", 0)}))
+    r = sys.reduced(s, 2)
+    assert r == P("z1^2 + x1*y1")
+    # a stratum with the same zeros and equations shares the entry: units,
+    # rules and the consumed level do not enter simplify
+    twin = replace(s, units=(P("x1"),), consumed=2)
+    assert sys.reduced(twin, 2) is r
+    # other equations are another entry
+    other = add_equation(s, P("z1 - x1"), 2)
+    assert sys.reduced(other, 2) == P("x1^2 + x1*y1")
 
 
 def test_stratum_simplify_combines_zeros_and_rules():
