@@ -683,6 +683,13 @@ class ParseError(ValueError):
 # coefficients a short text can ask for (``z^99999999999``, ``((2^99)^99)^99``)
 MAX_EXPONENT = 128
 
+# the most terms a product in a parsed polynomial may be expanded into,
+# counted before expanding it as the product of its factors' term counts
+# (a power of several terms as that many products): ``(x1+y1)*(x2+y2)*...``
+# doubles with each factor, so a short text could otherwise ask for
+# millions of terms
+MAX_TERMS = 4096
+
 
 def parse_poly(text: str, field: Field) -> Polynomial:
     """Parse the plain-text syntax: ``z3^2 + x2^3``, ``2*x1y1 - 1/2 z0``.
@@ -690,7 +697,8 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     A bare family letter (``x``) means order 0 (``x0``).  The ``*`` between
     factors is optional.  ``^`` denotes powers with nonnegative integer
     exponents; nested powers multiply, and their product may not exceed
-    ``MAX_EXPONENT``.
+    ``MAX_EXPONENT``.  A product whose factors' term counts multiply past
+    ``MAX_TERMS`` is rejected before it is expanded.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -705,6 +713,14 @@ def parse_poly(text: str, field: Field) -> Polynomial:
         tok = tokens[pos]
         pos += 1
         return tok
+
+    def product(a: Polynomial, b: Polynomial) -> Polynomial:
+        if len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise ParseError(
+                f"a product of {len(a.terms)} by {len(b.terms)} terms "
+                f"could expand past {MAX_TERMS} terms"
+            )
+        return a * b
 
     # each parse_* returns its polynomial and the largest exponent product
     # applied inside it (1 for a plain number or variable)
@@ -733,7 +749,7 @@ def parse_poly(text: str, field: Field) -> Polynomial:
             elif not (nxt in ("num", "var", "imag") or (nxt == "op" and tokens[pos][1] == "(")):
                 return acc, power
             factor, p = parse_factor()
-            acc, power = acc * factor, max(power, p)
+            acc, power = product(acc, factor), max(power, p)
 
     def parse_factor() -> tuple[Polynomial, int]:
         kind, text_ = take()
@@ -774,7 +790,14 @@ def parse_poly(text: str, field: Field) -> Polynomial:
                 raise ParseError(
                     f"exponent {t} raises a factor to a power above {MAX_EXPONENT}"
                 )
-            base, power = base ** e, power * max(e, 1)
+            if len(base.terms) == 1:
+                base = base ** e  # a power of one term is one term
+            else:
+                result = Polynomial.const(field, 1)
+                for _ in range(e):
+                    result = product(result, base)
+                base = result
+            power *= max(e, 1)
         return base, power
 
     result, _ = parse_expr()

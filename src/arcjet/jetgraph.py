@@ -32,6 +32,7 @@ from .oracle import (
     JetPoint,
     compile_stratum,
     enumerate_fiber,
+    point_hits,
     probe_field,
     probe_primes,
     transport_stratum,
@@ -120,9 +121,9 @@ def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list
     field = probe_field(sys.field, p)
     compiled = [compile_stratum(transport_stratum(d, field)) for d in pieces]
     sets: list[set[JetPoint]] = [set() for _ in compiled]
-    for pt in enumerate_fiber(sys, p, m):
-        for members, C in zip(sets, compiled):
-            if C.contains(pt):
+    for pt, hits in point_hits(enumerate_fiber(sys, p, m), compiled):
+        for i, members in enumerate(sets):
+            if hits >> i & 1:
                 members.add(pt)
     return sets
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import (
     Field,
@@ -175,6 +176,40 @@ class CompiledStratum:
                 return False
         return True
 
+    def reads(self) -> frozenset[int]:
+        """The point indices ``contains`` reads: two points that agree on
+        them get the same answer."""
+        out = set(self.zeros)
+        for mono in self.zero_monomials:
+            out.update(mono)
+        for parts in self.units + self.equations:
+            for table in parts:
+                for _, idx in table:
+                    out.update(idx)
+        return frozenset(out)
+
+
+def point_hits(
+    points: Iterable[JetPoint], compiled: Sequence[CompiledStratum]
+) -> Iterator[tuple[JetPoint, int]]:
+    """Each point with its hits: one int, bit ``i`` set when ``compiled[i]``
+    holds the point.  The membership tests run once per distinct projection
+    of the points onto the indices some truncation reads (``reads``)."""
+    bits = [(1 << i, C) for i, C in enumerate(compiled)]
+    idx = sorted(frozenset().union(*(C.reads() for C in compiled)))
+    key = itemgetter(*idx) if idx else (lambda _: ())
+    memo: dict[object, int] = {}
+    for pt in points:
+        k = key(pt)
+        hits = memo.get(k)
+        if hits is None:
+            hits = 0
+            for bit, C in bits:
+                if C.contains(pt):
+                    hits |= bit
+            memo[k] = hits
+        yield pt, hits
+
 
 def compile_stratum(T: Stratum) -> CompiledStratum:
     """Compile a truncation (``consumed`` = its level) whose coefficients are
@@ -210,15 +245,20 @@ def enumerate_fiber(
 
     The derivatives are read off ``sys`` itself when its field is already
     the probe field of ``p``, and off a tower of the equation moved into
-    that field otherwise.  Depth-first over jet orders 1..m on one flat
+    that field otherwise.  Depth-first over jet orders 1..m-1 on one flat
     prefix list; a partial assignment is rejected as soon as some fully
-    determined derivative level is nonzero.
+    determined derivative level is nonzero.  Order ``m`` is one batch per
+    surviving prefix: its head tuple is built once and extended by each of
+    the ``p**3`` last-order values that pass the levels checked there
+    (all of them when none is).
     """
     if p ** (3 * m) > budget:
         raise OracleError("fiber too large; reduce m or p")
     field = probe_field(sys.field, p)
     if field != sys.field:
         sys = JetSystem(transport_poly(sys.f, field))
+    if m == 0:
+        return [()]  # the origin alone
     # Each level is checked once the highest order among its surviving
     # terms (order-0 coordinates are pinned to 0) is assigned.
     by_order: dict[int, list[Compiled]] = {}
@@ -230,14 +270,25 @@ def enumerate_fiber(
 
     out: list[JetPoint] = []
     prefix = [0] * (3 * m)
+    cube = [*product(range(p), repeat=3)]
+    last = 3 * (m - 1)
+    last_checks = by_order.get(m, ())
 
     def dfs(o: int) -> None:
-        if o > m:
-            out.append(tuple(prefix))
+        if o == m:
+            # the last order extends one head tuple per parent prefix
+            head = tuple(prefix[:last])
+            if not last_checks:
+                out.extend(head + vals for vals in cube)
+                return
+            for vals in cube:
+                prefix[last:] = vals
+                if all(vanishes(parts, prefix, p) for parts in last_checks):
+                    out.append(head + vals)
             return
         base = 3 * (o - 1)
         checks = by_order.get(o, ())
-        for vals in product(range(p), repeat=3):
+        for vals in cube:
             prefix[base:base + 3] = vals
             if all(vanishes(parts, prefix, p) for parts in checks):
                 dfs(o + 1)
@@ -327,37 +378,52 @@ def _audit(
     groups: dict[object, list[int]],
     splits: Sequence[tuple[int, int, tuple[int, ...]]],
 ) -> tuple[dict, dict]:
-    """One pass over the points: each truncation is compiled once and tested
-    once per point.  The hits give the leaf-group cover (``groups``: key ->
-    positions in ``truncations``; skipped when empty) and the split
-    partition (``splits``: node id, parent position, child positions).
+    """One pass over the points: each truncation is compiled once, and the
+    points' hits come from ``point_hits``.  The hits give the leaf-group
+    cover (``groups``: key -> positions in ``truncations``; skipped when
+    empty) and the split partition (``splits``: node id, parent position,
+    child positions).
 
-    A point's hits are one int, bit ``i`` set when truncation ``i`` holds
-    it; groups and split children are read through precomputed masks."""
-    compiled = [(1 << i, compile_stratum(T)) for i, T in enumerate(truncations)]
+    Groups and split children are read through precomputed masks, once per
+    distinct hits value; the reports list points in the order given."""
+    compiled = [compile_stratum(T) for T in truncations]
     group_masks = [(key, _mask(pos)) for key, pos in groups.items()]
     split_masks = [(nid, 1 << parent, _mask(children)) for nid, parent, children in splits]
+
+    def verdict(hits: int) -> tuple:
+        """What a point with these hits adds to the reports: () when
+        nothing, else the groups holding it (None: no cover audit) and its
+        failed splits as (node id, children hit)."""
+        keys = [key for key, mask in group_masks if hits & mask] if group_masks else None
+        fails = [
+            (nid, n)
+            for nid, parent, children in split_masks
+            if hits & parent and (n := (hits & children).bit_count()) != 1
+        ]
+        return (keys, fails) if fails or (keys is not None and len(keys) != 1) else ()
+
+    if not isinstance(points, Sequence):
+        points = list(points)  # read twice: the length check, then the pass
+    wrong = {len(pt) for pt in points} - {3 * m}
+    if wrong:
+        raise ValueError(f"point has {min(wrong)} entries, expected {3 * m}")
+    verdicts: dict[int, tuple] = {}
     uncovered: list[JetPoint] = []
     overlapping: list[tuple[JetPoint, list[object]]] = []
     failures = []
-    for pt in points:
-        if len(pt) != 3 * m:
-            raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
-        hits = 0
-        for bit, C in compiled:
-            if C.contains(pt):
-                hits |= bit
-        if group_masks:
-            keys = [key for key, mask in group_masks if hits & mask]
-            if not keys:
-                uncovered.append(pt)
-            elif len(keys) > 1:
-                overlapping.append((pt, keys))
-        for nid, parent, children in split_masks:
-            if hits & parent:
-                n = (hits & children).bit_count()
-                if n != 1:
-                    failures.append({"node": nid, "point": pt, "hits": n})
+    for pt, hits in point_hits(points, compiled):
+        v = verdicts.get(hits)
+        if v is None:
+            v = verdicts[hits] = verdict(hits)
+        if v:
+            keys, fails = v
+            if keys is not None:
+                if not keys:
+                    uncovered.append(pt)
+                elif len(keys) > 1:
+                    overlapping.append((pt, list(keys)))
+            for nid, n in fails:
+                failures.append({"node": nid, "point": pt, "hits": n})
     exclusive = {
         "ok": not uncovered and not overlapping,
         "groups": len(groups),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from arcjet.algebra import (
     FAMILIES,
     MAX_EXPONENT,
+    MAX_TERMS,
     Field,
     Gaussian,
     ParseError,
@@ -21,6 +22,7 @@ from arcjet.algebra import (
     parse_poly,
     var,
 )
+from arcjet.catalog import preset_grid
 
 
 FIELDS = [Field(0), Field(2), Field(3), Field(5), Field(7)]
@@ -189,6 +191,38 @@ def test_parse_bounds_exponents_before_expanding(monkeypatch):
     ):
         with pytest.raises(ParseError, match="above"):
             parse_poly(text, QQ)
+
+
+def product_chain(k):
+    """``(x1+y1)*(x2+y2)*...*(xk+yk)``: 2**k terms from a text of ~9k characters."""
+    return "*".join(f"(x{i}+y{i})" for i in range(1, k + 1))
+
+
+def test_parse_bounds_term_counts_before_expanding(monkeypatch):
+    # a product that could expand past the bound is refused before it is
+    # expanded: no parse here may hand Polynomial.__mul__ a larger product
+    mul = Polynomial.__mul__
+
+    def bounded(self, other):
+        assert len(self.terms) * len(other.terms) <= MAX_TERMS, (len(self.terms), len(other.terms))
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", bounded)
+    k = MAX_TERMS.bit_length() - 1
+    assert len(parse_poly(product_chain(k), QQ).terms) == 2**k <= MAX_TERMS
+    assert len(parse_poly("(x + y)^128", QQ).terms) == 129
+    assert parse_poly("(x1 + y1)^2*(x1 - y1)^2", QQ) == parse_poly("x1^4 - 2*x1^2*y1^2 + y1^4", QQ)
+    for text in (
+        product_chain(k + 1),
+        product_chain(40),
+        "x + (x + y + z)^100",
+        "(x1 + y1 + z1 + x2)^30",
+        f"({' + '.join(f'x{i}' for i in range(1, 70))})^2",
+    ):
+        with pytest.raises(ParseError, match="past"):
+            parse_poly(text, QQ)
+    # every preset equation still parses
+    assert len(list(preset_grid())) == 69
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """Command-line entry point: subcommands, exit codes, config expansion."""
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcjet import cli, oracle
-from arcjet.algebra import MAX_EXPONENT
+from arcjet.algebra import MAX_EXPONENT, MAX_TERMS
 from arcjet.catalog import preset
 from arcjet.cli import _oracle_plan, _oracle_section, main
 
@@ -143,6 +146,12 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         # one above the bound: cheap to expand, should the bound ever go
         ["derive", "--equation", f"z^{MAX_EXPONENT + 1}"],
         ["derive", "--kind", "A", "--n", "1000"],
+        # one factor past the term bound: 2 * MAX_TERMS terms if expanded
+        [
+            "derive",
+            "--equation",
+            "*".join(f"(x{i}+y{i})" for i in range(1, MAX_TERMS.bit_length() + 1)),
+        ],
     ],
     ids=[
         "parse-error",
@@ -156,6 +165,7 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         "denominator-vanishes-mod-p",
         "exponent-above-bound",
         "preset-exponent-above-bound",
+        "term-count-above-bound",
     ],
 )
 def test_malformed_input_is_a_json_error(capsys, argv):
@@ -270,3 +280,60 @@ def test_verify_all_workers_match_single_process(monkeypatch, tmp_path, capsys):
     assert [r["preset"] for r in json.loads(reports[0])["presets"]] == sorted(
         pr.label for pr in small
     )
+
+
+# -- fuzz: any arguments end in a report, a JSON error or a usage error -------
+
+# the drawn values lean towards valid ones, so most runs get past argparse
+PRESET_FLAGS = st.tuples(
+    st.sampled_from(["A", "A", "D", "D", "E6", "E7", "E8", "F4"]),
+    st.integers(-1, 5),
+    st.sampled_from([0, 2, 3, 5, 7, 4]),
+    st.sampled_from(["", "", "", "", "", "x*y*z", "x*y^2*z", "bogus"]),
+).map(
+    lambda t: ["--kind", t[0], "--n", str(t[1]), "--char", str(t[2])]
+    + (["--variant", t[3]] if t[3] else [])
+)
+EQUATION = st.lists(
+    st.sampled_from(
+        ["x", "y1", "z2", "x1*y1", "z1^2", "t", "i", "q", "3", "1/2", "1/0", "+", "+",
+         "-", "*", "^", "^2", "^200", "(", ")", " ", "(x1+y1)^9", "(x+y+z)"]
+    ),
+    min_size=1,
+    max_size=8,
+).map("".join)
+LEVEL = st.sampled_from([-1, 0, 1, 2, 2, 3, 3, 4]).map(lambda m: ["--level", str(m)])
+DERIVE = st.tuples(
+    st.one_of(EQUATION.map(lambda e: ["--equation", e]), PRESET_FLAGS),
+    st.sampled_from([[], [], ["--char", "3"], ["--char", "6"]]),
+    LEVEL,
+    st.sampled_from([[], [], ["--reduce", "x1,z2"], ["--reduce", "q0"], ["--reduce", ","]]),
+).map(lambda t: ["derive", *t[0], *t[1], *t[2], *t[3]])
+ORACLE = st.tuples(
+    PRESET_FLAGS,
+    st.sampled_from([[], ["--p", "2"], ["--p", "2"], ["--p", "3"], ["--p", "4"], ["--p", "1"], ["--p", "-5"]]),
+    LEVEL,
+    st.sampled_from([[], [], ["--check", "counts"], ["--check", "partition"], ["--check", "bogus"]]),
+    st.sampled_from([20_000, 20_000, 20_000, 64, 0]).map(lambda b: ["--budget", str(b)]),
+).map(lambda t: ["oracle", *t[0], *t[1], *t[2], *t[3], *t[4]])
+COMPONENTS = PRESET_FLAGS.map(lambda flags: ["components", *flags])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.one_of(DERIVE, ORACLE, COMPONENTS))
+def test_fuzzed_arguments_exit_cleanly(argv):
+    """Every run exits 0, 1 with a JSON report or error (``ok`` false) on
+    stdout, or 2 (a usage error); nothing raises past ``main``, so no
+    traceback is printed."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert json.loads(out.getvalue())["ok"] is False
+    elif code == 2:
+        assert out.getvalue() == ""

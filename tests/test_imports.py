@@ -157,3 +157,16 @@ def test_reductions_of_the_tower_go_through_the_memo(path):
         if any(calls_to(arg, "derivative") for arg in call.args)
     ]
     assert not direct, f"{path.name} simplifies a derivative directly: {', '.join(direct)}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "oracle.py"],
+    ids=lambda p: p.name,
+)
+def test_membership_tests_go_through_point_hits(path):
+    # ``oracle.point_hits`` is the one per-point membership loop, so every
+    # caller shares its projection memo: no other module calls ``contains``
+    tree = ast.parse(path.read_text(), filename=str(path))
+    direct = [f"line {call.lineno}" for call in calls_to(tree, "contains")]
+    assert not direct, f"{path.name} tests membership directly: {', '.join(direct)}"

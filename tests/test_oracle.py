@@ -1,17 +1,21 @@
 """Brute-force finite-field fiber enumeration and cover/partition audits."""
 
 import gc
+import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcjet import oracle
 from arcjet.algebra import Field, Polynomial, mono_from_pairs, parse_poly, var
-from arcjet.catalog import preset
+from arcjet.catalog import preset, preset_grid
+from arcjet.cli import _oracle_plan
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.oracle import (
+    CompiledStratum,
     OracleError,
     _audit,
     audit_tree,
@@ -21,6 +25,7 @@ from arcjet.oracle import (
     enumerate_fiber,
     exclusive_cover_check,
     point_assignment,
+    point_hits,
     probe_field,
     split_partition_check,
     stratum_membership,
@@ -102,6 +107,32 @@ def test_enumerate_fiber_leaves_no_garbage_cycle(char):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "text,p,m,top_checked",
+    [
+        ("z^2 + x*y", 2, 1, False),  # m = 1: the last order is the only one
+        ("x + y*z", 3, 1, True),
+        ("z^2 + x^3 + y^5", 2, 3, False),  # no level tops out at order 3
+        ("x + y*z", 2, 3, True),  # x3 tops out the third level
+        ("z^2 + x^2*y + x*y^2 + y", 3, 2, True),
+    ],
+)
+def test_batched_last_order_matches_reference(text, p, m, top_checked):
+    """The last jet order is enumerated as one batch per parent prefix,
+    with the whole p^3 cube when no derivative level tops out there; either
+    way the points and their order are the reference enumerator's."""
+    f = parse_poly(text, Field(p))
+    sys = JetSystem(f)
+    # a term with an order-0 coordinate vanishes on the fiber over the origin
+    live = [
+        [mono for mono in sys.derivative(n).terms if all(o for (_, o), _ in mono)]
+        for n in range(1, m + 1)
+    ]
+    top_orders = {max(o for mono in monos for (_, o), _ in mono) for monos in live if monos}
+    assert (m in top_orders) == top_checked
+    assert enumerate_fiber(sys, p, m) == brute_points(f, p, m)
 
 
 def test_budget_guard():
@@ -367,3 +398,115 @@ def test_audit_tree_matches_reference(kind, n, char, p, m):
     _, partition = _audit(pts, m, truncs, groups, widened)
     assert {f["hits"] for f in partition["failures"]} == ({2} if splits else set())
     assert partition == reference_audit(pts, m, truncs, groups, widened)[1]
+
+
+# -- the projection memo against the per-point loop ---------------------------
+
+ORACLE_PLANS = [(pr, p, m) for pr in preset_grid() for p, m in _oracle_plan(pr)]
+
+
+def plan_compiled(pr, p, m):
+    """Every node of the depth-m driver run, truncated into the probe field
+    of ``p`` and compiled."""
+    tree = run_driver(pr.system, pr.covers, max_level=m)
+    target = probe_field(pr.equation.field, p)
+    return [compile_stratum(truncate_stratum(pr.system, node.stratum, m, target)) for node in tree.nodes]
+
+
+def loop_hits(pt, compiled):
+    """The unmemoised route: every truncation tested on the point itself."""
+    return sum(1 << i for i, C in enumerate(compiled) if C.contains(pt))
+
+
+def point_orders(pts, p, m, seed):
+    """The enumerated points; shuffled; with duplicates; and random points
+    of the whole box (most of them off the fiber)."""
+    rng = random.Random(seed)
+    box = [tuple(rng.randrange(p) for _ in range(3 * m)) for _ in range(200)]
+    return [pts, rng.sample(pts, len(pts)), pts[::3] + pts[::2] + pts[:5], box + pts[:50] + box]
+
+
+def point_hits_match_loop(pr, p, m):
+    compiled = plan_compiled(pr, p, m)
+    orders = point_orders(enumerate_fiber(pr.system, p, m), p, m, seed=m)
+    ref = {pt: loop_hits(pt, compiled) for pt in orders[0] + orders[-1]}
+    return all(list(point_hits(pts, compiled)) == [(pt, ref[pt]) for pt in pts] for pts in orders)
+
+
+@pytest.mark.parametrize("pr,p,m", ORACLE_PLANS, ids=lambda v: getattr(v, "label", v))
+def test_point_hits_match_the_contains_loop(pr, p, m):
+    """The projection memo gives every point of every order the hits of the
+    per-point ``contains`` loop, on each preset's oracle plan."""
+    assert point_hits_match_loop(pr, p, m)
+
+
+def test_broken_memo_fails_the_differential_test(monkeypatch):
+    """Negative control: a key that drops one index some truncation reads
+    (x1) lets two points that differ there share a memo entry."""
+    pr = preset("A", n=2, char=3)
+    assert point_hits_match_loop(pr, 3, 3)
+    reads = CompiledStratum.reads
+    monkeypatch.setattr(CompiledStratum, "reads", lambda C: reads(C) - {0})
+    assert not point_hits_match_loop(pr, 3, 3)
+
+
+def loop_audit(points, m, truncations, groups, splits):
+    """The audit as one ``contains`` loop per point, with each group and
+    split verdict read per point: the route ``_audit`` memoises."""
+    compiled = [(1 << i, compile_stratum(T)) for i, T in enumerate(truncations)]
+    group_masks = [(key, sum(1 << i for i in set(pos))) for key, pos in groups.items()]
+    split_masks = [
+        (nid, 1 << parent, sum(1 << i for i in set(children)))
+        for nid, parent, children in splits
+    ]
+    uncovered, overlapping, failures = [], [], []
+    for pt in points:
+        if len(pt) != 3 * m:
+            raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
+        hits = 0
+        for bit, C in compiled:
+            if C.contains(pt):
+                hits |= bit
+        if group_masks:
+            keys = [key for key, mask in group_masks if hits & mask]
+            if not keys:
+                uncovered.append(pt)
+            elif len(keys) > 1:
+                overlapping.append((pt, keys))
+        for nid, parent, children in split_masks:
+            if hits & parent:
+                n = (hits & children).bit_count()
+                if n != 1:
+                    failures.append({"node": nid, "point": pt, "hits": n})
+    exclusive = {
+        "ok": not uncovered and not overlapping,
+        "groups": len(groups),
+        "uncovered": uncovered,
+        "overlapping": overlapping,
+    }
+    return exclusive, {"ok": not failures, "split_nodes": len(splits), "failures": failures}
+
+
+@pytest.mark.parametrize("pr,p,m", ORACLE_PLANS, ids=lambda v: getattr(v, "label", v))
+def test_audit_matches_the_per_point_loop(monkeypatch, pr, p, m):
+    """``_audit`` on the arguments ``audit_tree`` hands it equals the per-point
+    loop, also on the other point orders of ``point_orders`` run as one
+    list; so does the cover audit with the group of the first point
+    dropped, on every seventh point (negative control, where there are two
+    groups or more: that point is left uncovered)."""
+    calls = []
+    audit = oracle._audit
+    monkeypatch.setattr(oracle, "_audit", lambda *args: calls.append(args) or audit(*args))
+    pts = enumerate_fiber(pr.system, p, m)
+    tree = run_driver(pr.system, pr.covers, max_level=m)
+    assert audit_tree(pr.system, tree, pts, m, probe_field(pr.equation.field, p)) == loop_audit(*calls[0])
+    _, _, truncations, groups, splits = calls[0]
+    points = [pt for order in point_orders(pts, p, m, seed=m)[1:] for pt in order]
+    assert audit(points, m, truncations, groups, splits) == loop_audit(points, m, truncations, groups, splits)
+    if len(groups) < 2:
+        return  # with no group left the cover audit is skipped
+    first = loop_hits(pts[0], [compile_stratum(T) for T in truncations])
+    dropped = {key: pos for key, pos in groups.items() if not any(first >> i & 1 for i in pos)}
+    exclusive, _ = audit(pts[::7], m, truncations, dropped, ())
+    assert exclusive["uncovered"][0] == pts[0]
+    assert exclusive == loop_audit(pts[::7], m, truncations, dropped, ())[0]
