@@ -683,9 +683,10 @@ class ParseError(ValueError):
 # coefficients a short text can ask for (``z^99999999999``, ``((2^99)^99)^99``)
 MAX_EXPONENT = 128
 
-# the most terms a product in a parsed polynomial may be expanded into,
-# counted before expanding it as the product of its factors' term counts
-# (a power of several terms as that many products): ``(x1+y1)*(x2+y2)*...``
+# the most term pairs one multiplication in a parsed polynomial may touch:
+# a product (and a power, one factor at a time) is multiplied out left to
+# right, and each step, the running product's terms times the next factor's,
+# is refused before it runs when it passes this bound.  ``(x1+y1)*(x2+y2)*...``
 # doubles with each factor, so a short text could otherwise ask for
 # millions of terms
 MAX_TERMS = 4096
@@ -697,8 +698,9 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     A bare family letter (``x``) means order 0 (``x0``).  The ``*`` between
     factors is optional.  ``^`` denotes powers with nonnegative integer
     exponents; nested powers multiply, and their product may not exceed
-    ``MAX_EXPONENT``.  A product whose factors' term counts multiply past
-    ``MAX_TERMS`` is rejected before it is expanded.
+    ``MAX_EXPONENT``.  Products and powers are multiplied out one factor at
+    a time, and a step whose running product's term count times the next
+    factor's passes ``MAX_TERMS`` is rejected before it runs.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -790,13 +792,10 @@ def parse_poly(text: str, field: Field) -> Polynomial:
                 raise ParseError(
                     f"exponent {t} raises a factor to a power above {MAX_EXPONENT}"
                 )
-            if len(base.terms) == 1:
-                base = base ** e  # a power of one term is one term
-            else:
-                result = Polynomial.const(field, 1)
-                for _ in range(e):
-                    result = product(result, base)
-                base = result
+            result = Polynomial.const(field, 1)
+            for _ in range(e):
+                result = product(result, base)
+            base = result
             power *= max(e, 1)
         return base, power
 

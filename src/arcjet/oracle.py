@@ -402,16 +402,17 @@ def _audit(
         ]
         return (keys, fails) if fails or (keys is not None and len(keys) != 1) else ()
 
-    if not isinstance(points, Sequence):
-        points = list(points)  # read twice: the length check, then the pass
-    wrong = {len(pt) for pt in points} - {3 * m}
-    if wrong:
-        raise ValueError(f"point has {min(wrong)} entries, expected {3 * m}")
+    def checked(points: Iterable[JetPoint]) -> Iterator[JetPoint]:
+        for pt in points:
+            if len(pt) != 3 * m:
+                raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
+            yield pt
+
     verdicts: dict[int, tuple] = {}
     uncovered: list[JetPoint] = []
     overlapping: list[tuple[JetPoint, list[object]]] = []
     failures = []
-    for pt, hits in point_hits(points, compiled):
+    for pt, hits in point_hits(checked(points), compiled):
         v = verdicts.get(hits)
         if v is None:
             v = verdicts[hits] = verdict(hits)

@@ -199,8 +199,9 @@ def product_chain(k):
 
 
 def test_parse_bounds_term_counts_before_expanding(monkeypatch):
-    # a product that could expand past the bound is refused before it is
-    # expanded: no parse here may hand Polynomial.__mul__ a larger product
+    # each step of a product or power, the running product times one more
+    # factor, is refused before it runs when it would touch more than
+    # MAX_TERMS term pairs: no parse here may hand Polynomial.__mul__ more
     mul = Polynomial.__mul__
 
     def bounded(self, other):
@@ -212,6 +213,11 @@ def test_parse_bounds_term_counts_before_expanding(monkeypatch):
     assert len(parse_poly(product_chain(k), QQ).terms) == 2**k <= MAX_TERMS
     assert len(parse_poly("(x + y)^128", QQ).terms) == 129
     assert parse_poly("(x1 + y1)^2*(x1 - y1)^2", QQ) == parse_poly("x1^4 - 2*x1^2*y1^2 + y1^4", QQ)
+    # the bound is on each step's actual term counts, not on the product of
+    # the factors' counts: 13 copies of (x + y) never pass 14 by 2 terms
+    repeated = parse_poly("*".join(["(x + y)"] * (k + 1)), QQ)
+    assert 2 ** (k + 1) > MAX_TERMS and repeated == parse_poly(f"(x + y)^{k + 1}", QQ)
+    assert len(repeated.terms) == k + 2
     for text in (
         product_chain(k + 1),
         product_chain(40),

@@ -510,3 +510,17 @@ def test_audit_matches_the_per_point_loop(monkeypatch, pr, p, m):
     exclusive, _ = audit(pts[::7], m, truncations, dropped, ())
     assert exclusive["uncovered"][0] == pts[0]
     assert exclusive == loop_audit(pts[::7], m, truncations, dropped, ())[0]
+
+
+def test_audit_rejects_a_point_of_the_wrong_length():
+    """The first point of the wrong length raises with its own length, from a
+    list or from a one-pass iterator."""
+    pr = preset("A", n=2, char=3)
+    pts = enumerate_fiber(pr.system, 3, 2)
+    tree = run_driver(pr.system, pr.covers, max_level=2)
+    leaves = [T for _, T in truncated_leaves(pr.system, tree, 2, probe_field(pr.equation.field, 3))]
+    bad = pts[:5] + [pts[5] + (0,), pts[6][:4]] + pts[7:]
+    for points in (bad, iter(bad)):
+        with pytest.raises(ValueError, match="point has 7 entries, expected 6"):
+            coverage_check(points, leaves)
+    assert coverage_check(iter(pts), leaves) == coverage_check(pts, leaves) == []
