@@ -82,17 +82,22 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out) + a[i:] + b[j:]
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_vars(m: Mono) -> tuple[Var, ...]:
     return tuple(v for v, _ in m)
 
 
-def mono_key(m: Mono) -> tuple:
-    """Deterministic sort key for monomials (graded, then lexicographic)."""
-    return (mono_degree(m), tuple((var_key(v), e) for v, e in m))
+def mono_key(m: Mono) -> tuple[int, ...]:
+    """Deterministic sort key for monomials: graded, then lexicographic in
+    the pairs, each read as (family index, order, exponent).  One flat
+    tuple of ints orders as the nested ``(degree, ((var_key(v), e), ...))``
+    and is cheaper to build and to compare."""
+    fi = _FAMILY_INDEX
+    deg = 0
+    key: list[int] = []
+    for (f, o), e in m:
+        deg += e
+        key += (fi[f], o, e)
+    return (deg, *key)
 
 
 class Gaussian:
@@ -315,10 +320,10 @@ QQ = Field(0)
 class Polynomial:
     """Immutable sparse multivariate polynomial over a fixed Field."""
 
-    # ``_hash`` is computed on first use: no method mutates ``terms`` after
-    # construction, and every ``_of_terms`` caller hands over a dict it
-    # built for the new polynomial alone
-    __slots__ = ("field", "terms", "_hash")
+    # ``_hash`` and ``_order`` are computed on first use: no method mutates
+    # ``terms`` after construction, and every ``_of_terms`` caller hands
+    # over a dict it built for the new polynomial alone
+    __slots__ = ("field", "terms", "_hash", "_order")
 
     def __init__(self, field: Field, terms: Mapping[Mono, Scalar]):
         norm: dict[Mono, Scalar] = {}
@@ -328,7 +333,7 @@ class Polynomial:
                 norm[m] = c
         self.field = field
         self.terms = norm
-        self._hash = None
+        self._hash = self._order = None
 
     # -- constructors -------------------------------------------------
 
@@ -339,7 +344,7 @@ class Polynomial:
         out = Polynomial.__new__(Polynomial)
         out.field = field
         out.terms = terms
-        out._hash = None
+        out._hash = out._order = None
         return out
 
     @staticmethod
@@ -380,6 +385,7 @@ class Polynomial:
 
     def __reduce__(self):
         # a string hash differs between processes: never pickle ``_hash``
+        # (nor ``_order``: the copy scans its terms again on first use)
         return Polynomial._of_terms, (self.field, self.terms)
 
     def sorted_terms(self) -> list[tuple[Mono, Scalar]]:
@@ -392,7 +398,11 @@ class Polynomial:
         return out
 
     def max_order(self) -> int:
-        return max((order for m in self.terms for (_, order), _ in m), default=-1)
+        """The highest jet order among the variables (-1 for a constant)."""
+        o = self._order
+        if o is None:
+            o = self._order = max((order for m in self.terms for (_, order), _ in m), default=-1)
+        return o
 
     def degree_in(self, v: Var) -> int:
         deg = 0
@@ -560,7 +570,11 @@ class Polynomial:
         return mono_from_pairs(common.items())
 
     def divide_monomial(self, m: Mono) -> "Polynomial":
-        """Exact division of every term by the monomial ``m``."""
+        """Exact division of every term by the monomial ``m``.  Division by
+        1 returns ``self`` itself (with its hash), as ``reduce_mod_vars``
+        does when nothing drops."""
+        if not m:
+            return self
         need = dict(m)
         terms: dict[Mono, Scalar] = {}
         for mm, c in self.terms.items():
@@ -619,32 +633,33 @@ class Polynomial:
 
 def format_poly(p: Polynomial) -> str:
     """Canonical plain-text form, e.g. ``z3^2 + x2^3`` or ``2*x1*y1 - z0``."""
-    if p.is_zero():
+    terms = p.terms
+    if not terms:
         return "0"
+    signed = p.field.char == 0
     parts: list[str] = []
-    for m, c in p.sorted_terms():
-        sign = "+"
-        if p.field.char == 0:
+    for m in sorted(terms, key=mono_key):
+        c = terms[m]
+        neg = False
+        if signed:
             if isinstance(c, Gaussian):
                 if (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0):
-                    sign = "-"
+                    neg = True
                     c = -c
-            elif c < 0:
-                sign = "-"
+            elif c.numerator < 0:  # a Fraction: its sign without a comparison
+                neg = True
                 c = -c
-        factors = ["*".join(_fmt_factor(v, e) for v, e in m)] if m else []
-        if c != 1 or not m:
-            factors.insert(0, _fmt_scalar(c))
-        body = "*".join(f for f in factors if f)
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
+        if not m:
+            body = _fmt_scalar(c)
         else:
-            parts.append(f"{sign} {body}")
+            body = "*".join([f"{f}{o}" if e == 1 else f"{f}{o}^{e}" for (f, o), e in m])
+            if c != 1:
+                body = f"{_fmt_scalar(c)}*{body}"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(parts)
-
-
-def _fmt_factor(v: Var, e: int) -> str:
-    return var_name(v) if e == 1 else f"{var_name(v)}^{e}"
 
 
 def _fmt_scalar(c: Scalar) -> str:

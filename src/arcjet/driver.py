@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -36,6 +37,7 @@ from .algebra import (
 from .hasse import JetSystem
 from .strata import (
     EngineError,
+    Reduction,
     Stratum,
     add_equation,
     closure_contains,
@@ -106,9 +108,12 @@ def run_driver(
     sys: JetSystem,
     covers: Covers = MappingProxyType({}),
     max_level: int = 64,
+    shared: Optional[dict[tuple, Reduction]] = None,
 ) -> StratificationTree:
+    """Stratify the fiber up to ``max_level``.  Every stratum of the run
+    shares the reductions in ``shared`` (``Stratum.shared``) when given."""
     tree = StratificationTree(nodes=[], components=[], max_level=max_level)
-    _process(sys, covers, tree, root_stratum(), level=1, parent=None)
+    _process(sys, covers, tree, root_stratum(shared), level=1, parent=None)
     _absorb_residuals(sys, tree)
     return tree
 
@@ -343,6 +348,9 @@ def _row_reduce(aug: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
     return None if aug else reduced
 
 
+# every driver run of a level graph meets the same few cover relations again
+# (8 distinct among 153 calls for E8 to level 35): solve each one once
+@lru_cache(maxsize=1 << 8)
 def coxeter_number(f: Polynomial) -> Optional[int]:
     """The Coxeter number h of a quasi-homogeneous relation in the families
     x, y, z, or None when it has none.

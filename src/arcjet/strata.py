@@ -8,15 +8,18 @@ of the remaining free coordinates.
 
 A truncation to jet level ``m`` (``oracle.truncate_stratum``) is a stratum
 too, with no rules and ``consumed = m``.  Every reduction modulo a stratum
-goes through ``Stratum.simplify``: the vanishing coordinates drop out, then
-the rewrite rules of the equations (one per distinct reduced equation,
-gathered once per stratum) are applied to a fixpoint.  A derivative level
+goes through ``Stratum.simplify``, that is its ``Reduction``: the vanishing
+coordinates drop out, then the rewrite rules of the equations (one per
+distinct reduced equation) are applied to a fixpoint.  The rules are
+gathered once per stratum, or once per ``(zero_vars, equations)`` among
+strata that share a memo (``Stratum.shared``), as the strata of one level
+graph do.  A derivative level
 is reduced through ``JetSystem.reduced``, once per stratum and level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -157,8 +160,60 @@ def closure_contains(b: Stratum, a: Stratum, field: Field) -> bool:
             mm in a.zero_monomials or not a.simplify(Polynomial.monomial(field, mm))
             for mm in b.zero_monomials
         )
-        and all(e in a.equations or not a.simplify(e) for e in b.equations)
+        and all(a.reduction.vanishes(e) for e in b.equations)
     )
+
+
+class Reduction:
+    """Reduction modulo the vanishing coordinates and the equations of a
+    stratum: the coordinates drop out, then the rewrite rules of the
+    equations reduced modulo them apply to a fixpoint.  It reads nothing
+    else of the stratum, so strata with equal ``(zero_vars, equations)``
+    can share one (``Stratum.shared``)."""
+
+    __slots__ = ("zero_vars", "equations", "_rules", "_vanishes")
+
+    def __init__(self, zero_vars: frozenset[Var], equations: tuple[Polynomial, ...]):
+        self.zero_vars = zero_vars
+        self.equations = equations
+        self._rules: Optional[tuple[RewriteRule, ...]] = None
+        self._vanishes: dict[Polynomial, bool] = {}
+
+    @property
+    def rules(self) -> tuple[RewriteRule, ...]:
+        """The rewrite rules of the equations reduced modulo the zero set,
+        built on first use."""
+        if self._rules is None:
+            zs = self.zero_vars
+            self._rules = rewrite_rules_for(tuple(e.reduce_mod_vars(zs) for e in self.equations))
+        return self._rules
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        return rewrite(p.reduce_mod_vars(self.zero_vars), self.rules)
+
+    def vanishes(self, e: Polynomial) -> bool:
+        """Does ``e`` vanish on the strata: is it one of their equations or
+        does it reduce to zero?  Each distinct ``e`` is decided once."""
+        v = self._vanishes.get(e)
+        if v is None:
+            v = self._vanishes[e] = e in self.equations or not self(e)
+        return v
+
+
+def reduction_of(
+    shared: Optional[dict[tuple, Reduction]],
+    zero_vars: frozenset[Var],
+    equations: tuple[Polynomial, ...],
+) -> Reduction:
+    """The reduction modulo ``(zero_vars, equations)``: the one in the
+    ``shared`` memo, built there on first use, or a new one without a memo."""
+    if shared is None:
+        return Reduction(zero_vars, equations)
+    key = (zero_vars, equations)
+    red = shared.get(key)
+    if red is None:
+        red = shared[key] = Reduction(zero_vars, equations)
+    return red
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +246,8 @@ class EliminationRule:
 
 @dataclass(frozen=True)
 class Stratum:
-    # frozen, so the cached rewrite rules cannot go stale: ``replace`` builds
-    # a new instance
+    # frozen, so the cached reduction cannot go stale: ``replace`` builds a
+    # new instance
     zero_vars: frozenset[Var]
     equations: tuple[Polynomial, ...] = ()
     units: tuple[Polynomial, ...] = ()
@@ -201,16 +256,23 @@ class Stratum:
     # monomials (products of coordinates) forced to vanish without choosing a
     # branch; only used on terminal absorbed residuals of product covers.
     zero_monomials: tuple[Mono, ...] = ()
+    # reductions shared with every stratum derived from this one (``replace``
+    # and truncations carry the memo), keyed by (zero_vars, equations); it
+    # lives as long as those strata, a level graph's, and is no part of the
+    # stratum's value
+    shared: Optional[dict[tuple, Reduction]] = dc_field(
+        default=None, compare=False, repr=False
+    )
 
     # -- derived helpers ----------------------------------------------
 
     @cached_property
-    def rewriters(self) -> tuple[RewriteRule, ...]:
-        """Rewrite rules of the equations reduced modulo ``zero_vars``."""
-        return rewrite_rules_for(tuple(e.reduce_mod_vars(self.zero_vars) for e in self.equations))
+    def reduction(self) -> Reduction:
+        """Reduction modulo ``zero_vars`` and ``equations``."""
+        return reduction_of(self.shared, self.zero_vars, self.equations)
 
     def simplify(self, p: Polynomial) -> Polynomial:
-        return rewrite(p.reduce_mod_vars(self.zero_vars), self.rewriters)
+        return self.reduction(p)
 
     def unit_vars(self) -> frozenset[Var]:
         """Coordinates invertible on the stratum: declared monomial units
@@ -258,8 +320,8 @@ class Stratum:
         }
 
 
-def root_stratum() -> Stratum:
-    return Stratum(zero_vars=frozenset({("x", 0), ("y", 0), ("z", 0)}))
+def root_stratum(shared: Optional[dict[tuple, Reduction]] = None) -> Stratum:
+    return Stratum(zero_vars=frozenset({("x", 0), ("y", 0), ("z", 0)}), shared=shared)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,15 @@ from arcjet.algebra import (
     Polynomial,
     QQ,
     RationalExpression,
+    _fmt_scalar,
     format_poly,
     mono_from_pairs,
+    mono_key,
     mono_mul,
     parse_poly,
     var,
+    var_key,
+    var_name,
 )
 from arcjet.catalog import preset_grid
 
@@ -258,6 +262,127 @@ def test_reduce_mod_vars_returns_an_untouched_polynomial_itself():
     assert f.reduce_mod_vars({var("x", 2)}) is f
     assert f.reduce_mod_vars(frozenset()) is f
     assert f.reduce_mod_vars({var("z", 1)}) == parse_poly("y2", QQ)
+
+
+def reference_divide(f: Polynomial, m) -> Polynomial:
+    """Term-by-term division through ``mono_from_pairs``, the route that
+    division by 1 took before it returned its receiver."""
+    terms = {}
+    for mm, c in f.terms.items():
+        d = dict(mm)
+        for v, e in m:
+            d[v] -= e
+        terms[mono_from_pairs(d.items())] = c
+    return Polynomial(f.field, terms)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_division_by_one_returns_the_receiver(field, data):
+    f = draw_poly(data, field)
+    assert f.divide_monomial(()) is f
+    assert f == reference_divide(f, ())
+    content = f.content_monomial()
+    assert f.divide_monomial(content) == reference_divide(f, content)
+    # control: a true division is a new polynomial
+    g = f * parse_poly("x1*y2^2", field)
+    if g:
+        assert g.divide_monomial(g.content_monomial()) is not g
+
+
+def scanned_order(f: Polynomial) -> int:
+    return max((v[1] for m in f.terms for v, _ in m), default=-1)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cached_max_order_matches_a_fresh_scan(field, data):
+    f, g = draw_poly(data, field), draw_poly(data, field)
+    derived = (f * g, f + g, f.partial(var("x", 1)), f.reduce_mod_vars({var("y", 2)}))
+    for p in (f, g, *derived):
+        assert p.max_order() == scanned_order(p)
+        assert p._order == scanned_order(p)  # kept after the first call
+        assert p.max_order() == scanned_order(p)
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy._order is None and copy.max_order() == scanned_order(f)
+
+
+def test_a_stale_order_fails_the_differential_test():
+    """Control: an order kept from other terms is caught by the scan."""
+    f = parse_poly("x1*z3 + y2", QQ)
+    assert f.max_order() == scanned_order(f) == 3
+    f._order = 2
+    assert f.max_order() != scanned_order(f)
+
+
+def reference_mono_key(m) -> tuple:
+    """The nested sort key that ``mono_key`` replaced."""
+    return (sum(e for _, e in m), tuple((var_key(v), e) for v, e in m))
+
+
+def reference_format_poly(p: Polynomial) -> str:
+    """``format_poly`` as it was before the flat key, the sign test on the
+    numerator and the inlined factors: the reference of the printed text."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for m, c in sorted(p.terms.items(), key=lambda kv: reference_mono_key(kv[0])):
+        sign = "+"
+        if p.field.char == 0:
+            if isinstance(c, Gaussian):
+                if (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0):
+                    sign = "-"
+                    c = -c
+            elif c < 0:
+                sign = "-"
+                c = -c
+        factor = [var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in m]
+        factors = ["*".join(factor)] if m else []
+        if c != 1 or not m:
+            factors.insert(0, _fmt_scalar(c))
+        body = "*".join(f for f in factors if f)
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+@st.composite
+def printed_polys(draw) -> Polynomial:
+    """Polynomials over Q, Q(i), F_p and F_p(i) in all four families, with
+    negative, fractional and (with i) Gaussian coefficients whose parts
+    may vanish."""
+    field = draw(st.sampled_from(ALL_FIELDS))
+    part = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(
+            lambda c: not field.char or c.denominator % field.char
+        ),
+    )
+    coeff = st.builds(Gaussian, part, part) if field.i_adjoined else part
+    return Polynomial(field, draw(st.dictionaries(mono_strategy(), coeff, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=printed_polys(), a=mono_strategy(), b=mono_strategy())
+def test_format_poly_and_mono_key_match_the_references(f, a, b):
+    assert format_poly(f) == reference_format_poly(f)
+    monos = list(f.terms)
+    assert sorted(monos, key=mono_key) == sorted(monos, key=reference_mono_key)
+    assert (mono_key(a) < mono_key(b)) == (reference_mono_key(a) < reference_mono_key(b))
+    assert (mono_key(a) == mono_key(b)) == (a == b)
+
+
+def test_a_key_on_the_raw_pairs_fails_the_differential_test():
+    """Control: raw (family, order) tuples put t before x, unlike
+    ``var_key``; the differential test's inputs tell the two apart."""
+    monos = list(parse_poly("t1 + x1", QQ).terms)
+    raw = sorted(monos, key=lambda m: (sum(e for _, e in m), m))
+    assert raw != sorted(monos, key=reference_mono_key) == sorted(monos, key=mono_key)
+    assert format_poly(parse_poly("t1 + x1", QQ)) == "x1 + t1"
 
 
 def test_structural_operations():

@@ -2,9 +2,12 @@
 
 import pytest
 
+from arcjet import driver
 from arcjet.algebra import Field, QQ, parse_poly, var
+from arcjet.catalog import preset_grid
 from arcjet.driver import _square_split, coxeter_number, run_driver
 from arcjet.hasse import JetSystem
+from arcjet.jetgraph import build_graph
 from arcjet.strata import Stratum, check_elimination_soundness, root_stratum
 
 
@@ -148,6 +151,38 @@ def test_coxeter_number_of_jet_relations(text, h):
     # exponents sum per family over the orders; the last two are E8's level-15
     # and D's upper-ladder relations, whose weights leave the sum open
     assert coxeter_number(P(text)) == h
+
+
+def coxeter_mismatches(monkeypatch, number) -> tuple[list, list]:
+    """Build the level-6 graphs of all 69 presets with ``number`` as the
+    driver's Coxeter number; the relations it was asked for, and those on
+    which it differs from the uncached solve."""
+    asked = []
+
+    def recording(f):
+        asked.append(f)
+        return number(f)
+
+    monkeypatch.setattr(driver, "coxeter_number", recording)
+    for pr in preset_grid():
+        build_graph(pr.system, pr.covers, 6)
+    solve = coxeter_number.__wrapped__
+    return asked, [f for f in dict.fromkeys(asked) if number(f) != solve(f)]
+
+
+def test_cached_coxeter_number_matches_the_uncached_solve(monkeypatch):
+    asked, bad = coxeter_mismatches(monkeypatch, coxeter_number)
+    assert len(asked) > len(set(asked)) > 1 and bad == []
+
+
+def test_a_cache_keyed_by_term_count_fails_the_differential_test(monkeypatch):
+    """Control: relations with as many terms need not share h."""
+    by_count = {}
+
+    def keyed_by_count(f):
+        return by_count.setdefault(len(f.terms), coxeter_number.__wrapped__(f))
+
+    assert coxeter_mismatches(monkeypatch, keyed_by_count)[1]
 
 
 def test_driver_alone_reaches_the_rank():

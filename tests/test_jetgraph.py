@@ -170,7 +170,7 @@ def test_flag_order_is_pinned(monkeypatch):
     # with no containment at all every level also flags each piece without
     # a truncation target: a level's edge flags come before its probe flags
     levels = {m: _level_pieces(pr.system, pr.covers, m) for m in range(1, 7)}
-    monkeypatch.setattr(jetgraph, "_level_pieces", lambda sys, covers, m: levels[m])
+    monkeypatch.setattr(jetgraph, "_level_pieces", lambda sys, covers, m, shared: levels[m])
     monkeypatch.setattr(jetgraph, "descriptor_contains", lambda b, a, field: False)
     g = build_graph(pr.system, pr.covers, 6)
     assert not g.edges

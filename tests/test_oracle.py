@@ -363,7 +363,7 @@ def test_audit_tree_matches_reference(kind, n, char, p, m):
     split_nodes = [
         node
         for node in tree.nodes
-        if node.note.startswith("split on ") and len(node.children) == 2
+        if node.kind == "split" and len(node.children) == 2
     ]
     nids = [node.nid for node in leaves]
     nids += [k for node in split_nodes for k in (node.nid, *node.children) if k not in nids]

@@ -123,8 +123,9 @@ def test_lead_rule_matches_reference_on_the_e8_graph(monkeypatch):
 
     The equations are recorded where rules are asked for,
     ``rewrite_rules_for``, ahead of the rule cache: the search itself runs
-    only on a cache miss, so earlier tests of the same pytest run may have built
-    every rule already."""
+    only on a cache miss.  A graph shares one rule set per (zero_vars,
+    equations) in a memo that it creates empty, so each distinct set still
+    reaches ``rewrite_rules_for`` once, whatever ran before."""
     seen = []
     rules_for = strata.rewrite_rules_for
 
@@ -260,7 +261,7 @@ def test_memo_and_rule_cache_match_uncached_routes(pr):
     for node in tree.nodes:
         s = node.stratum
         reduced_eqs = tuple(e.reduce_mod_vars(s.zero_vars) for e in s.equations)
-        assert s.rewriters == uncached_rules(reduced_eqs), (pr.label, node.nid)
+        assert s.reduction.rules == uncached_rules(reduced_eqs), (pr.label, node.nid)
         for eq in reduced_eqs:
             assert_same_rule(eq)
         for m in range(pr.max_level + 1):
@@ -324,6 +325,112 @@ def test_simplify_cache_follows_replace():
     s2 = replace(s, equations=s.equations + (P("z3 - x1*y1"),))
     assert s2.simplify(P("z3 + z2")) == P("x1*y1 + y1^2")
     assert s.simplify(P("z3 + z2")) == P("z3 + y1^2")
+
+
+def test_strata_share_a_reduction_through_their_memo():
+    plain = Stratum(zero_vars=frozenset({var("x", 0)}), equations=(P("z2 - y1^2"),))
+    twin = replace(plain, units=(P("x1"),), consumed=2)
+    assert twin.reduction is not plain.reduction  # no memo: one each
+    shared = {}
+    s = replace(plain, shared=shared)
+    assert s == plain and hash(s) == hash(plain)  # the memo is not part of the value
+    twin = replace(s, units=(P("x1"),), consumed=2)
+    other = add_equation(s, P("z3 - x1"), 3)
+    assert twin.reduction is s.reduction is shared[(s.zero_vars, s.equations)]
+    assert other.reduction is not s.reduction and len(shared) == 2
+    assert other.simplify(P("z3 + z2")) == P("x1 + y1^2")
+
+
+def recorded_reductions(monkeypatch, build) -> tuple[int, list]:
+    """Run ``build``; the number of reductions ``reduction_of`` handed to a
+    stratum, and each distinct (zero_vars, equations, reduction) among them."""
+    calls = 0
+    seen = {}
+    real = strata.reduction_of
+
+    def recording(shared, zero_vars, equations):
+        nonlocal calls
+        calls += 1
+        red = real(shared, zero_vars, equations)
+        seen.setdefault((zero_vars, equations, id(red)), (zero_vars, equations, red))
+        return red
+
+    monkeypatch.setattr(strata, "reduction_of", recording)
+    build()
+    monkeypatch.undo()
+    return calls, list(seen.values())
+
+
+def reduction_mismatches(seen) -> list:
+    """The recorded reductions whose rules, or one of whose kept verdicts,
+    differ from the uncached route on the asking stratum's zero_vars and
+    equations."""
+    bad = []
+    for zero_vars, equations, red in seen:
+        rules = uncached_rules(tuple(e.reduce_mod_vars(zero_vars) for e in equations))
+        if red.rules != rules:
+            bad.append((zero_vars, equations))
+            continue
+        for e, verdict in red._vanishes.items():
+            if verdict != (e in equations or not rewrite(e.reduce_mod_vars(zero_vars), rules)):
+                bad.append((zero_vars, equations, e))
+    return bad
+
+
+def build_e8_graph_to_12():
+    pr = preset("E8", char=0)
+    build_graph(pr.system, pr.covers, 12)
+
+
+def test_shared_reductions_match_the_uncached_route(monkeypatch):
+    """Every reduction that the E8 (char 0) graph to level 12 and the
+    level-6 graphs of all 69 presets share: its rules are the uncached
+    rules (``_lead_rule.__wrapped__``) of the asking stratum, and each
+    verdict it kept is the uncached one."""
+
+    def build():
+        build_e8_graph_to_12()
+        for pr in preset_grid():
+            build_graph(pr.system, pr.covers, 6)
+
+    calls, seen = recorded_reductions(monkeypatch, build)
+    # 3,509 strata asked for 985 distinct reductions
+    assert calls > 3 * len(seen) > 2500
+    assert sum(len(red._vanishes) for _, _, red in seen) > 500  # verdicts kept
+    assert reduction_mismatches(seen) == []
+
+
+def test_a_memo_keyed_by_the_zero_set_alone_fails_the_differential_test(monkeypatch):
+    """Control: a memo that leaves the equations out of its key hands a
+    stratum another stratum's rules, and the differential test sees it."""
+
+    def by_zero_set(shared, zero_vars, equations):
+        if shared is None:
+            return strata.Reduction(zero_vars, equations)
+        if zero_vars not in shared:
+            shared[zero_vars] = strata.Reduction(zero_vars, equations)
+        return shared[zero_vars]
+
+    monkeypatch.setattr(strata, "reduction_of", by_zero_set)
+    _, seen = recorded_reductions(monkeypatch, build_e8_graph_to_12)
+    assert reduction_mismatches(seen)
+
+
+def test_verdicts_kept_across_reductions_fail_the_differential_test(monkeypatch):
+    """Control: a verdict remembered by the polynomial alone, across
+    reductions, is wrong for some stratum, and the differential test sees
+    it."""
+    verdicts = {}
+
+    def by_polynomial(self, e):
+        if e not in verdicts:
+            verdicts[e] = e in self.equations or not self(e)
+        self._vanishes[e] = verdicts[e]
+        return verdicts[e]
+
+    monkeypatch.setattr(strata.Reduction, "vanishes", by_polynomial)
+    _, seen = recorded_reductions(monkeypatch, build_e8_graph_to_12)
+    assert reduction_mismatches(seen)
 
 
 # -- unit inference ---------------------------------------------------------
