@@ -102,7 +102,10 @@ def _equation_system(text: str, char: int) -> JetSystem:
 
 
 def _coordinate(name: str) -> Var:
+    # a coordinate of the x, y or z family: t is the arc parameter
     try:
+        if name[0] not in ("x", "y", "z"):
+            raise ValueError(name)
         return var(name[0], int(name[1:]) if len(name) > 1 else 0)
     except (ValueError, IndexError):
         raise InputError(f"bad coordinate {name!r}") from None

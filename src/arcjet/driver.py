@@ -37,7 +37,6 @@ from .algebra import (
 from .hasse import JetSystem
 from .strata import (
     EngineError,
-    Reduction,
     Stratum,
     add_equation,
     closure_contains,
@@ -108,12 +107,10 @@ def run_driver(
     sys: JetSystem,
     covers: Covers = MappingProxyType({}),
     max_level: int = 64,
-    shared: Optional[dict[tuple, Reduction]] = None,
 ) -> StratificationTree:
-    """Stratify the fiber up to ``max_level``.  Every stratum of the run
-    shares the reductions in ``shared`` (``Stratum.shared``) when given."""
+    """Stratify the fiber up to ``max_level``."""
     tree = StratificationTree(nodes=[], components=[], max_level=max_level)
-    _process(sys, covers, tree, root_stratum(shared), level=1, parent=None)
+    _process(sys, covers, tree, root_stratum(), level=1, parent=None)
     _absorb_residuals(sys, tree)
     return tree
 

@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import QQ, Field, Polynomial, format_poly, var_name
 from .driver import Covers, run_driver
@@ -38,7 +38,7 @@ from .oracle import (
     transport_stratum,
     truncate_stratum,
 )
-from .strata import Reduction, Stratum, closure_contains
+from .strata import Stratum, closure_contains
 
 
 def descriptor_contains(b: Stratum, a: Stratum, field: Field) -> bool:
@@ -86,13 +86,10 @@ class JetComponentGraph:
 
 SCHEMA = "jet-component-graph/1"
 
-def _level_pieces(
-    sys: JetSystem, covers: Covers, m: int, shared: Optional[dict[tuple, Reduction]] = None
-) -> list[tuple[object, Stratum]]:
+def _level_pieces(sys: JetSystem, covers: Covers, m: int) -> list[tuple[object, Stratum]]:
     """Closure-maximal fiber pieces at level ``m`` with their component
-    (if the depth-m run already charted one); its strata share the
-    reductions in ``shared``."""
-    tree = run_driver(sys, covers, max_level=m, shared=shared)
+    (if the depth-m run already charted one)."""
+    tree = run_driver(sys, covers, max_level=m)
     cands: list[tuple[object, Stratum]] = []
     for comp in tree.components:
         cands.append((comp.index, truncate_stratum(sys, tree.chart_of(comp).stratum, m)))
@@ -130,12 +127,8 @@ def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list
 
 
 def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
-    # the driver runs of all levels and their truncations reduce modulo the
-    # same (zero_vars, equations) over and over: they share one memo, which
-    # goes with the graph's strata
-    shared: dict[tuple, Reduction] = {}
     # levels[m - 1]: the level-m pieces, whose vids run from first[m - 1]
-    levels = [_level_pieces(sys, covers, m, shared) for m in range(1, M + 1)]
+    levels = [_level_pieces(sys, covers, m) for m in range(1, M + 1)]
     first = [0, *accumulate(len(pieces) for pieces in levels)]
     # deeper pieces repeat the equations of shallower ones: print each
     # distinct polynomial once per graph

@@ -333,7 +333,6 @@ def truncate_stratum(
             mm for mm in s.zero_monomials if all(v[1] <= m for v, _ in mm)
         ),
         consumed=m,
-        shared=s.shared,
     )
     return T if target is None else transport_stratum(T, target)
 

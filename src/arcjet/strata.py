@@ -10,16 +10,16 @@ A truncation to jet level ``m`` (``oracle.truncate_stratum``) is a stratum
 too, with no rules and ``consumed = m``.  Every reduction modulo a stratum
 goes through ``Stratum.simplify``, that is its ``Reduction``: the vanishing
 coordinates drop out, then the rewrite rules of the equations (one per
-distinct reduced equation) are applied to a fixpoint.  The rules are
-gathered once per stratum, or once per ``(zero_vars, equations)`` among
-strata that share a memo (``Stratum.shared``), as the strata of one level
-graph do.  A derivative level
-is reduced through ``JetSystem.reduced``, once per stratum and level.
+distinct reduced equation) are applied to a fixpoint.  A ``Reduction``
+reads only ``(zero_vars, equations)``, and ``reduction_of`` builds one per
+such key, shared by every stratum, driver run and graph of the process.
+A derivative level is reduced through ``JetSystem.reduced``, once per
+stratum and level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -169,7 +169,7 @@ class Reduction:
     stratum: the coordinates drop out, then the rewrite rules of the
     equations reduced modulo them apply to a fixpoint.  It reads nothing
     else of the stratum, so strata with equal ``(zero_vars, equations)``
-    can share one (``Stratum.shared``)."""
+    share one (``reduction_of``)."""
 
     __slots__ = ("zero_vars", "equations", "_rules", "_vanishes")
 
@@ -200,20 +200,15 @@ class Reduction:
         return v
 
 
-def reduction_of(
-    shared: Optional[dict[tuple, Reduction]],
-    zero_vars: frozenset[Var],
-    equations: tuple[Polynomial, ...],
-) -> Reduction:
-    """The reduction modulo ``(zero_vars, equations)``: the one in the
-    ``shared`` memo, built there on first use, or a new one without a memo."""
-    if shared is None:
-        return Reduction(zero_vars, equations)
-    key = (zero_vars, equations)
-    red = shared.get(key)
-    if red is None:
-        red = shared[key] = Reduction(zero_vars, equations)
-    return red
+# a reduction reads only its key, so one per key serves every stratum of the
+# process, across driver runs, graphs and fields: polynomials compare with
+# their field, and verdicts are kept per polynomial, so a key without
+# equations, the same in every field, mixes nothing
+# (``reduction_of.__wrapped__`` builds a fresh one)
+@lru_cache(maxsize=1 << 12)
+def reduction_of(zero_vars: frozenset[Var], equations: tuple[Polynomial, ...]) -> Reduction:
+    """The reduction modulo ``(zero_vars, equations)``."""
+    return Reduction(zero_vars, equations)
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +251,13 @@ class Stratum:
     # monomials (products of coordinates) forced to vanish without choosing a
     # branch; only used on terminal absorbed residuals of product covers.
     zero_monomials: tuple[Mono, ...] = ()
-    # reductions shared with every stratum derived from this one (``replace``
-    # and truncations carry the memo), keyed by (zero_vars, equations); it
-    # lives as long as those strata, a level graph's, and is no part of the
-    # stratum's value
-    shared: Optional[dict[tuple, Reduction]] = dc_field(
-        default=None, compare=False, repr=False
-    )
 
     # -- derived helpers ----------------------------------------------
 
     @cached_property
     def reduction(self) -> Reduction:
         """Reduction modulo ``zero_vars`` and ``equations``."""
-        return reduction_of(self.shared, self.zero_vars, self.equations)
+        return reduction_of(self.zero_vars, self.equations)
 
     def simplify(self, p: Polynomial) -> Polynomial:
         return self.reduction(p)
@@ -320,8 +308,8 @@ class Stratum:
         }
 
 
-def root_stratum(shared: Optional[dict[tuple, Reduction]] = None) -> Stratum:
-    return Stratum(zero_vars=frozenset({("x", 0), ("y", 0), ("z", 0)}), shared=shared)
+def root_stratum() -> Stratum:
+    return Stratum(zero_vars=frozenset({("x", 0), ("y", 0), ("z", 0)}))
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +413,13 @@ def eliminate_tail(
     start = n if linear else n + 1
     rule = EliminationRule(pivot.v[0], offset, start, pivot.coeff)
     chart = replace(s2, rules=s2.rules + (rule,), consumed=max(s2.consumed, start))
-    _verify_rule(sys, chart, rule, depth=PROBE_DEPTH)
+    _verify_rule(sys, chart, rule)
     return chart
 
 
-def _verify_rule(sys: JetSystem, chart: Stratum, rule: EliminationRule, depth: int) -> None:
+def _verify_rule(sys: JetSystem, chart: Stratum, rule: EliminationRule) -> None:
     want = chart.simplify(rule.coeff)
-    for m in range(rule.start_level, rule.start_level + depth):
+    for m in range(rule.start_level, rule.start_level + PROBE_DEPTH):
         w, c_m, num = rule_instance(sys, chart, rule, m)
         got = chart.simplify(c_m)
         if got != want:

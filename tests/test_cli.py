@@ -136,6 +136,7 @@ def test_config_explicit_flags_win(capsys, tmp_path):
     [
         ["derive", "--equation", "z^2 + x*"],
         ["derive", "--equation", "z^2 + x*y", "--reduce", "q0"],
+        ["derive", "--equation", "z^2 + x*y", "--reduce", "t1"],
         ["derive", "--equation", "z^2 + x*y", "--char", "4"],
         ["derive", "--equation", "z^2 + x*y + t"],
         ["oracle", "--kind", "A", "--n", "1", "--p", "4"],
@@ -156,6 +157,7 @@ def test_config_explicit_flags_win(capsys, tmp_path):
     ids=[
         "parse-error",
         "bad-coordinate",
+        "arc-parameter-coordinate",
         "non-prime-char",
         "arc-parameter-in-equation",
         "oracle-composite-p",

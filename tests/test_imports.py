@@ -170,3 +170,26 @@ def test_membership_tests_go_through_point_hits(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     direct = [f"line {call.lineno}" for call in calls_to(tree, "contains")]
     assert not direct, f"{path.name} tests membership directly: {', '.join(direct)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_reductions_are_built_only_by_reduction_of(path):
+    # ``strata.reduction_of`` is the one place a ``Reduction`` is built, so
+    # every stratum shares its cache: no other code calls ``Reduction(``
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = set()
+    if path.name == "strata.py":
+        (builder,) = [
+            fn for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "reduction_of"
+        ]
+        exempt = {id(n) for n in ast.walk(builder)}
+    direct = [
+        f"line {n.lineno}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and id(n) not in exempt
+        and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
+        == "Reduction"
+    ]
+    assert not direct, f"{path.name} builds a Reduction directly: {', '.join(direct)}"

@@ -143,6 +143,20 @@ def test_level6_graphs_of_the_grid_are_unchanged():
     assert digest.hexdigest() == GRID_LEVEL6_GRAPHS_SHA256
 
 
+def test_level6_graphs_do_not_depend_on_the_order_they_are_built_in():
+    """Reductions are shared by key across graphs and fields (the key of a
+    stratum without equations is the same over Q, Q(i), F_p and F_p(i)):
+    built once in grid order and then in reverse order, with the
+    process-wide caches kept warm in between, every export is the same."""
+    presets = list(preset_grid())
+    forward = [export(build_graph(pr.system, pr.covers, 6), "json") for pr in presets]
+    digest = hashlib.sha256("".join(text + "\n" for text in forward).encode())
+    assert digest.hexdigest() == GRID_LEVEL6_GRAPHS_SHA256
+    for i in reversed(range(len(presets))):
+        pr = presets[i]
+        assert export(build_graph(pr.system, pr.covers, 6), "json") == forward[i], pr.label
+
+
 # The flags of the A3 (char 0) graph to level 6 when every piece is given
 # the same point set: each level with two or more pieces flags each pair.
 # (Level 6 is past the probe budget.)
@@ -170,7 +184,7 @@ def test_flag_order_is_pinned(monkeypatch):
     # with no containment at all every level also flags each piece without
     # a truncation target: a level's edge flags come before its probe flags
     levels = {m: _level_pieces(pr.system, pr.covers, m) for m in range(1, 7)}
-    monkeypatch.setattr(jetgraph, "_level_pieces", lambda sys, covers, m, shared: levels[m])
+    monkeypatch.setattr(jetgraph, "_level_pieces", lambda sys, covers, m: levels[m])
     monkeypatch.setattr(jetgraph, "descriptor_contains", lambda b, a, field: False)
     g = build_graph(pr.system, pr.covers, 6)
     assert not g.edges

@@ -124,8 +124,8 @@ def test_lead_rule_matches_reference_on_the_e8_graph(monkeypatch):
     The equations are recorded where rules are asked for,
     ``rewrite_rules_for``, ahead of the rule cache: the search itself runs
     only on a cache miss.  A graph shares one rule set per (zero_vars,
-    equations) in a memo that it creates empty, so each distinct set still
-    reaches ``rewrite_rules_for`` once, whatever ran before."""
+    equations) in the ``reduction_of`` cache, which each test starts empty,
+    so each distinct set reaches ``rewrite_rules_for`` once."""
     seen = []
     rules_for = strata.rewrite_rules_for
 
@@ -328,16 +328,12 @@ def test_simplify_cache_follows_replace():
 
 
 def test_strata_share_a_reduction_through_their_memo():
-    plain = Stratum(zero_vars=frozenset({var("x", 0)}), equations=(P("z2 - y1^2"),))
-    twin = replace(plain, units=(P("x1"),), consumed=2)
-    assert twin.reduction is not plain.reduction  # no memo: one each
-    shared = {}
-    s = replace(plain, shared=shared)
-    assert s == plain and hash(s) == hash(plain)  # the memo is not part of the value
+    s = Stratum(zero_vars=frozenset({var("x", 0)}), equations=(P("z2 - y1^2"),))
     twin = replace(s, units=(P("x1"),), consumed=2)
     other = add_equation(s, P("z3 - x1"), 3)
-    assert twin.reduction is s.reduction is shared[(s.zero_vars, s.equations)]
-    assert other.reduction is not s.reduction and len(shared) == 2
+    assert twin.reduction is s.reduction is strata.reduction_of(s.zero_vars, s.equations)
+    assert other.reduction is not s.reduction
+    assert strata.reduction_of.cache_info().currsize == 2
     assert other.simplify(P("z3 + z2")) == P("x1 + y1^2")
 
 
@@ -348,10 +344,10 @@ def recorded_reductions(monkeypatch, build) -> tuple[int, list]:
     seen = {}
     real = strata.reduction_of
 
-    def recording(shared, zero_vars, equations):
+    def recording(zero_vars, equations):
         nonlocal calls
         calls += 1
-        red = real(shared, zero_vars, equations)
+        red = real(zero_vars, equations)
         seen.setdefault((zero_vars, equations, id(red)), (zero_vars, equations, red))
         return red
 
@@ -394,22 +390,43 @@ def test_shared_reductions_match_the_uncached_route(monkeypatch):
             build_graph(pr.system, pr.covers, 6)
 
     calls, seen = recorded_reductions(monkeypatch, build)
-    # 3,509 strata asked for 985 distinct reductions
-    assert calls > 3 * len(seen) > 2500
+    # 3,509 strata asked for 346 distinct reductions, shared across the
+    # graphs
+    assert calls > 3 * len(seen) > 1000
     assert sum(len(red._vanishes) for _, _, red in seen) > 500  # verdicts kept
     assert reduction_mismatches(seen) == []
+
+
+def test_the_e8_graph_builds_one_rule_set_per_reduction_key(monkeypatch):
+    """The E8 (char 0) graph to level 35 builds the rules of each distinct
+    (zero_vars, equations) once, however many strata of its 35 driver runs
+    and truncations ask: 182 rule sets for 1,050 strata."""
+    builds = 0
+    rules_for = strata.rewrite_rules_for
+
+    def counting(equations):
+        nonlocal builds
+        builds += 1
+        return rules_for(equations)
+
+    monkeypatch.setattr(strata, "rewrite_rules_for", counting)
+    pr = preset("E8", char=0)
+    calls, seen = recorded_reductions(monkeypatch, lambda: build_graph(pr.system, pr.covers, 35))
+    assert builds == len(seen) <= 182
+    assert calls > 5 * len(seen)
 
 
 def test_a_memo_keyed_by_the_zero_set_alone_fails_the_differential_test(monkeypatch):
     """Control: a memo that leaves the equations out of its key hands a
     stratum another stratum's rules, and the differential test sees it."""
 
-    def by_zero_set(shared, zero_vars, equations):
-        if shared is None:
-            return strata.Reduction(zero_vars, equations)
-        if zero_vars not in shared:
-            shared[zero_vars] = strata.Reduction(zero_vars, equations)
-        return shared[zero_vars]
+    by_zeros = {}
+    fresh = strata.reduction_of.__wrapped__
+
+    def by_zero_set(zero_vars, equations):
+        if zero_vars not in by_zeros:
+            by_zeros[zero_vars] = fresh(zero_vars, equations)
+        return by_zeros[zero_vars]
 
     monkeypatch.setattr(strata, "reduction_of", by_zero_set)
     _, seen = recorded_reductions(monkeypatch, build_e8_graph_to_12)
