@@ -306,7 +306,7 @@ def verify_congruence_table(preset: SingularityPreset) -> dict:
     results = []
     ok = True
     for line in golden_table(preset):
-        computed = sys.derivative(line.level).reduce_mod_vars(frozenset(line.zeroed))
+        computed = sys.derivative(line.level, frozenset(line.zeroed))
         want = parse_poly(line.expected, sys.field)
         match = computed == want
         if line.strict and not match:

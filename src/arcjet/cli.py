@@ -116,15 +116,10 @@ def cmd_derive(args) -> int:
         sysm = _equation_system(args.equation, args.char)
     else:
         sysm = _preset_from_args(args).system
-    zeros = []
+    zeros = frozenset()
     if args.reduce:
-        zeros = [_coordinate(name.strip()) for name in args.reduce.split(",")]
-    lines = []
-    for m in range(args.level + 1):
-        d = sysm.derivative(m)
-        if zeros:
-            d = d.reduce_mod_vars(zeros)
-        lines.append(f"f_{m} = {format_poly(d)}")
+        zeros = frozenset(_coordinate(name.strip()) for name in args.reduce.split(","))
+    lines = [f"f_{m} = {format_poly(sysm.derivative(m, zeros))}" for m in range(args.level + 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,7 +1,7 @@
 """Higher derivatives of a defining equation along truncated jet coordinates.
 
-For ``f`` in the order-0 variables, ``derivative(m)`` is the coefficient of
-``t^m`` after substituting each coordinate by its truncated series
+For ``f`` in the order-0 variables, ``f_m`` is the coefficient of ``t^m``
+after substituting each coordinate by its truncated series
 ``x -> sum_k x_k t^k``.  Two independent implementations are provided:
 
 * :class:`JetSystem` builds the coefficients bottom-up, one monomial of
@@ -10,13 +10,24 @@ For ``f`` in the order-0 variables, ``derivative(m)`` is the coefficient of
   ``t^k`` in the product of the factor series, as a map from jet
   monomials to multinomial counts (reduced mod p in characteristic p, so
   counts divisible by p drop out).  One more factor inserts one
-  coordinate into each monomial of the prefix's table.  The coefficients
-  of ``f`` enter once per output term, multiplying a count.  This is a
-  single code path valid in every characteristic.
+  coordinate into each monomial of the prefix's table.  Each coefficient
+  of ``f`` is multiplied once by each distinct count.  This is a single
+  code path valid in every characteristic.
 * :func:`series_oracle` substitutes honest truncated series (with an
   explicit ``t`` variable) into ``f`` and expands.  It exists purely as a
   cross-check of the first route and shares no logic with it beyond raw
   polynomial multiplication.
+
+Every consumer reads ``f_m`` modulo coordinates that vanish, and the tower
+reads that reduction off a shallower level.  If ``x_0..x_{a-1}``,
+``y_0..y_{b-1}`` and ``z_0..z_{c-1}`` vanish (the *frontier* ``(a, b, c)``),
+then ``x = t^a * sum_j x_{a+j} t^j`` and likewise for y and z, so a monomial
+``x^i y^j z^k`` of ``f`` contributes to ``f_m`` modulo these coordinates
+exactly its level ``m - (a*i + b*j + c*k)`` with every order ``o`` of a
+family raised by that family's frontier.  That shifted table is the full
+level-``m`` table filtered to orders at or above the frontier, in the same
+insertion order.  Vanishing coordinates beyond the frontier (a gap such as
+``x_2`` with ``x_1`` free) are dropped from the result afterwards.
 """
 
 from __future__ import annotations
@@ -30,9 +41,26 @@ if TYPE_CHECKING:
     from .strata import Stratum
 
 
+class _Relabel(dict):
+    """Pairs ``((fam, o), e)`` of jet monomials mapped to ``((fam, o + s), e)``
+    for the shift ``s`` of ``fam``, each shifted pair built once and then
+    shared by every monomial that holds it."""
+
+    __slots__ = ("shift",)
+
+    def __init__(self, shift: dict[str, int]):
+        super().__init__()
+        self.shift = shift
+
+    def __missing__(self, pair):
+        (fam, order), e = pair
+        out = self[pair] = ((fam, order + self.shift[fam]), e)
+        return out
+
+
 class JetSystem:
-    """Derivatives ``f_0, f_1, ...`` of one equation, memoized, and their
-    reductions modulo strata.
+    """Derivatives ``f_0, f_1, ...`` of one equation modulo vanishing
+    coordinates, and their reductions modulo strata.
 
     ``f`` must involve only order-0 variables of the families x, y and z
     (the arc parameter ``t`` is not a coordinate).  ``f_m`` lives in the
@@ -47,43 +75,64 @@ class JetSystem:
                 raise ValueError("defining equation must use order-0 variables only")
         self.f = f
         self.field = f.field
-        self._derivs: list[Polynomial] = []
-        # per monomial factor tuple, e.g. ("x", "y", "y", "z") for x*y^2*z:
-        # level k maps each jet monomial to its count (mod p in
-        # characteristic p) in the coefficient of t^k of the product of the
-        # series sum_k fam_k t^k; the empty product is the series 1
+        # per monomial of f: its factor tuple (("x", "y", "y", "z") for
+        # x*y^2*z), its degree in each family, its coefficient, and that
+        # coefficient's product with each count met so far
+        self._monos: list[tuple[tuple[str, ...], tuple[int, ...], Scalar, dict[int, Scalar]]] = []
+        for mono, c in f.terms.items():
+            key = tuple(fam for (fam, _), e in mono for _ in range(e))
+            self._monos.append((key, tuple(map(key.count, "xyz")), c, {}))
+        # per factor tuple: level k maps each jet monomial to its count (mod
+        # p in characteristic p) in the coefficient of t^k of the product of
+        # the series sum_k fam_k t^k; the empty product is the series 1
         self._tables: dict[tuple[str, ...], list[dict[Mono, int]]] = {(): [{(): 1}]}
+        # frontier (a, b, c) -> its interned relabelling of jet-monomial pairs
+        self._relabels: dict[tuple[int, int, int], _Relabel] = {}
         # (zero_vars, equations, m) -> f_m simplified modulo the stratum
         self._reduced: dict[tuple, Polynomial] = {}
 
-    def derivative(self, m: int) -> Polynomial:
-        while len(self._derivs) <= m:
-            self._derivs.append(self._compute(len(self._derivs)))
-        return self._derivs[m]
+    def derivative(self, m: int, zero_vars: Iterable[Var] = frozenset()) -> Polynomial:
+        """``f_m`` modulo the coordinates ``zero_vars``: each monomial of
+        ``f`` read at its level shifted by the frontier of ``zero_vars``
+        (module docstring), then the coordinates past the frontier dropped.
+        The empty zero set is ``f_m`` itself."""
+        zs = frozenset(zero_vars)
+        fr = frontier_of(zs)
+        shift = (fr["x"], fr["y"], fr["z"])
+        relabel = None
+        if any(shift):
+            relabel = self._relabels.get(shift)
+            if relabel is None:
+                relabel = self._relabels[shift] = _Relabel(fr)
+            relabel = relabel.__getitem__
+        p = self.field.char
+        # distinct monomials of f differ in the degree of some family, and
+        # so do all the jet monomials they contribute: nothing collides
+        out: dict[Mono, Scalar] = {}
+        for key, degs, c, products in self._monos:
+            level = m - sum(d * s for d, s in zip(degs, shift))
+            if level < 0:
+                continue
+            for jm, n in self._series(key, level)[level].items():
+                val = products.get(n)
+                if val is None:
+                    val = products[n] = c * n % p if p else c * n
+                if val:
+                    out[tuple(map(relabel, jm)) if relabel else jm] = val
+        f_m = Polynomial._of_terms(self.field, out)
+        # the initial segments left nothing to drop: only a gap can
+        return f_m.reduce_mod_vars(zs) if len(zs) > sum(shift) else f_m
 
     def reduced(self, s: Stratum, m: int) -> Polynomial:
-        """``s.simplify(self.derivative(m))``, computed once per stratum and
-        level.  The key is what ``simplify`` reads, the vanishing
-        coordinates and the equations, so the strata of repeated driver
-        runs, their charts and their truncations share one entry."""
+        """``s.simplify(self.derivative(m, s.zero_vars))``, computed once per
+        stratum and level.  The key is what ``simplify`` reads, the
+        vanishing coordinates and the equations, so the strata of repeated
+        driver runs, their charts and their truncations share one entry."""
         key = (s.zero_vars, s.equations, m)
         r = self._reduced.get(key)
         if r is None:
-            r = self._reduced[key] = s.simplify(self.derivative(m))
+            r = self._reduced[key] = s.simplify(self.derivative(m, s.zero_vars))
         return r
-
-    def _compute(self, m: int) -> Polynomial:
-        # distinct monomials of f differ in the degree of some family, and
-        # so do all the jet monomials they contribute: nothing collides
-        p = self.field.char
-        out: dict[Mono, Scalar] = {}
-        for mono, c in self.f.terms.items():
-            key = tuple(fam for (fam, _), e in mono for _ in range(e))
-            for jm, n in self._series(key, m)[m].items():
-                val = c * n % p if p else c * n
-                if val:
-                    out[jm] = val
-        return Polynomial._of_terms(self.field, out)
 
     def _series(self, key: tuple[str, ...], up_to: int) -> list[dict[Mono, int]]:
         """Count tables of t^0..t^up_to of the product over ``key`` of the
@@ -185,9 +234,9 @@ def congruence_shape(sys: JetSystem, n: int, zero_vars: Iterable[Var]) -> Congru
     """
     zs = frozenset(zero_vars)
     for k in range(n):
-        if sys.derivative(k).reduce_mod_vars(zs):
+        if sys.derivative(k, zs):
             raise ValueError(f"f_{k} does not lie in the variable ideal")
-    reduced = sys.derivative(n).reduce_mod_vars(zs)
+    reduced = sys.derivative(n, zs)
     fr = frontier_of(zs)
     exponents = _match_exponent_set(sys, reduced, fr)
     return CongruenceShape(n, reduced, fr, exponents)
@@ -239,7 +288,7 @@ def linearize(sys: JetSystem, n: int, zero_vars: Iterable[Var], offset: int) -> 
         raise ValueError("offset must be >= 1")
     zs = frozenset(zero_vars)
     fr = frontier_of(zs)
-    reduced = sys.derivative(n + offset).reduce_mod_vars(zs)
+    reduced = sys.derivative(n + offset, zs)
     coeffs: dict[str, Polynomial] = {}
     rest = reduced
     for fam in ("x", "y", "z"):

@@ -37,6 +37,8 @@ from .strata import Stratum
 
 
 POINT_FAMILIES = ("x", "y", "z")
+# the coordinates every point pins to 0: the fiber lies over the origin
+ORIGIN = frozenset(var(f, 0) for f in POINT_FAMILIES)
 
 JetPoint = tuple[int, ...]
 
@@ -259,11 +261,11 @@ def enumerate_fiber(
         sys = JetSystem(transport_poly(sys.f, field))
     if m == 0:
         return [()]  # the origin alone
-    # Each level is checked once the highest order among its surviving
-    # terms (order-0 coordinates are pinned to 0) is assigned.
+    # Each level is checked once the highest order among its terms is
+    # assigned.
     by_order: dict[int, list[Compiled]] = {}
     for n in range(1, m + 1):
-        parts = compile_poly(sys.derivative(n), m)
+        parts = compile_poly(sys.derivative(n, ORIGIN), m)
         if parts:
             top = max((i for t in parts for _, idx in t for i in idx), default=0)
             by_order.setdefault(top // 3 + 1, []).append(parts)

@@ -1,9 +1,11 @@
 """Derivative tower: recursive route vs series route, shapes, linearization."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcjet.algebra import Field, Polynomial, QQ, parse_poly, var
+from arcjet.algebra import Field, Gaussian, Polynomial, QQ, parse_poly, var
 from arcjet.catalog import preset_grid
 from arcjet.hasse import (
     JetSystem,
@@ -17,9 +19,11 @@ from arcjet.hasse import (
 FIELDS = [QQ, Field(2), Field(3), Field(5)]
 
 
-def base_poly_strategy(field, max_exp=2, max_terms=5, max_degree=6):
-    """Polynomials in x0, y0, z0 only (base equations)."""
-    coeff = st.integers(min_value=-9, max_value=9).filter(bool)
+def base_poly_strategy(field, max_exp=2, max_terms=5, max_degree=6, coeff=None):
+    """Polynomials in x0, y0, z0 only (base equations); nonzero integer
+    coefficients unless ``coeff`` draws them."""
+    if coeff is None:
+        coeff = st.integers(min_value=-9, max_value=9).filter(bool)
     exp = st.integers(0, max_exp)
     mono = st.tuples(exp, exp, exp).filter(lambda e: sum(e) <= max_degree)
     term = st.tuples(mono, coeff)
@@ -117,6 +121,122 @@ def test_derivative_additivity(data):
     assert JetSystem(f + g).derivative(m) == JetSystem(f).derivative(m) + JetSystem(
         g
     ).derivative(m)
+
+
+# -- the shifted route: f_m modulo vanishing coordinates -----------------------
+
+# Q, Q(i), F_p and F_p(i) (p = 3 mod 4 takes i)
+SHIFT_FIELDS = [QQ, Field(0, True), Field(2), Field(3), Field(5), Field(3, True), Field(7, True)]
+
+
+def scalar_strategy(field):
+    """Rational coefficients (denominators prime to p), Gaussian ones when
+    i is adjoined; zero is allowed and drops out of the polynomial."""
+    den = st.integers(1, 6)
+    if field.char:
+        den = den.filter(lambda d: d % field.char)
+    base = st.builds(Fraction, st.integers(-6, 6), den)
+    return st.builds(Gaussian, base, base) if field.i_adjoined else base
+
+
+def zero_set_strategy():
+    """An initial segment in each family, plus coordinates past it (gaps)
+    or none."""
+    segments = st.tuples(*(st.integers(0, 3) for _ in "xyz"))
+    extra = st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 6)), max_size=3)
+    return st.builds(
+        lambda seg, more: frozenset(
+            [var(fam, k) for fam, n in zip("xyz", seg) for k in range(n)]
+            + [var(fam, k) for fam, k in more]
+        ),
+        segments,
+        extra,
+    )
+
+
+def shifted_route_mismatch(route, sys, m, zs, level):
+    """Why ``route(sys, m, zs)`` is not ``f_m`` modulo ``zs``: a wrong value
+    against ``level``, the series route's ``f_m``, or the right terms in
+    another order than the unshifted level filtered by ``reduce_mod_vars``;
+    None when it is."""
+    got = route(sys, m, zs)
+    want = level.reduce_mod_vars(zs)
+    if got != want:
+        return f"value {got} != {want}"
+    filtered = sys.derivative(m).reduce_mod_vars(zs)
+    if list(got.terms) != list(filtered.terms):
+        return "term order differs from the filtered unshifted level"
+    return None
+
+
+def reads_level_m(sys, m, zs):
+    # control: the orders are shifted but the level is not
+    fr = frontier_of(zs)
+    shifted = {
+        tuple(((fam, o + fr[fam]), e) for (fam, o), e in mono): c
+        for mono, c in sys.derivative(m).terms.items()
+    }
+    return Polynomial(sys.field, shifted).reduce_mod_vars(zs)
+
+
+def skips_the_gaps(sys, m, zs):
+    # control: only the initial segments of the zero set are dropped
+    fr = frontier_of(zs)
+    return sys.derivative(m, {var(fam, k) for fam in "xyz" for k in range(fr[fam])})
+
+
+@pytest.mark.parametrize("field", SHIFT_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shifted_derivative_matches_series_route(field, data):
+    """``derivative(m, Z)`` reads each monomial of f at its level shifted by
+    the frontier of Z: it equals the series route reduced modulo Z, with
+    the terms in the order of the unshifted level filtered by Z."""
+    f = data.draw(base_poly_strategy(field, 3, 4, 5, coeff=scalar_strategy(field)))
+    sys = JetSystem(f)
+    zs = data.draw(zero_set_strategy())
+    series = series_oracle(sys.f, data.draw(st.integers(0, 6)))
+    for m, level in enumerate(series):
+        mismatch = shifted_route_mismatch(JetSystem.derivative, sys, m, zs, level)
+        assert mismatch is None, (sys.f, sorted(zs), m, mismatch)
+
+
+CONTROL_CASES = [
+    ("z^3 + x*y", QQ, {var("x", 0), var("y", 0), var("z", 0)}),
+    ("z^3 + x*y", QQ, {var("x", 0), var("y", 0), var("z", 0), var("x", 2)}),
+    ("z^2 + x^3 + y^5", Field(3), {var("x", 0), var("y", 0), var("z", 0), var("y", 3)}),
+    ("z^2 + x^2*y + y^3", Field(3, True), {var("x", 0), var("z", 0), var("z", 1), var("x", 3)}),
+]
+
+
+@pytest.mark.parametrize("control", [reads_level_m, skips_the_gaps], ids=lambda c: c.__name__)
+def test_broken_shifts_fail_the_differential_check(control):
+    caught = []
+    for text, field, zs in CONTROL_CASES:
+        sys = JetSystem(parse_poly(text, field))
+        for m, level in enumerate(series_oracle(sys.f, 7)):
+            # the check accepts the tower itself on the same cases
+            assert shifted_route_mismatch(JetSystem.derivative, sys, m, frozenset(zs), level) is None
+            if shifted_route_mismatch(control, sys, m, frozenset(zs), level):
+                caught.append((text, m))
+    assert caught, f"{control.__name__} passes the check"
+
+
+def test_shifted_route_builds_shallow_tables():
+    # modulo x0, y0, z0 the E8 equation's level 12 reads its monomials at
+    # levels 10, 9 and 7: no table is built deeper than that
+    sys = JetSystem(parse_poly("z^2 + x^3 + y^5", QQ))
+    sys.derivative(12, {var(fam, 0) for fam in "xyz"})
+    assert max(len(levels) - 1 for levels in sys._tables.values()) == 10
+
+
+def test_shifted_pairs_are_interned_per_frontier():
+    sys = JetSystem(parse_poly("z^2 + x^3 + y^5", Field(5)))
+    zs = frozenset({var(fam, 0) for fam in "xyz"})
+    first, again = sys.derivative(9, zs), sys.derivative(9, zs)
+    assert first == again
+    pairs = {id(pair) for f in (first, again) for mono in f.terms for pair in mono}
+    assert len(pairs) == len({pair for mono in first.terms for pair in mono})
 
 
 # -- congruence shape -------------------------------------------------------

@@ -193,3 +193,43 @@ def test_reductions_are_built_only_by_reduction_of(path):
         == "Reduction"
     ]
     assert not direct, f"{path.name} builds a Reduction directly: {', '.join(direct)}"
+
+
+def reductions_of_derivatives(tree: ast.Module):
+    """``.reduce_mod_vars(`` called on a ``derivative(...)`` call, or on a
+    name bound to one in the same function."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {
+            t.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Assign) and calls_to(n.value, "derivative")
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for call in calls_to(fn, "reduce_mod_vars"):
+            on = call.func.value
+            if calls_to(on, "derivative") or (isinstance(on, ast.Name) and on.id in bound):
+                yield call.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_derivatives_are_reduced_on_the_shifted_route(path):
+    # ``JetSystem.derivative(m, zero_vars)`` reads f_m modulo the zero set
+    # off shallow levels of the tower; reducing a full level afterwards
+    # would build the deep levels that route avoids
+    tree = ast.parse(path.read_text(), filename=str(path))
+    direct = sorted({f"line {n}" for n in reductions_of_derivatives(tree)})
+    assert not direct, f"{path.name} reduces a full derivative level: {', '.join(direct)}"
+
+
+def test_the_shifted_route_guard_sees_both_spellings():
+    # control: the chained call and the old ``derive --reduce`` loop
+    chained = ast.parse("def f(sys, zs):\n    return sys.derivative(3).reduce_mod_vars(zs)\n")
+    stepwise = ast.parse(
+        "def f(sys, zs):\n    d = sys.derivative(3)\n    if zs:\n        d = d.reduce_mod_vars(zs)\n    return d\n"
+    )
+    shifted = ast.parse("def f(sys, zs):\n    return sys.derivative(3, zs)\n")
+    assert list(reductions_of_derivatives(chained)) and list(reductions_of_derivatives(stepwise))
+    assert not list(reductions_of_derivatives(shifted))
