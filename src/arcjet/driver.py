@@ -37,6 +37,7 @@ from .algebra import (
 from .hasse import JetSystem
 from .strata import (
     EngineError,
+    PivotChoice,
     Stratum,
     add_equation,
     closure_contains,
@@ -108,8 +109,19 @@ def run_driver(
     covers: Covers = MappingProxyType({}),
     max_level: int = 64,
 ) -> StratificationTree:
-    """Stratify the fiber up to ``max_level``."""
+    """Stratify the fiber up to ``max_level``.  When f has a nonzero
+    constant term f_0 the surface misses the origin: the fiber is empty and
+    the tree is one empty root."""
     tree = StratificationTree(nodes=[], components=[], max_level=max_level)
+    f_0 = sys.f.terms.get(())
+    if f_0:
+        root = _new_node(tree, None, 0, root_stratum())
+        root.kind = "empty"
+        root.note = (
+            f"f_0 = {format_poly(Polynomial.const(sys.field, f_0))} does not vanish: "
+            "the surface misses the origin"
+        )
+        return tree
     _process(sys, covers, tree, root_stratum(), level=1, parent=None)
     _absorb_residuals(sys, tree)
     return tree
@@ -180,13 +192,44 @@ def _process(
             s = add_equation(s, q, n)
             continue
         if n not in covers:
-            pivot = find_pivot(s, q)
+            pivot = _pivot(sys, s, q)
             if pivot is not None:
-                chart = eliminate_tail(sys, s, n, q, pivot)
+                chart = _eliminate(sys, s, n, q, pivot)
                 _mark_chart(node, chart, _new_component(tree, n))
                 return node
         _do_cover(sys, covers, tree, node, s, n, q)
         return node
+
+
+# Each driver run of a level graph re-derives the charts of the shallower
+# runs (E8 to level 35: 153 eliminations of 8 distinct inputs, 531 pivot
+# searches of 20), so the two pure moves are decided once per tower, in
+# ``JetSystem.moves``.  Per tower, not process-wide: a preset builds a fresh
+# tower per operation, so a process-wide cache would never hit across
+# operations and would only keep dead towers alive.  A None pivot is kept;
+# an elimination that raises keeps nothing and raises again on every call.
+# ``find_pivot`` and ``eliminate_tail`` stay the uncached reference route.
+
+
+def _pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
+    """``find_pivot(s, q)``, decided once per tower."""
+    key = (s, q)
+    try:
+        return sys.moves[key]
+    except KeyError:
+        pivot = sys.moves[key] = find_pivot(s, q)
+        return pivot
+
+
+def _eliminate(
+    sys: JetSystem, s: Stratum, n: int, q: Polynomial, pivot: PivotChoice
+) -> Stratum:
+    """``eliminate_tail(sys, s, n, q, pivot)``, decided once per tower."""
+    key = (s, n, q, pivot)
+    chart = sys.moves.get(key)
+    if chart is None:
+        chart = sys.moves[key] = eliminate_tail(sys, s, n, q, pivot)
+    return chart
 
 
 def _do_split(sys, covers, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
@@ -246,13 +289,13 @@ def _factor_chart(
         raise EngineError(
             f"factor chart at level {n} has a non-unit content at level {n2}"
         )
-    pivot = find_pivot(s_f, r)
+    pivot = _pivot(sys, s_f, r)
     if pivot is None:
         raise EngineError(
             f"no invertible pivot on the factor chart at level {n} "
             f"in characteristic {sys.field.char}"
         )
-    return eliminate_tail(sys, s_f, n2, r, pivot)
+    return _eliminate(sys, s_f, n2, r, pivot)
 
 
 def _do_cover(
@@ -265,7 +308,7 @@ def _do_cover(
     q: Polynomial,
 ) -> None:
     field = sys.field
-    unit_sets = covers.get(n) or _auto_cover(s, q)
+    unit_sets = covers.get(n) or _auto_cover(sys, s, q)
     terminal = coxeter_number(q) == n
     node.kind = "cover"
     node.note = (
@@ -290,13 +333,13 @@ def _do_cover(
             continue
         if comp is None:
             comp = _new_component(tree, n)
-        pivot = find_pivot(s_ch, q)
+        pivot = _pivot(sys, s_ch, q)
         if pivot is None:
             raise EngineError(
                 f"no invertible pivot at level {n} on chart "
                 f"{{{','.join(var_name(v) for v in uset)}}} in characteristic {field.char}"
             )
-        chart = eliminate_tail(sys, s_ch, n, q, pivot)
+        chart = _eliminate(sys, s_ch, n, q, pivot)
         _mark_chart(_new_node(tree, node.nid, n, chart), chart, comp)
     # closed complement
     cover_vars = sorted({v for us in unit_sets for v in us}, key=var_key)
@@ -378,14 +421,14 @@ def coxeter_number(f: Polynomial) -> Optional[int]:
     return int(1 / excess)
 
 
-def _auto_cover(s: Stratum, q: Polynomial) -> tuple[tuple[Var, ...], ...]:
+def _auto_cover(sys: JetSystem, s: Stratum, q: Polynomial) -> tuple[tuple[Var, ...], ...]:
     """Derive localization sets: any coordinate of a mixed monomial whose
     inversion produces a pivot gets its own chart; for pure-power equations
     a single chart at the highest-exponent workable coordinate suffices."""
     candidates = []
     for v in sorted(q.variables(), key=_split_key, reverse=True):
         probe = replace(s, units=s.units + (Polynomial.variable(q.field, v),))
-        if find_pivot(probe, q) is not None:
+        if _pivot(sys, probe, q) is not None:
             candidates.append(v)
     if not candidates:
         raise EngineError("no usable localization for cover")

@@ -90,6 +90,10 @@ class JetSystem:
         self._relabels: dict[tuple[int, int, int], _Relabel] = {}
         # (zero_vars, equations, m) -> f_m simplified modulo the stratum
         self._reduced: dict[tuple, Polynomial] = {}
+        # the driver's decided moves on this tower, keyed by their full
+        # arguments: (s, q) -> pivot, (s, n, q, pivot) -> chart
+        # (``driver._pivot``, ``driver._eliminate``)
+        self.moves: dict[tuple, object] = {}
 
     def derivative(self, m: int, zero_vars: Iterable[Var] = frozenset()) -> Polynomial:
         """``f_m`` modulo the coordinates ``zero_vars``: each monomial of

@@ -65,17 +65,22 @@ def point_assignment(pt: JetPoint, m: int) -> dict[Var, int]:
 
 def transport_scalar(c, target: Field):
     """Move a coefficient into the probe field, resolving i if needed."""
-    if isinstance(c, Gaussian) and not target.i_adjoined:
-        if c.im == 0:
-            return target.of(c.re)
-        r = target.square_root(target.of(-1))
-        if r is None:
-            raise OracleError(
-                f"coefficient {c!r} needs a square root of -1 that "
-                f"F_{target.char} lacks"
-            )
-        return target.add(target.of(c.re), target.mul(target.of(c.im), r))
-    return target.of(c)
+    try:
+        if isinstance(c, Gaussian) and not target.i_adjoined:
+            if c.im == 0:
+                return target.of(c.re)
+            r = target.square_root(target.of(-1))
+            if r is None:
+                raise OracleError(
+                    f"coefficient {c!r} needs a square root of -1 that "
+                    f"F_{target.char} lacks"
+                )
+            return target.add(target.of(c.re), target.mul(target.of(c.im), r))
+        return target.of(c)
+    except ZeroDivisionError as e:
+        raise OracleError(
+            f"coefficient {c} has a denominator that vanishes in F_{target.char}"
+        ) from e
 
 
 def transport_poly(p: Polynomial, target: Field) -> Polynomial:
@@ -254,11 +259,13 @@ def enumerate_fiber(
     the ``p**3`` last-order values that pass the levels checked there
     (all of them when none is).
     """
-    if p ** (3 * m) > budget:
-        raise OracleError("fiber too large; reduce m or p")
     field = probe_field(sys.field, p)
     if field != sys.field:
         sys = JetSystem(transport_poly(sys.f, field))
+    if sys.f.terms.get(()):
+        return []  # f(0) != 0: the surface misses the origin
+    if p ** (3 * m) > budget:
+        raise OracleError("fiber too large; reduce m or p")
     if m == 0:
         return [()]  # the origin alone
     # Each level is checked once the highest order among its terms is

@@ -171,12 +171,13 @@ class Reduction:
     else of the stratum, so strata with equal ``(zero_vars, equations)``
     share one (``reduction_of``)."""
 
-    __slots__ = ("zero_vars", "equations", "_rules", "_vanishes")
+    __slots__ = ("zero_vars", "equations", "_rules", "_equation_set", "_vanishes")
 
     def __init__(self, zero_vars: frozenset[Var], equations: tuple[Polynomial, ...]):
         self.zero_vars = zero_vars
         self.equations = equations
         self._rules: Optional[tuple[RewriteRule, ...]] = None
+        self._equation_set: Optional[frozenset[Polynomial]] = None
         self._vanishes: dict[Polynomial, bool] = {}
 
     @property
@@ -193,10 +194,14 @@ class Reduction:
 
     def vanishes(self, e: Polynomial) -> bool:
         """Does ``e`` vanish on the strata: is it one of their equations or
-        does it reduce to zero?  Each distinct ``e`` is decided once."""
+        does it reduce to zero?  Each distinct ``e`` is decided once, and
+        membership is a hash lookup in the equations as a set, built on
+        first use (equal polynomials hash alike)."""
         v = self._vanishes.get(e)
         if v is None:
-            v = self._vanishes[e] = e in self.equations or not self(e)
+            if self._equation_set is None:
+                self._equation_set = frozenset(self.equations)
+            v = self._vanishes[e] = e in self._equation_set or not self(e)
         return v
 
 

@@ -1,14 +1,20 @@
 """Stratification driver: splits, covers, factor charts, residual absorption."""
 
+import functools
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
-from arcjet import driver
+from arcjet import driver, strata
 from arcjet.algebra import Field, QQ, parse_poly, var
-from arcjet.catalog import preset_grid
+from arcjet.catalog import components, preset, preset_grid
+from arcjet.cli import _oracle_plan
 from arcjet.driver import _square_split, coxeter_number, run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import build_graph
-from arcjet.strata import Stratum, check_elimination_soundness, root_stratum
+from arcjet.strata import EngineError, Stratum, check_elimination_soundness, root_stratum
 
 
 def P(text, field=QQ):
@@ -234,3 +240,173 @@ def test_every_node_records_its_decision():
             for nid in comp.chart_nodes:
                 node = tree.node(nid)
                 assert node.kind == "chart" and node.component == comp.index, (pr.label, nid)
+
+
+# -- the driver's moves, decided once per tower --------------------------------
+
+
+def fresh_outcome(sys, args):
+    """The uncached move's result, or the error it raises."""
+    try:
+        if len(args) == 2:
+            return strata.find_pivot(*args)
+        return strata.eliminate_tail(sys, *args)
+    except Exception as e:
+        return repr(e)
+
+
+def move_mismatches(monkeypatch, build) -> tuple[list, list]:
+    """Run ``build``, then ask each elimination it asked again one level up
+    and with every other variable of its relation as the pivot: asks that
+    a memo key missing the level or the pivot would confuse.  Every move
+    asked through ``driver._pivot`` and ``driver._eliminate`` with its
+    outcome, and those whose outcome differs from a fresh
+    ``strata.find_pivot`` or ``strata.eliminate_tail`` call."""
+    asked = []
+    for name in ("_pivot", "_eliminate"):
+
+        def recording(sys, *args, move=getattr(driver, name)):
+            try:
+                out = move(sys, *args)
+            except Exception as e:
+                asked.append((sys, args, repr(e)))
+                raise
+            asked.append((sys, args, out))
+            return out
+
+        monkeypatch.setattr(driver, name, recording)
+    build()
+    eliminations = {(id(sys), args): (sys, args) for sys, args, _ in asked if len(args) == 4}
+    for sys, (s, n, q, pivot) in eliminations.values():
+        others = q.variables() - {pivot.v}
+        neighbours = [(n + 1, pivot)] + [(n, replace(pivot, v=w)) for w in others]
+        for level, choice in neighbours:
+            try:
+                driver._eliminate(sys, s, level, q, choice)
+            except (EngineError, ValueError):
+                pass
+    monkeypatch.undo()
+    fresh = {}
+    bad = []
+    for sys, args, out in asked:
+        key = (id(sys), args)
+        if key not in fresh:
+            fresh[key] = fresh_outcome(sys, args)
+        if out != fresh[key]:
+            bad.append(args)
+    return asked, bad
+
+
+def ask_every_move():
+    """The moves of each preset's ``components`` and oracle-plan runs, and
+    of the E8 (char 0) graph to level 35."""
+    for pr in preset_grid():
+        components(pr)
+        for _, m in _oracle_plan(pr):
+            run_driver(pr.system, pr.covers, max_level=m)
+    pr = preset("E8", char=0)
+    build_graph(pr.system, pr.covers, 35)
+
+
+def e8_graph_to_12():
+    pr = preset("E8", char=0)
+    build_graph(pr.system, pr.covers, 12)
+
+
+def test_memoised_moves_match_the_uncached_route(monkeypatch):
+    asked, bad = move_mismatches(monkeypatch, ask_every_move)
+    # the runs ask 2,389 moves on 1,190 distinct inputs, and the neighbours
+    # add about 1,300 distinct ones: over a thousand asks are repeats
+    distinct = {(id(sys), args) for sys, args, _ in asked}
+    assert len(asked) - len(distinct) > 1000
+    assert bad == []
+
+
+@pytest.mark.parametrize("dropped", ["level", "pivot"])
+def test_a_move_memo_missing_part_of_its_key_fails_the_differential_test(monkeypatch, dropped):
+    """Control: an elimination memo keyed without the level, or without the
+    pivot, hands an ask another ask's chart."""
+
+    def partial_key(sys, s, n, q, pivot):
+        key = ("elimination", s, q, pivot if dropped == "level" else n)
+        if key not in sys.moves:
+            sys.moves[key] = strata.eliminate_tail(sys, s, n, q, pivot)
+        return sys.moves[key]
+
+    monkeypatch.setattr(driver, "_eliminate", partial_key)
+    assert move_mismatches(monkeypatch, e8_graph_to_12)[1]
+
+
+def counted(monkeypatch, name) -> list:
+    """Count the calls the memo makes to the uncached move ``name``."""
+    calls = []
+    move = getattr(strata, name)
+
+    def counting(*args):
+        calls.append(args)
+        return move(*args)
+
+    monkeypatch.setattr(driver, name, counting)
+    return calls
+
+
+def test_a_failing_elimination_raises_on_every_call(monkeypatch):
+    """An elimination that raises leaves nothing in the memo: the second ask
+    runs the move again and raises again.  A good one runs once."""
+    calls = counted(monkeypatch, "eliminate_tail")
+    sys = JetSystem(P("z^2 + x*y"))
+    q = P("x1*y1 + z1^2")
+    s = replace(root_stratum(), units=(P("x1"),))
+    pivot = driver._pivot(sys, s, q)
+    assert pivot.v == var("y", 1)
+    # x1's coefficient y1 is no unit on this chart
+    wrong = replace(pivot, v=var("x", 1))
+    for _ in range(2):
+        with pytest.raises(EngineError, match="unstable elimination coefficient"):
+            driver._eliminate(sys, s, 2, q, wrong)
+    assert len(calls) == 2
+    assert driver._eliminate(sys, s, 2, q, pivot) is driver._eliminate(sys, s, 2, q, pivot)
+    assert len(calls) == 3
+
+
+def test_a_missing_pivot_is_decided_once(monkeypatch):
+    calls = counted(monkeypatch, "find_pivot")
+    sys = JetSystem(P("z^2 + x*y"))
+    for _ in range(2):
+        # the partial 2*x1 has the loose content x1
+        assert driver._pivot(sys, root_stratum(), P("x1^2")) is None
+    assert len(calls) == 1
+
+
+def tower_collected() -> bool:
+    """Is a preset's tower freed once its driver run and graph are done?"""
+    pr = preset("E8", char=0)
+    tower = weakref.ref(pr.system)
+    run_driver(pr.system, pr.covers, pr.max_level)
+    build_graph(pr.system, pr.covers, 12)
+    del pr
+    gc.collect()
+    return tower() is None
+
+
+def test_the_move_memo_dies_with_its_tower():
+    assert tower_collected()
+
+
+def test_a_process_wide_elimination_cache_keeps_dead_towers_alive(monkeypatch):
+    """Control: a cache keyed by the tower outlives it."""
+    monkeypatch.setattr(driver, "eliminate_tail", functools.lru_cache(strata.eliminate_tail))
+    assert not tower_collected()
+
+
+# -- a surface off the origin --------------------------------------------------
+
+
+def test_a_surface_off_the_origin_is_one_empty_leaf():
+    # 1 + x*y + z^2 misses the origin: its fiber is empty at every level
+    sys = JetSystem(P("1 + x*y + z^2", Field(3)))
+    tree = run_driver(sys, {}, max_level=3)
+    assert tree.components == [] and len(tree.nodes) == 1
+    (root,) = tree.nodes
+    assert root.kind == "empty" and not root.children
+    assert root.note.startswith("f_0 = 1 ")

@@ -143,6 +143,26 @@ def test_budget_guard():
         enumerate_fiber(JetSystem(f), 3, 6, budget=1000)
 
 
+def test_a_surface_off_the_origin_has_an_empty_fiber():
+    # 1 + x*y + z^2 misses the origin: no jet of any level lies over it, not
+    # even the origin itself at level 0; over Q, 3 + x*y + z^2 passes
+    # through the origin mod 3
+    sys = JetSystem(parse_poly("1 + x*y + z^2", Field(3)))
+    assert [enumerate_fiber(sys, 3, m) for m in (0, 1, 2)] == [[], [], []]
+    over_q = JetSystem(parse_poly("3 + x*y + z^2", Field(0)))
+    cone = JetSystem(parse_poly("x*y + z^2", Field(3)))
+    assert enumerate_fiber(over_q, 3, 1) == enumerate_fiber(cone, 3, 1)
+
+
+def test_a_denominator_that_vanishes_mod_p_is_an_oracle_error():
+    # some chart of this characteristic-0 tree carries the coefficient 16/9,
+    # which has no value in F_3
+    sys = JetSystem(parse_poly("-4*x0*y0 - 9*x0*z0 - 8*x0^2 - 2*x0*z0^2 - 4*y0^2*z0", Field(0)))
+    tree = run_driver(sys, {}, max_level=3)
+    with pytest.raises(OracleError, match="16/9 .* F_3"):
+        audit_tree(sys, tree, enumerate_fiber(sys, 3, 3), 3, probe_field(sys.field, 3))
+
+
 def test_probe_field_carries_extension():
     pr = preset("E6", char=0)
     target = probe_field(pr.equation.field, 3)

@@ -6,7 +6,7 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arcjet import strata
+from arcjet import driver, jetgraph, strata
 from arcjet.algebra import Field, Polynomial, QQ, mono_vars, parse_poly, var, var_key
 from arcjet.catalog import preset, preset_grid
 from arcjet.driver import run_driver
@@ -400,7 +400,8 @@ def test_shared_reductions_match_the_uncached_route(monkeypatch):
 def test_the_e8_graph_builds_one_rule_set_per_reduction_key(monkeypatch):
     """The E8 (char 0) graph to level 35 builds the rules of each distinct
     (zero_vars, equations) once, however many strata of its 35 driver runs
-    and truncations ask: 182 rule sets for 1,050 strata."""
+    and truncations ask: 182 rule sets for 394 strata (the runs share
+    their charts through the tower's move memo)."""
     builds = 0
     rules_for = strata.rewrite_rules_for
 
@@ -413,7 +414,50 @@ def test_the_e8_graph_builds_one_rule_set_per_reduction_key(monkeypatch):
     pr = preset("E8", char=0)
     calls, seen = recorded_reductions(monkeypatch, lambda: build_graph(pr.system, pr.covers, 35))
     assert builds == len(seen) <= 182
-    assert calls > 5 * len(seen)
+    assert calls > 2 * len(seen)
+
+
+def reference_closure_contains(b: Stratum, a: Stratum, field: Field) -> bool:
+    """``closure_contains`` with an uncached reduction and its equation
+    membership a scan of the tuple."""
+    rules = uncached_rules(tuple(e.reduce_mod_vars(a.zero_vars) for e in a.equations))
+
+    def vanishes(p):
+        return not rewrite(p.reduce_mod_vars(a.zero_vars), rules)
+
+    return (
+        all(v in a.zero_vars or vanishes(Polynomial.variable(field, v)) for v in b.zero_vars)
+        and all(
+            mm in a.zero_monomials or vanishes(Polynomial.monomial(field, mm))
+            for mm in b.zero_monomials
+        )
+        and all(any(e == f for f in a.equations) or vanishes(e) for e in b.equations)
+    )
+
+
+def test_closure_contains_matches_the_reference_on_every_graph_pair(monkeypatch):
+    """Every containment that the E8 (char 0) graph to level 35 and the
+    level-6 graphs of all 69 presets ask, the driver's residual absorption
+    included, gets the reference verdict."""
+    asked = []
+
+    def recording(b, a, field):
+        verdict = strata.closure_contains(b, a, field)
+        asked.append((b, a, field, verdict))
+        return verdict
+
+    monkeypatch.setattr(jetgraph, "closure_contains", recording)
+    monkeypatch.setattr(driver, "closure_contains", recording)
+    pr = preset("E8", char=0)
+    build_graph(pr.system, pr.covers, 35)
+    for pr in preset_grid():
+        build_graph(pr.system, pr.covers, 6)
+    monkeypatch.undo()
+    assert len(asked) > 5000 and {v for *_, v in asked} == {True, False}
+    assert [
+        (b, a) for b, a, field, verdict in dict.fromkeys(asked)
+        if verdict != reference_closure_contains(b, a, field)
+    ] == []
 
 
 def test_a_memo_keyed_by_the_zero_set_alone_fails_the_differential_test(monkeypatch):
