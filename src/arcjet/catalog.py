@@ -212,8 +212,8 @@ def golden_table(preset: SingularityPreset) -> tuple[CongruenceLine, ...]:
     n = preset.n
     lines: list[CongruenceLine] = []
 
-    def add(level, zeroed, expected, label, hard=True):
-        lines.append(CongruenceLine(level, zeroed, expected, label, strict and hard))
+    def add(level, zeroed, expected, label):
+        lines.append(CongruenceLine(level, zeroed, expected, label, strict))
 
     if preset.kind == "A":
         for i in range(1, n):
@@ -350,6 +350,20 @@ class PairVerdict:
     container: int
     resolved: bool
     certificate: Optional[WitnessCertificate]
+
+    def describe(self) -> dict:
+        c = self.certificate
+        return {
+            "excluded": self.excluded,
+            "container": self.container,
+            "resolved": self.resolved,
+            "certificate": None if c is None else {
+                "container": c.container, "excluded": c.excluded, "kind": c.kind,
+                "witness": c.witness, "evidence": c.evidence, "level": c.level,
+                "target": None if c.target is None else var_name(c.target),
+                "restriction": [var_name(v) for v in c.restriction],
+            },
+        }
 
 
 def _unit_vs_zero(

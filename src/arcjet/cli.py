@@ -9,7 +9,9 @@ Subcommands:
   verify      the full check pipeline for one preset or the whole grid
 
 Every report is a single JSON document (sections: congruences, components,
-noninclusion, coverage, graph) with a human summary on stdout.  Exit code
+noninclusion, coverage, graph) with a human summary on stdout: each check
+hands back JSON data, engine objects render through ``describe()``, and the
+report goes through one ``json.dumps(indent=2, sort_keys=True)``.  Exit code
 0 means every check passed, 1 means a check failed (the report says
 which) or a preset, equation, coordinate or characteristic was malformed
 (a JSON error object), 2 is a usage error.  Identical invocations produce
@@ -20,14 +22,13 @@ the ARCJET_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys as _sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .algebra import Field, Polynomial, Var, format_poly, parse_poly, var, var_name
+from .algebra import Field, Var, format_poly, parse_poly, var
 from .catalog import (
     PresetError,
     SingularityPreset,
@@ -48,24 +49,6 @@ class InputError(ValueError):
     or an output file that cannot be written."""
 
 
-def _jsonable(obj):
-    """Normalize engine objects into deterministic JSON-friendly data."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, Polynomial):
-        return format_poly(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], str) and isinstance(obj[1], int):
-        # a coordinate (family, order) pair
-        return var_name(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
@@ -78,6 +61,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         _sys.stdout.write(text)
         if not text.endswith("\n"):
             _sys.stdout.write("\n")
+
+
+def _emit_json(report: dict, out: Optional[str]) -> None:
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
 
 
 def _preset_from_args(args) -> SingularityPreset:
@@ -149,8 +136,7 @@ def _component_inventory(pr: SingularityPreset, tree: StratificationTree) -> dic
 
 def cmd_components(args) -> int:
     pr = _preset_from_args(args)
-    inv = _component_inventory(pr, components(pr))
-    _emit(json.dumps(_jsonable(inv), indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(_component_inventory(pr, components(pr)), args.out)
     return 0
 
 
@@ -198,7 +184,7 @@ def cmd_oracle(args) -> int:
         section = _oracle_section(pr, p, args.level, args.budget)
         report = {"preset": pr.label, **section}
         report["ok"] = section["exclusive"] if args.check == "coverage" else section["partition"]
-    _emit(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(report, args.out)
     return 0 if report["ok"] else 1
 
 
@@ -220,13 +206,11 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
     congr = verify_congruence_table(pr)
     report["congruences"] = {
         "lines": len(congr["lines"]),
-        "discrepancies": _jsonable(congr["discrepancies"]),
+        "discrepancies": congr["discrepancies"],
         "ok": congr["ok"],
     }
     try:
         tree = components(pr)
-        inv = _component_inventory(pr, tree)
-        count_ok = inv["count"] == inv["expected"]
     except PresetError as exc:
         report["components"] = {"ok": False, "error": str(exc)}
         report["noninclusion"] = {"ok": False, "error": "skipped"}
@@ -234,14 +218,13 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
         report["graph"] = None
         report["ok"] = False
         return report
-    report["components"] = {**_jsonable(inv), "ok": count_ok}
+    # components() raised above on a count mismatch
+    report["components"] = {**_component_inventory(pr, tree), "ok": True}
     matrix = noninclusion_matrix(pr, tree)
     report["noninclusion"] = {
         "pairs": len(matrix["pairs"]),
-        "unresolved": _jsonable(matrix["unresolved"]),
-        "certificates": _jsonable(
-            [v for v in matrix["pairs"] if v.resolved]
-        ),
+        "unresolved": matrix["unresolved"],
+        "certificates": [v.describe() for v in matrix["pairs"] if v.resolved],
         "ok": matrix["ok"],
     }
     cov = []
@@ -255,7 +238,7 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
         g = build_graph(pr.system, pr.covers, graph_level)
         rep = simple_branch_check(g)
         rep["ok"] = rep["ok"] and rep["chain_count"] == pr.expected_count
-        report["graph"] = _jsonable(rep)
+        report["graph"] = rep
     else:
         report["graph"] = None
     report["ok"] = (
@@ -287,8 +270,7 @@ def cmd_verify(args) -> int:
         report = {"presets": results, "ok": all(r["ok"] for r in results)}
     else:
         report = _verify_one(_preset_from_args(args), graph_level=args.graph_level)
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    _emit_json(report, args.out)
     if args.out:
         if args.all:
             for r in report["presets"]:

@@ -445,7 +445,10 @@ def rule_instance(
         raise ValueError("level below rule start")
     r = sys.reduced(chart, m)
     w = (rule.family, rule.solved_order(m))
-    c_m, rest = r.coefficient_of(w)
+    try:
+        c_m, rest = r.coefficient_of(w)
+    except ValueError:
+        raise EngineError(f"level {m} is nonlinear in {var_name(w)}: the rule cannot solve it") from None
     return w, c_m, -rest
 
 

@@ -7,6 +7,7 @@ import pytest
 from arcjet import driver
 from arcjet.algebra import QQ, parse_poly, var
 from arcjet.catalog import (
+    PairVerdict,
     PresetError,
     _base_equation,
     components,
@@ -236,6 +237,22 @@ def test_e8_first_pair_certificate_pinned(char):
     assert cert.kind == "forced-vanishing"
     assert cert.level == 8
     assert cert.target == (var("x", 4) if char == 2 else var("z", 5))
+
+
+def test_pair_verdicts_describe_coordinates_by_name():
+    pr = preset("E8", char=0)
+    pairs = noninclusion_matrix(pr, components(pr))["pairs"]
+    (first,) = [v for v in pairs if (v.excluded, v.container) == (1, 0)]
+    cert = first.describe()["certificate"]
+    assert cert["kind"] == "forced-vanishing" and cert["level"] == 8
+    assert cert["target"] == "z5"
+    assert cert["restriction"] == ["x0", "x1", "x2", "x3", "y0", "y1", "z0", "z1", "z2", "z4"]
+    unit = next(v for v in pairs if v.certificate.kind == "unit-vs-zero").describe()
+    assert unit["resolved"] is True
+    assert unit["certificate"]["target"] is None and unit["certificate"]["restriction"] == []
+    assert PairVerdict(2, 3, False, None).describe() == {
+        "excluded": 2, "container": 3, "resolved": False, "certificate": None,
+    }
 
 
 def test_d_pairs_separated():

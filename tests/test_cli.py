@@ -1,5 +1,6 @@
 """Command-line entry point: subcommands, exit codes, config expansion."""
 
+import hashlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -98,6 +99,58 @@ def test_verify_single_preset_deterministic(capsys):
     _, a = run(capsys, "verify", "--kind", "A", "--n", "1", "--char", "2")
     _, b = run(capsys, "verify", "--kind", "A", "--n", "1", "--char", "2")
     assert a == b
+
+
+# sha256 of stdout, one invocation per subcommand report shape that the
+# verify --all and graph-export pins do not cover
+CLI_OUTPUT_SHA256 = [
+    ("components --kind E8 --char 0", "c207be274083ffe3a48f6a6b1847f19e5529a06a9c10b152c8a507eb7734c526"),
+    ("components --kind E6 --char 0", "943ea8d44f09d012902a3d2716866e24845baa8ff4e4790d3a72c6de61fbfe43"),
+    (
+        "components --kind D --n 4 --char 2 --variant x*y^2*z",
+        "34e73919406f7f52cc4b9ac20bdd9fd2e9ff53c1bcbea150ce31a2c0244bedc4",
+    ),
+    (
+        "oracle --kind D --n 2 --char 3 --level 3 --check coverage",
+        "3ec3147fc3e4a9e5e45ff5e3cd7a05f08522630a8ff76274a85763a9f7a52f1f",
+    ),
+    (
+        "oracle --kind D --n 2 --char 3 --level 3 --check partition",
+        "3ec3147fc3e4a9e5e45ff5e3cd7a05f08522630a8ff76274a85763a9f7a52f1f",
+    ),
+    (
+        "oracle --kind E6 --char 7 --level 2 --check counts",
+        "c4c659157731b82a7dd32f6c1794c64c11c9b41b2bc6a4ed834ec211da6ac55d",
+    ),
+    (
+        "verify --kind A --n 3 --char 0 --graph-level 8",
+        "a3be06f033641a24871d5a71e8b029ccd96126a1eb8ebc6a3cd7644d43d5d4dc",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLI_OUTPUT_SHA256, ids=[a for a, _ in CLI_OUTPUT_SHA256])
+def test_cli_output_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_verify_report_holds_only_json_values():
+    # a tuple would be a coordinate (family, order) that no describe() named:
+    # json.dumps would print it as ["x", 3] without complaint
+    def walk(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            for value in obj:
+                walk(value)
+        else:
+            assert isinstance(obj, (str, int, float, bool, type(None))), repr(obj)
+
+    report = cli._verify_one(preset("E8", char=0))
+    assert report["ok"] and report["noninclusion"]["certificates"]
+    walk(report)
 
 
 def test_bad_preset_is_a_clean_failure(capsys):

@@ -233,3 +233,43 @@ def test_the_shifted_route_guard_sees_both_spellings():
     shifted = ast.parse("def f(sys, zs):\n    return sys.derivative(3, zs)\n")
     assert list(reductions_of_derivatives(chained)) and list(reductions_of_derivatives(stepwise))
     assert not list(reductions_of_derivatives(shifted))
+
+
+GENERIC_RENDERERS = ("asdict", "is_dataclass")
+
+
+def generic_renderings(tree: ast.Module):
+    """Calls of ``asdict`` or ``is_dataclass``, bare or as ``dataclasses.``
+    attributes, and imports of either name from ``dataclasses``."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            if name in GENERIC_RENDERERS:
+                yield n.lineno
+        elif isinstance(n, ast.ImportFrom) and n.module == "dataclasses":
+            if any(alias.name in GENERIC_RENDERERS for alias in n.names):
+                yield n.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_reports_are_rendered_by_describe(path):
+    # an engine object names its own coordinates and polynomials in its
+    # ``describe()``; a generic dataclass walk has to guess which tuples
+    # are coordinates
+    tree = ast.parse(path.read_text(), filename=str(path))
+    generic = sorted({f"line {n}" for n in generic_renderings(tree)})
+    assert not generic, f"{path.name} renders a dataclass generically: {', '.join(generic)}"
+
+
+def test_the_describe_guard_sees_every_spelling():
+    # control: the old report walk, a bare imported call, and the allowed route
+    walk = ast.parse(
+        "import dataclasses\n"
+        "def f(obj):\n"
+        "    if dataclasses.is_dataclass(obj):\n"
+        "        return dataclasses.asdict(obj)\n"
+    )
+    bare = ast.parse("from dataclasses import asdict\ndef f(obj):\n    return asdict(obj)\n")
+    described = ast.parse("def f(obj):\n    return obj.describe()\n")
+    assert len(set(generic_renderings(walk))) == 2 and len(list(generic_renderings(bare))) == 2
+    assert not list(generic_renderings(described))

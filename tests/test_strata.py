@@ -14,6 +14,7 @@ from arcjet.hasse import JetSystem
 from arcjet.jetgraph import build_graph
 from arcjet.strata import (
     EngineError,
+    PivotChoice,
     RewriteRule,
     Stratum,
     add_equation,
@@ -571,6 +572,18 @@ def test_quadratic_pivot_keeps_equation():
     assert (rule.family, rule.offset, rule.start_level) == ("z", 1, 3)
     assert rule.coeff == P("2*z1")
     assert check_elimination_soundness(sys, chart, 10) == []
+
+
+def test_a_rule_on_a_nonlinear_coordinate_raises_an_engine_error():
+    # the quadratic z1 pivot asked one level up: the rule then solves z2 at
+    # level 4, where z2 occurs squared, and the error names both
+    sys = JetSystem(P("z^2 + x*y"))
+    s = replace(root_stratum(), units=(P("x1"),), consumed=1)
+    q = P("x1*y1 + z1^2")
+    pivot = PivotChoice(var("z", 1), q.partial(var("z", 1)), None, True)
+    assert eliminate_tail(sys, s, 2, q, pivot).rules
+    with pytest.raises(EngineError, match=r"level 4 .*\bz2\b"):
+        eliminate_tail(sys, s, 3, q, pivot)
 
 
 def test_soundness_flags_wrong_rule():
