@@ -394,6 +394,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "verify" and not args.all and not args.kind:
         ap.error("verify needs --kind or --all")
     if args.command == "verify" and args.all:
+        if args.graph_level:
+            ap.error("--graph-level takes one preset (--kind), not --all")
         args.workers = _worker_count(ap)
     if args.command == "derive" and not args.equation and not args.kind:
         ap.error("derive needs --equation or --kind")

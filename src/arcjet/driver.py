@@ -452,13 +452,13 @@ def _normalize(s: Stratum) -> Stratum:
         changed = False
         kept: list[Polynomial] = []
         eqs = list(s.equations)
+        uv = s.unit_vars()
         for i, eq in enumerate(eqs):
             others = tuple(e for j, e in enumerate(eqs) if j != i)
             r = replace(s, equations=others).simplify(eq)
             if r.is_zero():
                 changed = True
                 continue
-            uv = s.unit_vars()
             content = r.content_monomial()
             body = r.divide_monomial(content)
             loose = [v for v in mono_vars(content) if v not in uv]

@@ -29,7 +29,6 @@ from .driver import Covers, run_driver
 from .hasse import JetSystem
 from .oracle import (
     PROBE_BUDGET,
-    JetPoint,
     compile_stratum,
     enumerate_fiber,
     point_hits,
@@ -113,17 +112,13 @@ def _level_pieces(sys: JetSystem, covers: Covers, m: int) -> list[tuple[object, 
     ]
 
 
-def _piece_points(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> list[set[JetPoint]]:
-    """The F_p points of the level-``m`` fiber on each piece, tested on the
-    piece moved into the probe field of ``p``."""
+def _hit_masks(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> set[int]:
+    """The distinct ``point_hits`` bitmasks of the level-``m`` fiber's F_p
+    points on the pieces moved into the probe field of ``p``: pieces i and
+    j hold the same points exactly when bits i and j agree in every mask."""
     field = probe_field(sys.field, p)
     compiled = [compile_stratum(transport_stratum(d, field)) for d in pieces]
-    sets: list[set[JetPoint]] = [set() for _ in compiled]
-    for pt, hits in point_hits(enumerate_fiber(sys, p, m), compiled):
-        for i, members in enumerate(sets):
-            if hits >> i & 1:
-                members.add(pt)
-    return sets
+    return {hits for _, hits in point_hits(enumerate_fiber(sys, p, m), compiled)}
 
 
 def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
@@ -156,9 +151,9 @@ def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
         tested = [p for p in probe_primes(sys.field) if p ** (3 * m) <= PROBE_BUDGET]
         if len(pieces) > 1 and tested:
             strata = [d for _, d in pieces]
-            point_sets = [_piece_points(sys, strata, p, m) for p in tested]
+            masks = set().union(*(_hit_masks(sys, strata, p, m) for p in tested))
             for i, j in combinations(range(len(strata)), 2):
-                if all(sets[i] == sets[j] for sets in point_sets):
+                if not any((h >> i ^ h >> j) & 1 for h in masks):
                     flags.append(
                         f"level {m}: pieces {i} and {j} are syntactically distinct "
                         f"but share every tested F_p point set"

@@ -227,6 +227,13 @@ class EliminationRule:
 
     ``coeff`` is the stable unit coefficient of the solved variable; the
     numerator is recomputed per level from the reduced derivative.
+
+    By the chain rule for jet coordinates, ``df_m/dx_k = (df/dx)_{m-k}`` in
+    every characteristic, at each ``m > B = offset + max(offset, T)``, ``T``
+    the top jet order of the chart's ``zero_vars`` and ``equations``, the
+    solved coordinate occurs in ``f_m`` only linearly, lies outside the
+    reduction and has the reduced coefficient ``simplify((df/dx)_offset)``:
+    ``_verify_rule`` checks levels ``start_level .. max(start_level, B + 1)``.
     """
 
     family: str
@@ -302,7 +309,7 @@ class Stratum:
 
     def describe(self) -> dict:
         return {
-            "zero_vars": sorted(var_name(v) for v in sorted(self.zero_vars, key=var_key)),
+            "zero_vars": sorted(var_name(v) for v in self.zero_vars),
             "equations": [format_poly(e) for e in self.equations],
             "units": [format_poly(u) for u in self.units],
             "rules": [r.describe() for r in self.rules],
@@ -356,7 +363,6 @@ class PivotChoice:
     v: Var
     coeff: Polynomial          # full rewritten partial of q
     extra_unit: Optional[Polynomial]  # non-monomial cofactor declared a unit
-    monomial_unit: bool
 
 
 def find_pivot(s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
@@ -380,13 +386,11 @@ def find_pivot(s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
             continue
         cof = c.divide_monomial(content)
         if len(cof.terms) == 1 and not next(iter(cof.terms)):
-            picks.append(PivotChoice(v, c, None, True))
+            picks.append(PivotChoice(v, c, None))
         elif len(cof.terms) >= 2:
-            picks.append(PivotChoice(v, c, cof, False))
+            picks.append(PivotChoice(v, c, cof))
         # single-variable cofactor: rejected
-    return max(
-        picks, key=lambda pc: (pc.monomial_unit, _split_key(pc.v)), default=None
-    )
+    return max(picks, key=lambda pc: (pc.extra_unit is None, _split_key(pc.v)), default=None)
 
 
 def _split_key(v: Var) -> tuple[int, int]:
@@ -396,17 +400,14 @@ def _split_key(v: Var) -> tuple[int, int]:
     return (v[1], fam_rank.get(v[0], -1))
 
 
-PROBE_DEPTH = 6
-
-
 def eliminate_tail(
     sys: JetSystem, s: Stratum, n: int, q: Polynomial, pivot: PivotChoice
 ) -> Stratum:
     """Turn the stratum into a chart leaf eliminating one coordinate tail.
 
-    The chosen pivot variable has order ``o``; for every level
-    ``m >= start`` the reduced equation is linear in the coordinate of order
-    ``m - (n - o)`` with stable unit coefficient, and is used to solve it.
+    The pivot variable has order ``o``; at every level ``m >= start`` the
+    reduced equation, linear in the coordinate of order ``m - (n - o)`` with
+    a stable unit coefficient (checked as ``EliminationRule`` says), solves it.
     """
     linear = q.degree_in(pivot.v) == 1
     s2 = s
@@ -424,7 +425,9 @@ def eliminate_tail(
 
 def _verify_rule(sys: JetSystem, chart: Stratum, rule: EliminationRule) -> None:
     want = chart.simplify(rule.coeff)
-    for m in range(rule.start_level, rule.start_level + PROBE_DEPTH):
+    orders = [o for _, o in chart.zero_vars] + [o for e in chart.equations for _, o in e.variables()]
+    bound = rule.offset + max([rule.offset, *orders])
+    for m in range(rule.start_level, max(rule.start_level, bound + 1) + 1):
         w, c_m, num = rule_instance(sys, chart, rule, m)
         got = chart.simplify(c_m)
         if got != want:

@@ -242,6 +242,7 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         ["verify", "--kind", "A", "--n", "1", "--graph-level", "-1"],
         ["ARCJET_WORKERS=abc", "verify", "--all"],
         ["ARCJET_WORKERS=\u00b2", "verify", "--all"],
+        ["verify", "--all", "--graph-level", "3"],
         ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "0"],
         ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "-5"],
     ],
@@ -255,12 +256,15 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         "verify-negative-graph-level",
         "verify-all-bad-workers",
         "verify-all-superscript-workers",
+        "verify-all-with-graph-level",
         "oracle-zero-budget",
         "oracle-negative-budget",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
-    """A leading ``NAME=value`` item sets an environment variable."""
+    """A leading ``NAME=value`` item sets an environment variable.  The
+    error comes before any preset of ``verify --all`` runs."""
+    monkeypatch.setattr(cli, "_verify_label", lambda key: pytest.fail(f"{key} ran"))
     argv = list(argv)
     while "=" in argv[0]:
         name, _, value = argv.pop(0).partition("=")

@@ -10,8 +10,8 @@ from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import (
     SCHEMA,
+    _hit_masks,
     _level_pieces,
-    _piece_points,
     build_graph,
     descriptor_contains,
     export,
@@ -88,8 +88,8 @@ def test_descriptor_restriction_and_containment():
 
 @pytest.mark.parametrize("kind,n,m", [("D", 2, 3), ("A", 1, 2)])
 def test_probe_tests_points_in_probe_field(kind, n, m):
-    """The merge probe's point set of a characteristic-0 piece is the set of
-    F_2 points on the piece truncated straight into the probe field."""
+    """The merge probe's bitmasks of characteristic-0 pieces are those of the
+    F_2 points on the pieces truncated straight into the probe field."""
     pr = preset(kind, n=n, char=0)
     sys = JetSystem(pr.equation)
     target = probe_field(sys.field, 2)
@@ -97,22 +97,22 @@ def test_probe_tests_points_in_probe_field(kind, n, m):
 
     def reference(strata):
         truncs = [truncate_stratum(sys, s, m, target) for s in strata]
-        return [
-            {pt for pt in pts if stratum_membership(point_assignment(pt, m), T)}
-            for T in truncs
-        ]
+        return {
+            sum(1 << i for i, T in enumerate(truncs) if stratum_membership(point_assignment(pt, m), T))
+            for pt in pts
+        }
 
     # every nonempty leaf: together they cover the fiber
     tree = run_driver(sys, pr.covers, max_level=m)
     leaves = [nd.stratum for nd in tree.leaves() if nd.kind != "empty"]
-    got = _piece_points(sys, [truncate_stratum(sys, s, m) for s in leaves], 2, m)
+    got = _hit_masks(sys, [truncate_stratum(sys, s, m) for s in leaves], 2, m)
     assert got == reference(leaves)
-    assert set().union(*got) == set(pts)
-    # the graph's own pieces
+    assert 0 not in got
+    # the graph's own pieces, each holding some point
     pieces = [d for _, d in _level_pieces(sys, pr.covers, m)]
-    got = _piece_points(sys, pieces, 2, m)
+    got = _hit_masks(sys, pieces, 2, m)
     assert got == reference(pieces)
-    assert all(got)
+    assert all(any(h >> i & 1 for h in got) for i in range(len(pieces)))
 
 
 def test_probe_primes_follow_the_adjoined_i():
@@ -179,7 +179,7 @@ def test_flag_order_is_pinned(monkeypatch):
     """No preset's graph up to level 12 raises a flag, so the golden hashes
     do not cover the order of flags; pin it on forced flags."""
     pr = preset("A", n=3, char=0)
-    monkeypatch.setattr(jetgraph, "_piece_points", lambda sys, pieces, p, m: [set() for _ in pieces])
+    monkeypatch.setattr(jetgraph, "_hit_masks", lambda sys, pieces, p, m: {0})
     assert build_graph(pr.system, pr.covers, 6).flags == A3_LEVEL6_PROBE_FLAGS
     # with no containment at all every level also flags each piece without
     # a truncation target: a level's edge flags come before its probe flags

@@ -1,5 +1,6 @@
 """Stratum bookkeeping: rewriting, unit inference, elimination, soundness."""
 
+import random
 from dataclasses import replace
 from typing import Optional
 
@@ -8,11 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from arcjet import driver, jetgraph, strata
 from arcjet.algebra import Field, Polynomial, QQ, mono_vars, parse_poly, var, var_key
-from arcjet.catalog import preset, preset_grid
+from arcjet.catalog import PresetError, components, preset, preset_grid
+from arcjet.cli import _oracle_plan
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import build_graph
 from arcjet.strata import (
+    EliminationRule,
     EngineError,
     PivotChoice,
     RewriteRule,
@@ -32,6 +35,7 @@ from arcjet.strata import (
     rule_instance,
     split,
 )
+from test_acceptance import random_base_poly
 
 
 def P(text, field=QQ):
@@ -580,7 +584,7 @@ def test_a_rule_on_a_nonlinear_coordinate_raises_an_engine_error():
     sys = JetSystem(P("z^2 + x*y"))
     s = replace(root_stratum(), units=(P("x1"),), consumed=1)
     q = P("x1*y1 + z1^2")
-    pivot = PivotChoice(var("z", 1), q.partial(var("z", 1)), None, True)
+    pivot = PivotChoice(var("z", 1), q.partial(var("z", 1)), None)
     assert eliminate_tail(sys, s, 2, q, pivot).rules
     with pytest.raises(EngineError, match=r"level 4 .*\bz2\b"):
         eliminate_tail(sys, s, 3, q, pivot)
@@ -594,6 +598,146 @@ def test_soundness_flags_wrong_rule():
 
     wrong = replace(chart, rules=(replace(chart.rules[0], offset=2, start_level=3),))
     assert check_elimination_soundness(sys, wrong, 8) == [3, 4, 5, 6, 7, 8]
+
+
+# -- the levels an elimination check reads ------------------------------------
+
+
+def six_level_probe(sys, chart, rule):
+    """The fixed window the check once read, levels ``start_level`` to
+    ``start_level + 5``, kept as the reference."""
+    want = chart.simplify(rule.coeff)
+    for m in range(rule.start_level, rule.start_level + 6):
+        w, c_m, num = rule_instance(sys, chart, rule, m)
+        if chart.simplify(c_m) != want:
+            raise EngineError(f"unstable elimination coefficient at level {m}")
+        if w in num.variables():
+            raise EngineError(f"elimination not well-founded at level {m}")
+
+
+def checked_rules(monkeypatch, build) -> list:
+    """Run ``build``: each check ``_verify_rule`` made, as (tower, chart,
+    rule, the levels it read, whether it passed)."""
+    checks, reading = [], []
+    verify, instance = strata._verify_rule, strata.rule_instance
+
+    def read(sys, chart, rule, m):
+        reading.append(m)
+        return instance(sys, chart, rule, m)
+
+    def recording(sys, chart, rule):
+        reading.clear()
+        try:
+            verify(sys, chart, rule)
+        except EngineError:
+            checks.append((sys, chart, rule, list(reading), False))
+            raise
+        checks.append((sys, chart, rule, list(reading), True))
+
+    monkeypatch.setattr(strata, "rule_instance", read)
+    monkeypatch.setattr(strata, "_verify_rule", recording)
+    build()
+    monkeypatch.undo()
+    return checks
+
+
+def grid_runs():
+    """Each preset's ``components`` and oracle-plan runs."""
+    for pr in preset_grid():
+        components(pr)
+        for _, m in _oracle_plan(pr):
+            run_driver(pr.system, pr.covers, max_level=m)
+
+
+def e8_graph_to_35():
+    pr = preset("E8", char=0)
+    build_graph(pr.system, pr.covers, 35)
+
+
+def random_equation_runs():
+    """The runs of ``test_driver_partitions_the_fibers_of_random_small_equations``."""
+    rng = random.Random(161803)
+    for field in (Field(2), Field(3), Field(3, True)):
+        for _ in range(120):
+            sys = JetSystem(random_base_poly(rng, field))
+            for m in (1, 2, 3):
+                try:
+                    run_driver(sys, {}, max_level=m)
+                except (EngineError, PresetError):
+                    pass
+
+
+def probe_outcome(sys, chart, rule) -> bool:
+    try:
+        six_level_probe(sys, chart, rule)
+    except EngineError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("build", [grid_runs, e8_graph_to_35, random_equation_runs])
+def test_the_exact_check_agrees_with_the_six_level_probe(monkeypatch, build):
+    """Every elimination the runs ask passes the exact check and the old
+    six-level probe alike, and reads alike three levels past the last one
+    the check read (the chain rule says every deeper level does)."""
+    checks = checked_rules(monkeypatch, build)
+    assert checks and all(passed for *_, passed in checks)
+    for sys, chart, rule, levels, _ in checks:
+        assert probe_outcome(sys, chart, rule), rule.describe()
+        want = chart.simplify(rule.coeff)
+        for m in range(levels[-1] + 1, levels[-1] + 4):
+            w, c_m, num = rule_instance(sys, chart, rule, m)
+            assert chart.simplify(c_m) == want and w not in num.variables(), (rule.describe(), m)
+
+
+def test_the_check_reads_the_levels_its_bound_names(monkeypatch):
+    """Each check reads exactly ``start_level .. max(start_level, B + 1)``.
+    The grid's 420 eliminations read 1,451 levels (the six-level window read
+    2,520), and 69 of them read past that window, up to 13 levels: a fixed
+    window would miss them.  The E8 (char 0) graph to level 35 reads 13
+    levels for its 8 eliminations (48 with the window)."""
+    checks = checked_rules(monkeypatch, grid_runs)
+    for _, chart, rule, levels, _ in checks:
+        orders = [o for _, o in chart.zero_vars] + [o for e in chart.equations for _, o in e.variables()]
+        bound = rule.offset + max(rule.offset, *orders)
+        assert levels == list(range(rule.start_level, max(rule.start_level, bound + 1) + 1))
+    assert (len(checks), sum(len(levels) for *_, levels, _ in checks)) == (420, 1451)
+    past = [levels for _, _, rule, levels, _ in checks if levels[-1] > rule.start_level + 5]
+    assert len(past) == 69 and max(map(len, past)) == 13
+    e8 = checked_rules(monkeypatch, e8_graph_to_35)
+    assert (len(e8), sum(len(levels) for *_, levels, _ in e8)) == (8, 13)
+
+
+def test_a_rule_failing_past_the_six_level_window_raises():
+    """With y9 forced to vanish, the quadric chart's rule solving y_{m-1}
+    from level 2 fails at level 10 alone, where the solved coordinate is y9.
+    The bound there is 1 + max(1, 9) = 10, so the check reads levels 2 to
+    11; the six-level window stopped at level 7."""
+    sys = JetSystem(P("z^2 + x*y"))
+    op, _ = split(root_stratum(), var("x", 1), QQ)
+    r = P("z1^2 + x1*y1")
+    pivot = find_pivot(op, r)
+    s = force_vanish(op, var("y", 9), 0)
+    with pytest.raises(EngineError, match="at level 10: 0 != x1"):
+        eliminate_tail(sys, s, 2, r, pivot)
+    assert eliminate_tail(sys, op, 2, r, pivot).rules
+    rule = EliminationRule("y", 1, 2, pivot.coeff)
+    six_level_probe(sys, replace(s, rules=(rule,), consumed=2), rule)
+
+
+def test_a_rule_one_offset_off_fails_the_check(monkeypatch):
+    """Control: moving any grid rule's offset by one, up or down, solves the
+    wrong coordinate, and the check raises."""
+    checks = checked_rules(monkeypatch, grid_runs)
+    variants = 0
+    for sys, chart, rule, _, _ in checks:
+        for step in (-1, 1):
+            wrong = replace(rule, offset=rule.offset + step)
+            broken = replace(chart, rules=chart.rules[:-1] + (wrong,))
+            with pytest.raises(EngineError):
+                strata._verify_rule(sys, broken, wrong)
+            variants += 1
+    assert variants == 840
 
 
 # -- forced vanishing and evidence ------------------------------------------
