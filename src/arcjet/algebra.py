@@ -835,69 +835,3 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 tokens.append((kind, m.group(kind)))
                 break
     return tokens
-
-
-class RationalExpression:
-    """A pair num/den of polynomials; den is a product of declared units.
-
-    No gcd cancellation is attempted: equality is decided by
-    cross-multiplication, which is exact over a domain.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Optional[Polynomial] = None):
-        if den is None:
-            den = Polynomial.const(num.field, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self) -> Field:
-        return self.num.field
-
-    @staticmethod
-    def of_var(field: Field, v: Var) -> "RationalExpression":
-        return RationalExpression(Polynomial.variable(field, v))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "RationalExpression") -> "RationalExpression":
-        if self.den == other.den:
-            return RationalExpression(self.num + other.num, self.den)
-        return RationalExpression(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalExpression":
-        return RationalExpression(-self.num, self.den)
-
-    def __sub__(self, other: "RationalExpression") -> "RationalExpression":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalExpression") -> "RationalExpression":
-        return RationalExpression(self.num * other.num, self.den * other.den)
-
-    def __pow__(self, n: int) -> "RationalExpression":
-        return RationalExpression(self.num ** n, self.den ** n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalExpression):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self) -> int:
-        raise TypeError("RationalExpression is unhashable")
-
-    def map_polys(self, fn) -> "RationalExpression":
-        return RationalExpression(fn(self.num), fn(self.den))
-
-    def __str__(self) -> str:
-        if self.den == Polynomial.const(self.num.field, 1):
-            return format_poly(self.num)
-        return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
-
-    __repr__ = __str__

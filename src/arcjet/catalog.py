@@ -407,11 +407,8 @@ def _deficiency(chart: Stratum, m: int) -> int:
     """Codimension of the level-m truncation of the chart inside the full
     coordinate space of orders 1..m."""
     d = sum(1 for v in chart.zero_vars if 1 <= v[1] <= m)
-    d += len(chart.equations)
-    for rule in chart.rules:
-        if m >= rule.start_level:
-            d += m - rule.start_level + 1
-    return d
+    # the chart's rule solves one coordinate at each level start_level .. m
+    return d + len(chart.equations) + max(0, m - chart.rule.start_level + 1)
 
 
 def _equal_dimension_cert(
@@ -448,37 +445,37 @@ FORCED_SEARCH_WINDOW = 8
 def _forced_vanishing_cert(
     sys: JetSystem, a: Stratum, b: Stratum, ai: int, bi: int, max_level: int
 ) -> Optional[WitnessCertificate]:
-    """Evidence that a ⊄ b using one of b's elimination identities: find a
+    """Evidence that a ⊄ b using the chart b's elimination identity: find a
     coordinate solved on b, nonvanishing on a, whose defining numerator dies
     after restricting to a's vanishing set (minus the identity's own
     coefficient support)."""
-    for rule in b.rules:
-        coeff_vars = set(rule.coeff.variables())
-        for m in range(rule.start_level, rule.start_level + FORCED_SEARCH_WINDOW):
-            w = (rule.family, rule.solved_order(m))
-            if w in b.zero_vars or w in a.zero_vars:
-                continue
-            ev = nonvanishing_evidence(sys, a, w)
-            if ev is None:
-                continue
-            restriction = tuple(
-                v
-                for v in sorted(a.zero_vars, key=lambda v: (v[0], v[1]))
-                if v not in coeff_vars
-            )
-            try:
-                if forced_vanishing(sys, b, restriction, w, max_level=max_level):
-                    return WitnessCertificate(
-                        container=bi,
-                        excluded=ai,
-                        kind="forced-vanishing",
-                        target=w,
-                        restriction=restriction,
-                        level=m,
-                        evidence=f"target {ev} on the excluded chart",
-                    )
-            except RestrictionIncompatible:
-                continue
+    rule = b.rule
+    coeff_vars = set(rule.coeff.variables())
+    for m in range(rule.start_level, rule.start_level + FORCED_SEARCH_WINDOW):
+        w = (rule.family, rule.solved_order(m))
+        if w in b.zero_vars or w in a.zero_vars:
+            continue
+        ev = nonvanishing_evidence(sys, a, w)
+        if ev is None:
+            continue
+        restriction = tuple(
+            v
+            for v in sorted(a.zero_vars, key=lambda v: (v[0], v[1]))
+            if v not in coeff_vars
+        )
+        try:
+            if forced_vanishing(sys, b, restriction, w, max_level=max_level):
+                return WitnessCertificate(
+                    container=bi,
+                    excluded=ai,
+                    kind="forced-vanishing",
+                    target=w,
+                    restriction=restriction,
+                    level=m,
+                    evidence=f"target {ev} on the excluded chart",
+                )
+        except RestrictionIncompatible:
+            continue
     return None
 
 

@@ -246,11 +246,12 @@ def _square_split(s: Stratum, q: Polynomial) -> Optional[tuple[Polynomial, Polyn
 
     Returns the two monic linear factors ``w - c*g, w + c*g`` (so that
     ``q = a * (w - c*g) * (w + c*g)``), or None when the shape or the
-    square root is unavailable.
+    square root is unavailable.  In characteristic 2 the factors coincide
+    (``q = a * (w + c*g)^2``): one locus, not two, so None.
     """
-    if len(q.terms) != 2:
-        return None
     field = q.field
+    if len(q.terms) != 2 or field.char == 2:
+        return None
     units = s.unit_vars()
     items = q.sorted_terms()
     for (mw, cw), (mg, cg) in (items, items[::-1]):
@@ -269,21 +270,17 @@ def _square_split(s: Stratum, q: Polynomial) -> Optional[tuple[Polynomial, Polyn
     return None
 
 
-def _factor_chart(
-    sys: JetSystem,
-    s_ch: Stratum,
-    n: int,
-    lin: Polynomial,
-    max_level: int,
-) -> Stratum:
-    """Build the elimination chart of one linear factor of a split cover."""
+def _factor_chart(sys: JetSystem, s_ch: Stratum, n: int, lin: Polynomial) -> Stratum:
+    """Build the elimination chart of one linear factor of a split cover.
+
+    On the factor lin = w - c*g (g a unit) the factor's relation is read at
+    level n + 1: there f_{n+1} carries w's next coordinate with the unit
+    coefficient 2*a*c*g."""
     s_f = add_equation(s_ch, lin, n)
-    # look a little past a truncated horizon: the factor's follow-up
-    # relation sits just above the cover level
-    found = next_nontrivial(sys, s_f, max(max_level, n + 4))
-    if found is None:
+    n2 = n + 1
+    r = sys.reduced(s_f, n2)
+    if not r:
         raise EngineError(f"factor chart at level {n} has no surviving relation")
-    n2, r = found
     units = s_f.unit_vars()
     if any(v not in units for v in mono_vars(r.content_monomial())):
         raise EngineError(
@@ -326,7 +323,7 @@ def _do_cover(
             # chart decomposes into two pieces, one per linear factor;
             # each gets its own component.
             for lin in factors:
-                chart = _factor_chart(sys, s_ch, n, lin, tree.max_level)
+                chart = _factor_chart(sys, s_ch, n, lin)
                 child = _new_node(tree, node.nid, n, chart)
                 child.note = f"factor {format_poly(lin)}"
                 _mark_chart(child, chart, _new_component(tree, n))

@@ -322,14 +322,14 @@ def transport_stratum(T: Stratum, target: Field) -> Stratum:
 def truncate_stratum(
     sys: JetSystem, s: Stratum, m: int, target: Optional[Field] = None
 ) -> Stratum:
-    """The truncation of ``s`` to level ``m``: a stratum with no rules and
-    ``consumed = m``, whose equations include the solved instances of every
+    """The truncation of ``s`` to level ``m``: a stratum with no rule and
+    ``consumed = m``, whose equations include the solved instances of its
     elimination rule that fit below the level, so membership is a plain
     evaluate-and-compare; units and zero monomials that mention an order
     above ``m`` are forgotten.  Coefficients are moved into ``target`` if
     given."""
     eqs = [e for e in s.equations if e.max_order() <= m]
-    levels = sorted({lvl for rule in s.rules for lvl in range(rule.start_level, m + 1)})
+    levels = () if s.rule is None else range(s.rule.start_level, m + 1)
     for lvl in levels:
         r = sys.reduced(s, lvl)
         if not r.is_zero() and r.max_order() <= m:

@@ -2,12 +2,14 @@
 
 A stratum is cut out by coordinate vanishing (``zero_vars``), polynomial
 relations (``equations``), invertibility conditions (``units``, arbitrary
-polynomials declared nonvanishing) and, on chart leaves, triangular
-elimination rules expressing one tail of coordinates as rational functions
-of the remaining free coordinates.
+polynomials declared nonvanishing) and, on chart leaves, one elimination
+rule (``rule``) solving one tail of coordinates level by level.  Every level
+divides by the same unit coefficient c, so the chart's generic point gives
+each solved coordinate as N / c^k, N a polynomial in the free and unit
+coordinates (``generic_point``).
 
 A truncation to jet level ``m`` (``oracle.truncate_stratum``) is a stratum
-too, with no rules and ``consumed = m``.  Every reduction modulo a stratum
+too, with no rule and ``consumed = m``.  Every reduction modulo a stratum
 goes through ``Stratum.simplify``, that is its ``Reduction``: the vanishing
 coordinates drop out, then the rewrite rules of the equations (one per
 distinct reduced equation) are applied to a fixpoint.  A ``Reduction``
@@ -21,14 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     QQ,
     Field,
     Mono,
     Polynomial,
-    RationalExpression,
     Var,
     format_poly,
     mono_vars,
@@ -258,7 +259,7 @@ class Stratum:
     zero_vars: frozenset[Var]
     equations: tuple[Polynomial, ...] = ()
     units: tuple[Polynomial, ...] = ()
-    rules: tuple[EliminationRule, ...] = ()
+    rule: Optional[EliminationRule] = None
     consumed: int = 0
     # monomials (products of coordinates) forced to vanish without choosing a
     # branch; only used on terminal absorbed residuals of product covers.
@@ -312,7 +313,7 @@ class Stratum:
             "zero_vars": sorted(var_name(v) for v in self.zero_vars),
             "equations": [format_poly(e) for e in self.equations],
             "units": [format_poly(u) for u in self.units],
-            "rules": [r.describe() for r in self.rules],
+            "rules": [] if self.rule is None else [self.rule.describe()],
             "zero_monomials": [
                 format_poly(Polynomial.monomial(QQ, m)) for m in self.zero_monomials
             ],
@@ -408,7 +409,10 @@ def eliminate_tail(
     The pivot variable has order ``o``; at every level ``m >= start`` the
     reduced equation, linear in the coordinate of order ``m - (n - o)`` with
     a stable unit coefficient (checked as ``EliminationRule`` says), solves it.
+    A chart holds one rule: a stratum that already carries one is refused.
     """
+    if s.rule is not None:
+        raise EngineError(f"the stratum is already a chart: {s.rule.describe()}")
     linear = q.degree_in(pivot.v) == 1
     s2 = s
     if pivot.extra_unit is not None:
@@ -418,7 +422,7 @@ def eliminate_tail(
     offset = n - pivot.v[1]
     start = n if linear else n + 1
     rule = EliminationRule(pivot.v[0], offset, start, pivot.coeff)
-    chart = replace(s2, rules=s2.rules + (rule,), consumed=max(s2.consumed, start))
+    chart = replace(s2, rule=rule, consumed=max(s2.consumed, start))
     _verify_rule(sys, chart, rule)
     return chart
 
@@ -460,51 +464,41 @@ def rule_instance(
 
 def generic_point(
     sys: JetSystem, chart: Stratum, up_to: int
-) -> dict[Var, RationalExpression]:
-    """Values of all eliminated coordinates of order <= up_to, triangularly
-    substituted so each value involves only free/unit coordinates."""
-    field = sys.field
-    values: dict[Var, RationalExpression] = {}
-    instances: list[tuple[int, EliminationRule]] = []
-    for rule in chart.rules:
-        m = rule.start_level
-        while rule.solved_order(m) <= up_to:
-            instances.append((m, rule))
-            m += 1
-    instances.sort(key=lambda t: (t[1].solved_order(t[0]), t[0]))
-    for m, rule in instances:
-        w, c_m, num = rule_instance(sys, chart, rule, m)
-        val = evaluate_rational(num, values, chart.simplify) * RationalExpression(
-            Polynomial.const(field, 1), chart.simplify(c_m)
-        )
-        values[w] = val.map_polys(chart.simplify)
+) -> dict[Var, tuple[Polynomial, int]]:
+    """Values of the coordinates of order <= up_to that the chart's rule
+    solves.  ``(N, k)`` stands for N / c^k, c = ``chart.simplify(rule.coeff)``
+    the coefficient of the solved coordinate at every level
+    (``_verify_rule``).  Levels are solved in order, so each N involves only
+    free and unit coordinates."""
+    rule = chart.rule
+    values: dict[Var, tuple[Polynomial, int]] = {}
+    if rule is None:
+        return values
+    c = chart.simplify(rule.coeff)
+    for m in range(rule.start_level, rule.offset + up_to + 1):
+        w, _, num = rule_instance(sys, chart, rule, m)
+        n, k = _substitute(num, values, c)
+        values[w] = (chart.simplify(n), k + 1)
     return values
 
 
-def evaluate_rational(
+def _substitute(
     p: Polynomial,
-    assign: Mapping[Var, RationalExpression],
-    norm: Callable[[Polynomial], Polynomial],
-) -> RationalExpression:
-    """Evaluate a polynomial with some variables assigned rational values."""
+    point: Mapping[Var, tuple[Polynomial, int]],
+    c: Polynomial,
+) -> tuple[Polynomial, int]:
+    """``p`` with the coordinates of ``point`` replaced by their values
+    N / c^k, as ``(N', k')`` over the common denominator c^k'."""
+    depths = [sum(point[v][1] * e for v, e in mono if v in point) for mono in p.terms]
+    top = max(depths, default=0)
     field = p.field
-    total = RationalExpression(Polynomial.zero(field))
-    for mono, c in p.terms.items():
-        plain = Polynomial.const(field, c)
-        term: Optional[RationalExpression] = None
+    total = Polynomial.zero(field)
+    for (mono, coeff), depth in zip(p.terms.items(), depths):
+        term = Polynomial.const(field, coeff) * c ** (top - depth)
         for v, e in mono:
-            if v in assign:
-                factor = assign[v] ** e
-                term = factor if term is None else term * factor
-            else:
-                plain = plain * Polynomial.variable(field, v, e)
-        if term is None:
-            term = RationalExpression(plain)
-        else:
-            term = term * RationalExpression(plain)
+            term = term * (point[v][0] ** e if v in point else Polynomial.variable(field, v, e))
         total = total + term
-        total = total.map_polys(norm)
-    return total
+    return total, top
 
 
 def check_elimination_soundness(
@@ -512,14 +506,16 @@ def check_elimination_soundness(
 ) -> list[int]:
     """Levels ``m <= up_to`` at which substituting the generic point into the
     reduced derivative does not yield 0 (empty list = sound)."""
-    start = min((r.start_level for r in chart.rules), default=up_to + 1)
+    rule = chart.rule
+    if rule is None:
+        return []
     point = generic_point(sys, chart, up_to)
-    bad = []
-    for m in range(start, up_to + 1):
-        val = evaluate_rational(sys.reduced(chart, m), point, chart.simplify)
-        if not chart.simplify(val.num).is_zero():
-            bad.append(m)
-    return bad
+    c = chart.simplify(rule.coeff)
+    return [
+        m
+        for m in range(rule.start_level, up_to + 1)
+        if chart.simplify(_substitute(sys.reduced(chart, m), point, c)[0])
+    ]
 
 
 # -- forced vanishing --------------------------------------------------------
@@ -586,9 +582,9 @@ def forced_vanishing(
 
 
 def _rule_solving(chart: Stratum, v: Var) -> Optional[EliminationRule]:
-    for rule in chart.rules:
-        if rule.family == v[0] and v[1] + rule.offset >= rule.start_level:
-            return rule
+    rule = chart.rule
+    if rule is not None and rule.family == v[0] and v[1] + rule.offset >= rule.start_level:
+        return rule
     return None
 
 

@@ -15,7 +15,6 @@ from arcjet.algebra import (
     ParseError,
     Polynomial,
     QQ,
-    RationalExpression,
     _fmt_scalar,
     format_poly,
     mono_from_pairs,
@@ -430,10 +429,3 @@ def test_partial_derivative():
     # the exponent multiplier vanishes mod p
     f3 = parse_poly("x1^3", Field(3))
     assert f3.partial(var("x", 1)).is_zero()
-
-
-def test_rational_expression_equality():
-    y1 = RationalExpression.of_var(QQ, var("y", 1))
-    lhs = RationalExpression(parse_poly("x1*y1", QQ), parse_poly("x1", QQ))
-    assert lhs == y1
-    assert lhs + (-lhs) == RationalExpression(Polynomial.zero(QQ))

@@ -91,6 +91,18 @@ def test_square_split_requires_unit_cofactor():
     assert _square_split(s2, P("z2^2 - y1^4 + x1^2")) is None
 
 
+def test_square_split_refuses_characteristic_2():
+    # over F_2, z1^2 + y1^2 = (z1 + y1)^2: the two factors would coincide
+    # and chart one locus as two components
+    F2 = Field(2)
+    s = Stratum(zero_vars=frozenset(), units=(P("y1", F2),))
+    assert _square_split(s, P("z1^2 + y1^2", F2)) is None
+    # the same shape splits over F_3, where -1 is no square but 1 is
+    F3 = Field(3)
+    s3 = Stratum(zero_vars=frozenset(), units=(P("y1", F3),))
+    assert _square_split(s3, P("z1^2 - y1^2", F3)) is not None
+
+
 def test_split_cover_creates_one_component_per_factor():
     # z^2 - y^4 factors as (z - y^2)(z + y^2) wherever y is a unit; the
     # first cover level sees z2^2 - y1^4 and must emit one component per

@@ -80,7 +80,7 @@ def test_descriptor_restriction_and_containment():
     s = root_stratum()
     d6 = truncate_stratum(sys, s, 6)
     d3 = truncate_stratum(sys, d6, 3)
-    assert d3.consumed == 3 and not d3.rules
+    assert d3.consumed == 3 and d3.rule is None
     assert all(v[1] <= 3 for v in d3.zero_vars)
     # the deeper descriptor lies inside (the closure of) the shallow one
     assert descriptor_contains(d3, d3, sys.field)

@@ -546,7 +546,7 @@ def quadric_chart():
 
 def test_eliminate_tail_builds_rule():
     sys, chart = quadric_chart()
-    (rule,) = chart.rules
+    rule = chart.rule
     # linear pivot: the rule applies from the discovery level itself
     assert (rule.family, rule.offset, rule.start_level) == ("y", 1, 2)
     w, c, num = rule_instance(sys, chart, rule, 4)
@@ -555,9 +555,14 @@ def test_eliminate_tail_builds_rule():
 
 
 def test_generic_point_and_soundness():
+    # y1 = -z1^2/x1 from level 2, y2 = -(2*z1*z2 + x2*y1)/x1 from level 3:
+    # each value is N / x1^k over the chart's one coefficient x1
     sys, chart = quadric_chart()
     point = generic_point(sys, chart, 8)
-    assert var("y", 2) in point and var("y", 1) in point
+    assert sorted(point) == [var("y", k) for k in range(1, 9)]
+    assert point[var("y", 1)] == (P("-z1^2"), 1)
+    assert point[var("y", 2)] == (P("-2*x1*z1*z2 + x2*z1^2"), 2)
+    assert all(k == o for (_, o), (_, k) in point.items())
     assert check_elimination_soundness(sys, chart, 10) == []
 
 
@@ -572,7 +577,7 @@ def test_quadratic_pivot_keeps_equation():
     assert pivot is not None and pivot.v == var("z", 1)
     chart = eliminate_tail(sys, op, n, r, pivot)
     assert r in chart.equations
-    (rule,) = chart.rules
+    rule = chart.rule
     assert (rule.family, rule.offset, rule.start_level) == ("z", 1, 3)
     assert rule.coeff == P("2*z1")
     assert check_elimination_soundness(sys, chart, 10) == []
@@ -585,7 +590,7 @@ def test_a_rule_on_a_nonlinear_coordinate_raises_an_engine_error():
     s = replace(root_stratum(), units=(P("x1"),), consumed=1)
     q = P("x1*y1 + z1^2")
     pivot = PivotChoice(var("z", 1), q.partial(var("z", 1)), None)
-    assert eliminate_tail(sys, s, 2, q, pivot).rules
+    assert eliminate_tail(sys, s, 2, q, pivot).rule
     with pytest.raises(EngineError, match=r"level 4 .*\bz2\b"):
         eliminate_tail(sys, s, 3, q, pivot)
 
@@ -594,10 +599,147 @@ def test_soundness_flags_wrong_rule():
     # negative control: a rule solving the wrong coordinate offset does not
     # kill the tower, and every checked level is reported bad
     sys, chart = quadric_chart()
-    from dataclasses import replace
-
-    wrong = replace(chart, rules=(replace(chart.rules[0], offset=2, start_level=3),))
+    wrong = replace(chart, rule=replace(chart.rule, offset=2, start_level=3))
     assert check_elimination_soundness(sys, wrong, 8) == [3, 4, 5, 6, 7, 8]
+    # and the rational-expression route flags the same levels
+    assert reference_soundness(sys, wrong, 8) == [3, 4, 5, 6, 7, 8]
+
+
+def test_a_chart_holds_one_rule():
+    # eliminating again on a chart is refused: a chart holds one rule
+    sys, chart = quadric_chart()
+    n, r = next_nontrivial(sys, chart, 10)
+    pivot = find_pivot(chart, r)
+    assert pivot is not None
+    with pytest.raises(EngineError, match="already a chart"):
+        eliminate_tail(sys, chart, n, r, pivot)
+
+
+@pytest.mark.parametrize(
+    "pr", list(preset_grid(a_ranks=(), d_halves=(2,), exceptional=())), ids=lambda pr: pr.label
+)
+def test_every_d4_chart_is_sound_one_level_past_its_start(pr):
+    """Every chart of each D4 preset passes the soundness check at
+    ``start_level + 1``; the rational-expression route did not finish the
+    first deep D4 (char 0) chart in two minutes."""
+    charts = components(pr).charts()
+    assert len(charts) == 5
+    for node in charts:
+        chart = node.stratum
+        assert check_elimination_soundness(pr.system, chart, chart.rule.start_level + 1) == []
+
+
+# -- the rational-expression route, kept as the reference ---------------------
+
+
+class RationalExpression:
+    """``num / den`` with ``den`` a product of units, never cancelled: the
+    generic point's values before they were written N / c^k."""
+
+    def __init__(self, num: Polynomial, den: Optional[Polynomial] = None):
+        self.num = num
+        self.den = Polynomial.const(num.field, 1) if den is None else den
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return RationalExpression(self.num + other.num, self.den)
+        return RationalExpression(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return RationalExpression(self.num * other.num, self.den * other.den)
+
+    def __pow__(self, n: int):
+        return RationalExpression(self.num ** n, self.den ** n)
+
+    def map_polys(self, fn):
+        return RationalExpression(fn(self.num), fn(self.den))
+
+
+def evaluate_rational(p: Polynomial, assign, norm) -> RationalExpression:
+    """``p`` with some variables assigned rational values."""
+    field = p.field
+    total = RationalExpression(Polynomial.zero(field))
+    for mono, c in p.terms.items():
+        plain = Polynomial.const(field, c)
+        term = None
+        for v, e in mono:
+            if v in assign:
+                factor = assign[v] ** e
+                term = factor if term is None else term * factor
+            else:
+                plain = plain * Polynomial.variable(field, v, e)
+        term = RationalExpression(plain) if term is None else term * RationalExpression(plain)
+        total = (total + term).map_polys(norm)
+    return total
+
+
+def reference_soundness(sys: JetSystem, chart: Stratum, up_to: int) -> list[int]:
+    """``check_elimination_soundness`` on the rational-expression route:
+    each level divides by its own reduced coefficient."""
+    rule = chart.rule
+    point: dict = {}
+    for m in range(rule.start_level, rule.offset + up_to + 1):
+        w, c_m, num = rule_instance(sys, chart, rule, m)
+        val = evaluate_rational(num, point, chart.simplify) * RationalExpression(
+            Polynomial.const(sys.field, 1), chart.simplify(c_m)
+        )
+        point[w] = val.map_polys(chart.simplify)
+    return [
+        m
+        for m in range(rule.start_level, up_to + 1)
+        if chart.simplify(evaluate_rational(sys.reduced(chart, m), point, chart.simplify).num)
+    ]
+
+
+def a_series_charts():
+    """Every chart of A1-A6 in every characteristic, to ``start_level + 2``."""
+    for pr in preset_grid(d_halves=(), exceptional=()):
+        for node in components(pr).charts():
+            yield pr.system, node.stratum, node.stratum.rule.start_level + 2
+
+
+def driver_test_charts():
+    """The charts and levels the soundness checks of ``test_driver`` and of
+    this file's quadric tests read."""
+    for text, covers, max_level, up_to in (
+        ("z^2 + x*y", {}, 10, 10),
+        ("z^2 + x^3 + y^5", {}, 20, 12),
+        ("z^2 - y^4", {2: ((var("y", 1),),)}, 10, 10),
+    ):
+        sys = JetSystem(P(text))
+        for node in run_driver(sys, covers, max_level=max_level).charts():
+            yield sys, node.stratum, up_to
+    sys, chart = quadric_chart()
+    yield sys, chart, 10
+    op, _ = split(root_stratum(), var("z", 1), QQ)
+    r = P("z1^2 + x1*y1")
+    yield sys, eliminate_tail(sys, op, 2, r, find_pivot(op, r)), 10
+
+
+def offset_shifted_a_series_charts():
+    """Control: each A-series chart with its rule's offset moved by one,
+    which solves the wrong coordinate."""
+    for sys, chart, up_to in a_series_charts():
+        for step in (-1, 1):
+            if chart.rule.offset + step >= 1:
+                yield sys, replace(chart, rule=replace(chart.rule, offset=chart.rule.offset + step)), up_to
+
+
+@pytest.mark.parametrize(
+    "cases, sound",
+    [(a_series_charts, True), (driver_test_charts, True), (offset_shifted_a_series_charts, False)],
+    ids=["a-series", "driver-tests", "offset-shifted"],
+)
+def test_the_generic_point_flags_the_levels_the_rational_route_flags(cases, sound):
+    """N / c^k values and the rational-expression route flag the same
+    levels: none on the real charts, some on every shifted one."""
+    seen = 0
+    for sys, chart, up_to in cases():
+        got = check_elimination_soundness(sys, chart, up_to)
+        assert got == reference_soundness(sys, chart, up_to), (chart.rule.describe(), up_to)
+        assert (got == []) == sound, (chart.rule.describe(), got)
+        seen += 1
+    assert seen > 10
 
 
 # -- the levels an elimination check reads ------------------------------------
@@ -720,9 +862,9 @@ def test_a_rule_failing_past_the_six_level_window_raises():
     s = force_vanish(op, var("y", 9), 0)
     with pytest.raises(EngineError, match="at level 10: 0 != x1"):
         eliminate_tail(sys, s, 2, r, pivot)
-    assert eliminate_tail(sys, op, 2, r, pivot).rules
+    assert eliminate_tail(sys, op, 2, r, pivot).rule
     rule = EliminationRule("y", 1, 2, pivot.coeff)
-    six_level_probe(sys, replace(s, rules=(rule,), consumed=2), rule)
+    six_level_probe(sys, replace(s, rule=rule, consumed=2), rule)
 
 
 def test_a_rule_one_offset_off_fails_the_check(monkeypatch):
@@ -733,7 +875,7 @@ def test_a_rule_one_offset_off_fails_the_check(monkeypatch):
     for sys, chart, rule, _, _ in checks:
         for step in (-1, 1):
             wrong = replace(rule, offset=rule.offset + step)
-            broken = replace(chart, rules=chart.rules[:-1] + (wrong,))
+            broken = replace(chart, rule=wrong)
             with pytest.raises(EngineError):
                 strata._verify_rule(sys, broken, wrong)
             variants += 1
