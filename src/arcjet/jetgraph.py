@@ -118,7 +118,7 @@ def _hit_masks(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> set[int
     j hold the same points exactly when bits i and j agree in every mask."""
     field = probe_field(sys.field, p)
     compiled = [compile_stratum(transport_stratum(d, field)) for d in pieces]
-    return {hits for _, hits in point_hits(enumerate_fiber(sys, p, m), compiled)}
+    return {hits for _, _, hits in point_hits(enumerate_fiber(sys, p, m), compiled)}
 
 
 def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:

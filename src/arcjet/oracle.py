@@ -9,11 +9,12 @@ tautology.
 
 A point of the level-``m`` fiber assigns one residue to each coordinate
 of order 1..m in the three ambient families (order 0 is pinned to the
-origin).  Points are stored as flat tuples ordered x1,y1,z1,x2,y2,z2,...
-so that the enumeration is lexicographic and deterministic.  The search and
-the audits run on polynomials and truncations compiled into integer tables
-over that tuple, once per prime and level; ``stratum_membership`` on an
-unpacked point is the reference they are tested against.
+origin).  A point is a flat tuple ordered x1,y1,z1,x2,y2,z2,... so that
+the enumeration is lexicographic and deterministic; a fiber is stored as
+prefix blocks (``Fiber``) that share the free last jet order.  The search
+and the audits run on polynomials and truncations compiled into integer
+tables over that tuple, once per prime and level; ``stratum_membership`` on
+an unpacked point is the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -41,6 +42,27 @@ POINT_FAMILIES = ("x", "y", "z")
 ORIGIN = frozenset(var(f, 0) for f in POINT_FAMILIES)
 
 JetPoint = tuple[int, ...]
+# a head and its tails, the points head + tail (a loose point: one empty tail)
+Block = tuple[JetPoint, tuple[JetPoint, ...]]
+
+
+@dataclass(frozen=True)
+class Fiber:
+    """The F_p points of a level-``m`` fiber as blocks in lexicographic
+    order: a head holds orders 1..m-1, its tails the last-order triples it
+    admits (one shared cube when no derivative level tops out at order m).
+    Iterating gives the points, ``len`` their count."""
+
+    m: int
+    blocks: tuple[Block, ...]
+
+    def __len__(self) -> int:
+        return sum(len(tails) for _, tails in self.blocks)
+
+    def __iter__(self) -> Iterator[JetPoint]:
+        for head, tails in self.blocks:
+            for tail in tails:
+                yield head + tail
 
 
 class OracleError(RuntimeError):
@@ -197,25 +219,33 @@ class CompiledStratum:
 
 
 def point_hits(
-    points: Iterable[JetPoint], compiled: Sequence[CompiledStratum]
-) -> Iterator[tuple[JetPoint, int]]:
-    """Each point with its hits: one int, bit ``i`` set when ``compiled[i]``
-    holds the point.  The membership tests run once per distinct projection
-    of the points onto the indices some truncation reads (``reads``)."""
+    points: Fiber | Iterable[JetPoint], compiled: Sequence[CompiledStratum]
+) -> Iterator[tuple[JetPoint, tuple[JetPoint, ...], int]]:
+    """The points in blocks ``(head, tails, hits)``: every point head + tail
+    has the hits, one int with bit ``i`` set when ``compiled[i]`` holds it.
+    The tests run once per distinct projection onto the indices some
+    truncation reads (``reads``): of a fiber block's head, for the whole
+    block, when none of them is a last-order index, else of each point."""
     bits = [(1 << i, C) for i, C in enumerate(compiled)]
     idx = sorted(frozenset().union(*(C.reads() for C in compiled)))
+    if isinstance(points, Fiber):
+        blocks: Iterable[Block] = points.blocks
+        shared = not idx or idx[-1] < 3 * (points.m - 1)
+    else:
+        blocks, shared = ((pt, ((),)) for pt in points), True
     key = itemgetter(*idx) if idx else (lambda _: ())
     memo: dict[object, int] = {}
-    for pt in points:
-        k = key(pt)
-        hits = memo.get(k)
-        if hits is None:
-            hits = 0
-            for bit, C in bits:
-                if C.contains(pt):
-                    hits |= bit
-            memo[k] = hits
-        yield pt, hits
+    for head, tails in blocks:
+        for pt, part in [(head, tails)] if shared else [(head + t, (t,)) for t in tails]:
+            k = key(pt)
+            hits = memo.get(k)
+            if hits is None:
+                hits = 0
+                for bit, C in bits:
+                    if C.contains(pt):
+                        hits |= bit
+                memo[k] = hits
+            yield head, part, hits
 
 
 def compile_stratum(T: Stratum) -> CompiledStratum:
@@ -246,7 +276,7 @@ def probe_primes(field: Field) -> tuple[int, ...]:
 
 def enumerate_fiber(
     sys: JetSystem, p: int, m: int, budget: int = 10_000_000
-) -> list[JetPoint]:
+) -> Fiber:
     """All F_p points of the level-``m`` fiber over the origin of the
     equation of ``sys``, in lexicographic order.
 
@@ -254,20 +284,19 @@ def enumerate_fiber(
     the probe field of ``p``, and off a tower of the equation moved into
     that field otherwise.  Depth-first over jet orders 1..m-1 on one flat
     prefix list; a partial assignment is rejected as soon as some fully
-    determined derivative level is nonzero.  Order ``m`` is one batch per
-    surviving prefix: its head tuple is built once and extended by each of
-    the ``p**3`` last-order values that pass the levels checked there
-    (all of them when none is).
+    determined derivative level is nonzero.  Order ``m`` is one block per
+    surviving prefix: its head tuple and the ``p**3`` last-order values
+    that pass the levels checked there (one shared cube when none is).
     """
     field = probe_field(sys.field, p)
     if field != sys.field:
         sys = JetSystem(transport_poly(sys.f, field))
     if sys.f.terms.get(()):
-        return []  # f(0) != 0: the surface misses the origin
+        return Fiber(m, ())  # f(0) != 0: the surface misses the origin
     if p ** (3 * m) > budget:
         raise OracleError("fiber too large; reduce m or p")
     if m == 0:
-        return [()]  # the origin alone
+        return Fiber(0, (((), ((),)),))  # the origin alone
     # Each level is checked once the highest order among its terms is
     # assigned.
     by_order: dict[int, list[Compiled]] = {}
@@ -277,23 +306,24 @@ def enumerate_fiber(
             top = max((i for t in parts for _, idx in t for i in idx), default=0)
             by_order.setdefault(top // 3 + 1, []).append(parts)
 
-    out: list[JetPoint] = []
+    out: list[Block] = []
     prefix = [0] * (3 * m)
-    cube = [*product(range(p), repeat=3)]
+    cube = (*product(range(p), repeat=3),)
     last = 3 * (m - 1)
     last_checks = by_order.get(m, ())
 
     def dfs(o: int) -> None:
         if o == m:
-            # the last order extends one head tuple per parent prefix
-            head = tuple(prefix[:last])
-            if not last_checks:
-                out.extend(head + vals for vals in cube)
-                return
-            for vals in cube:
-                prefix[last:] = vals
-                if all(vanishes(parts, prefix, p) for parts in last_checks):
-                    out.append(head + vals)
+            tails = cube
+            if last_checks:
+                kept = []
+                for vals in cube:
+                    prefix[last:] = vals
+                    if all(vanishes(parts, prefix, p) for parts in last_checks):
+                        kept.append(vals)
+                tails = tuple(kept)
+            if tails:
+                out.append((tuple(prefix[:last]), tails))
             return
         base = 3 * (o - 1)
         checks = by_order.get(o, ())
@@ -307,7 +337,7 @@ def enumerate_fiber(
     # keeps ``out`` alive after the caller is done with the points, until
     # the next full garbage collection
     del dfs
-    return out
+    return Fiber(m, tuple(out))
 
 
 def transport_stratum(T: Stratum, target: Field) -> Stratum:
@@ -381,20 +411,21 @@ def _level_of(truncations: Iterable[Stratum]) -> int:
 
 
 def _audit(
-    points: Iterable[JetPoint],
+    points: Fiber | Iterable[JetPoint],
     m: int,
     truncations: Sequence[Stratum],
     groups: dict[object, list[int]],
     splits: Sequence[tuple[int, int, tuple[int, ...]]],
 ) -> tuple[dict, dict]:
     """One pass over the points: each truncation is compiled once, and the
-    points' hits come from ``point_hits``.  The hits give the leaf-group
-    cover (``groups``: key -> positions in ``truncations``; skipped when
-    empty) and the split partition (``splits``: node id, parent position,
-    child positions).
+    points' hits come from ``point_hits``, a block at a time.  The hits give
+    the leaf-group cover (``groups``: key -> positions in ``truncations``;
+    skipped when empty) and the split partition (``splits``: node id,
+    parent position, child positions).
 
     Groups and split children are read through precomputed masks, once per
-    distinct hits value; the reports list points in the order given."""
+    distinct hits value; a block's points are built only when its verdict
+    adds to a report, which lists points in the order given."""
     compiled = [compile_stratum(T) for T in truncations]
     group_masks = [(key, _mask(pos)) for key, pos in groups.items()]
     split_masks = [(nid, 1 << parent, _mask(children)) for nid, parent, children in splits]
@@ -417,16 +448,23 @@ def _audit(
                 raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
             yield pt
 
+    # a fiber's points all have its level's length: check it once
+    if not isinstance(points, Fiber):
+        points = checked(points)
+    elif points.m != m and points.blocks:
+        raise ValueError(f"point has {3 * points.m} entries, expected {3 * m}")
     verdicts: dict[int, tuple] = {}
     uncovered: list[JetPoint] = []
     overlapping: list[tuple[JetPoint, list[object]]] = []
     failures = []
-    for pt, hits in point_hits(checked(points), compiled):
+    for head, tails, hits in point_hits(points, compiled):
         v = verdicts.get(hits)
         if v is None:
             v = verdicts[hits] = verdict(hits)
-        if v:
-            keys, fails = v
+        if not v:
+            continue
+        keys, fails = v
+        for pt in (head + tail for tail in tails):
             if keys is not None:
                 if not keys:
                     uncovered.append(pt)

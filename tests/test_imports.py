@@ -165,11 +165,84 @@ def test_reductions_of_the_tower_go_through_the_memo(path):
     ids=lambda p: p.name,
 )
 def test_membership_tests_go_through_point_hits(path):
-    # ``oracle.point_hits`` is the one per-point membership loop, so every
+    # ``oracle.point_hits`` is the one membership kernel, so every
     # caller shares its projection memo: no other module calls ``contains``
     tree = ast.parse(path.read_text(), filename=str(path))
     direct = [f"line {call.lineno}" for call in calls_to(tree, "contains")]
     assert not direct, f"{path.name} tests membership directly: {', '.join(direct)}"
+
+
+def is_enumeration(node: ast.AST) -> bool:
+    """Is ``node`` a call of ``enumerate_fiber``, bare or as an attribute?"""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "enumerate_fiber"
+
+
+def fiber_expansions(tree: ast.Module):
+    """``list(`` or ``sorted(`` of an ``enumerate_fiber(...)`` result, or a
+    ``for`` (loop or comprehension) over one: the call itself, or a name
+    bound to it in the same function."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {
+            t.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Assign) and is_enumeration(n.value)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+
+        def fiber(node: ast.AST) -> bool:
+            return is_enumeration(node) or (isinstance(node, ast.Name) and node.id in bound)
+
+        for n in ast.walk(fn):
+            if (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id in ("list", "sorted")
+                and any(fiber(a) for a in n.args)
+            ):
+                yield n.lineno
+            elif isinstance(n, (ast.For, ast.AsyncFor, ast.comprehension)) and fiber(n.iter):
+                yield n.iter.lineno
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "oracle.py"],
+    ids=lambda p: p.name,
+)
+def test_fibers_are_read_in_blocks(path):
+    # ``oracle.enumerate_fiber`` returns a fiber as prefix blocks that share
+    # the free last jet order; ``point_hits`` and ``len`` read it without
+    # building its points one by one, and no other module expands it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    expanded = sorted({f"line {n}" for n in fiber_expansions(tree)})
+    assert not expanded, f"{path.name} expands a fiber into points: {', '.join(expanded)}"
+
+
+def test_the_fiber_guard_sees_every_spelling():
+    # control: each expansion is caught; a length and the kernel are not
+    spellings = [
+        "def f(sys):\n    return list(enumerate_fiber(sys, 2, 3))\n",
+        "def f(sys):\n    return sorted(oracle.enumerate_fiber(sys, 2, 3))\n",
+        "def f(sys):\n    for pt in enumerate_fiber(sys, 2, 3):\n        print(pt)\n",
+        "def f(sys):\n    pts = enumerate_fiber(sys, 2, 3)\n    return list(pts)\n",
+        "def f(sys):\n    pts = enumerate_fiber(sys, 2, 3)\n    return sorted(pts)\n",
+        "def f(sys):\n    pts = enumerate_fiber(sys, 2, 3)\n    for pt in pts:\n        print(pt)\n",
+        "def f(sys):\n    pts = enumerate_fiber(sys, 2, 3)\n    return {pt[0] for pt in pts}\n",
+    ]
+    assert all(list(fiber_expansions(ast.parse(text))) for text in spellings)
+    allowed = ast.parse(
+        "def f(sys, c):\n"
+        "    pts = enumerate_fiber(sys, 2, 3)\n"
+        "    masks = {h for _, _, h in point_hits(enumerate_fiber(sys, 2, 3), c)}\n"
+        "    return len(pts), masks\n"
+    )
+    assert not list(fiber_expansions(allowed))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

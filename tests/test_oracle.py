@@ -92,7 +92,7 @@ def test_enumerate_matches_reference_elsewhere():
     # i adjoined: the DFS reads real and imaginary tables
     e6 = preset("E6", char=3).system
     assert e6.field.i_adjoined
-    assert enumerate_fiber(e6, 3, 2) == brute_points(e6.f, 3, 2)
+    assert list(enumerate_fiber(e6, 3, 2)) == brute_points(e6.f, 3, 2)
 
 
 @pytest.mark.parametrize("char", [2, 0], ids=["same-field", "moved-field"])
@@ -134,7 +134,7 @@ def test_batched_last_order_matches_reference(text, p, m, top_checked):
     ]
     top_orders = {max(o for mono in monos for (_, o), _ in mono) for monos in live if monos}
     assert (m in top_orders) == top_checked
-    assert enumerate_fiber(sys, p, m) == brute_points(f, p, m)
+    assert list(enumerate_fiber(sys, p, m)) == brute_points(f, p, m)
 
 
 def test_budget_guard():
@@ -148,7 +148,7 @@ def test_a_surface_off_the_origin_has_an_empty_fiber():
     # even the origin itself at level 0; over Q, 3 + x*y + z^2 passes
     # through the origin mod 3
     sys = JetSystem(parse_poly("1 + x*y + z^2", Field(3)))
-    assert [enumerate_fiber(sys, 3, m) for m in (0, 1, 2)] == [[], [], []]
+    assert [list(enumerate_fiber(sys, 3, m)) for m in (0, 1, 2)] == [[], [], []]
     over_q = JetSystem(parse_poly("3 + x*y + z^2", Field(0)))
     cone = JetSystem(parse_poly("x*y + z^2", Field(3)))
     assert enumerate_fiber(over_q, 3, 1) == enumerate_fiber(cone, 3, 1)
@@ -448,18 +448,39 @@ def point_orders(pts, p, m, seed):
     return [pts, rng.sample(pts, len(pts)), pts[::3] + pts[::2] + pts[:5], box + pts[:50] + box]
 
 
-def point_hits_match_loop(pr, p, m):
-    compiled = plan_compiled(pr, p, m)
-    orders = point_orders(enumerate_fiber(pr.system, p, m), p, m, seed=m)
+def expanded(blocks):
+    """The (point, hits) pairs of ``point_hits``' blocks, point by point."""
+    return [(head + tail, hits) for head, tails, hits in blocks for tail in tails]
+
+
+def last_order_zero(pr, p, m):
+    """The root truncated to level m with the last-order coordinate x_m
+    zero, compiled: a truncation that reads a last-order index."""
+    root = root_stratum()
+    s = replace(root, zero_vars=root.zero_vars | {var("x", m)})
+    return compile_stratum(truncate_stratum(pr.system, s, m, probe_field(pr.equation.field, p)))
+
+
+def point_hits_match_loop(pr, p, m, kernel=point_hits, extra=()):
+    """The hits of the fiber's blocks (``kernel``), and of the loose points
+    of every order of ``point_orders``, are those of the per-point loop."""
+    compiled = plan_compiled(pr, p, m) + list(extra)
+    fiber = enumerate_fiber(pr.system, p, m)
+    orders = point_orders(list(fiber), p, m, seed=m)
     ref = {pt: loop_hits(pt, compiled) for pt in orders[0] + orders[-1]}
-    return all(list(point_hits(pts, compiled)) == [(pt, ref[pt]) for pt in pts] for pts in orders)
+    return expanded(kernel(fiber, compiled)) == [(pt, ref[pt]) for pt in orders[0]] and all(
+        expanded(point_hits(pts, compiled)) == [(pt, ref[pt]) for pt in pts] for pts in orders
+    )
 
 
 @pytest.mark.parametrize("pr,p,m", ORACLE_PLANS, ids=lambda v: getattr(v, "label", v))
 def test_point_hits_match_the_contains_loop(pr, p, m):
-    """The projection memo gives every point of every order the hits of the
-    per-point ``contains`` loop, on each preset's oracle plan."""
+    """The block route and the projection memo give every point of every
+    order the hits of the per-point ``contains`` loop, on each preset's
+    oracle plan; also with a truncation that reads the last jet order, so
+    the fiber takes the per-point branch."""
     assert point_hits_match_loop(pr, p, m)
+    assert point_hits_match_loop(pr, p, m, extra=[last_order_zero(pr, p, m)])
 
 
 def test_broken_memo_fails_the_differential_test(monkeypatch):
@@ -470,6 +491,40 @@ def test_broken_memo_fails_the_differential_test(monkeypatch):
     reads = CompiledStratum.reads
     monkeypatch.setattr(CompiledStratum, "reads", lambda C: reads(C) - {0})
     assert not point_hits_match_loop(pr, 3, 3)
+
+
+def test_a_truncation_reading_the_last_order_takes_the_per_point_branch():
+    """With no truncation reading the last jet order, each fiber block gets
+    one hits value; a truncation with x_m zero reads it, and every point
+    becomes a block of its own, with that truncation's bit set exactly
+    where x_m = 0."""
+    pr, p, m = preset("A", n=2, char=3), 3, 3
+    fiber = enumerate_fiber(pr.system, p, m)
+    compiled = plan_compiled(pr, p, m)
+    assert [(head, tails) for head, tails, _ in point_hits(fiber, compiled)] == list(fiber.blocks)
+    assert len(fiber) > len(fiber.blocks)
+    bit = 1 << len(compiled)
+    blocks = list(point_hits(fiber, compiled + [last_order_zero(pr, p, m)]))
+    assert [head + tail for head, (tail,), _ in blocks] == list(fiber)
+    assert all(bool(hits & bit) == (tail[0] == 0) for _, (tail,), hits in blocks)
+
+
+def shared_tail_hits(fiber, compiled):
+    """A broken kernel: each block's hits are read off its first point and
+    shared by all its tails, whatever the truncations read."""
+    for head, tails in fiber.blocks:
+        yield head, tails, loop_hits(head + tails[0], compiled)
+
+
+def test_hits_shared_across_tails_fail_the_differential_test():
+    """Negative control: sharing a block's hits across its tails is exact
+    while no truncation reads the last order, and the differential test
+    catches it once one does."""
+    pr = preset("A", n=2, char=3)
+    assert point_hits_match_loop(pr, 3, 3, kernel=shared_tail_hits)
+    extra = [last_order_zero(pr, 3, 3)]
+    assert point_hits_match_loop(pr, 3, 3, extra=extra)
+    assert not point_hits_match_loop(pr, 3, 3, kernel=shared_tail_hits, extra=extra)
 
 
 def loop_audit(points, m, truncations, groups, splits):
@@ -519,9 +574,10 @@ def test_audit_matches_the_per_point_loop(monkeypatch, pr, p, m):
     calls = []
     audit = oracle._audit
     monkeypatch.setattr(oracle, "_audit", lambda *args: calls.append(args) or audit(*args))
-    pts = enumerate_fiber(pr.system, p, m)
+    fiber = enumerate_fiber(pr.system, p, m)
+    pts = list(fiber)
     tree = run_driver(pr.system, pr.covers, max_level=m)
-    assert audit_tree(pr.system, tree, pts, m, probe_field(pr.equation.field, p)) == loop_audit(*calls[0])
+    assert audit_tree(pr.system, tree, fiber, m, probe_field(pr.equation.field, p)) == loop_audit(*calls[0])
     _, _, truncations, groups, splits = calls[0]
     points = [pt for order in point_orders(pts, p, m, seed=m)[1:] for pt in order]
     assert audit(points, m, truncations, groups, splits) == loop_audit(points, m, truncations, groups, splits)
@@ -538,7 +594,7 @@ def test_audit_rejects_a_point_of_the_wrong_length():
     """The first point of the wrong length raises with its own length, from a
     list or from a one-pass iterator."""
     pr = preset("A", n=2, char=3)
-    pts = enumerate_fiber(pr.system, 3, 2)
+    pts = list(enumerate_fiber(pr.system, 3, 2))
     tree = run_driver(pr.system, pr.covers, max_level=2)
     leaves = [T for _, T in truncated_leaves(pr.system, tree, 2, probe_field(pr.equation.field, 3))]
     bad = pts[:5] + [pts[5] + (0,), pts[6][:4]] + pts[7:]
@@ -546,6 +602,27 @@ def test_audit_rejects_a_point_of_the_wrong_length():
         with pytest.raises(ValueError, match="point has 7 entries, expected 6"):
             coverage_check(points, leaves)
     assert coverage_check(iter(pts), leaves) == coverage_check(pts, leaves) == []
+
+
+def test_audit_rejects_a_fiber_of_another_level(monkeypatch):
+    """A fiber of another level raises the error its first point would raise
+    as a loose point, checked once for the fiber: the audit at the right
+    level never builds the fiber's points one by one."""
+    pr = preset("A", n=2, char=3)
+    tree = run_driver(pr.system, pr.covers, max_level=3)
+    leaves = [T for _, T in truncated_leaves(pr.system, tree, 3, probe_field(pr.equation.field, 3))]
+    shallow = enumerate_fiber(pr.system, 3, 2)
+    for points in (shallow, list(shallow)):
+        with pytest.raises(ValueError, match="point has 6 entries, expected 9"):
+            coverage_check(points, leaves)
+    fiber = enumerate_fiber(pr.system, 3, 3)
+    expected = coverage_check(list(fiber), leaves)
+
+    def refuse(self):
+        raise AssertionError("the audit built the fiber's points one by one")
+
+    monkeypatch.setattr(oracle.Fiber, "__iter__", refuse)
+    assert coverage_check(fiber, leaves) == expected == []
 
 
 # -- the driver on random small equations ------------------------------------
@@ -609,3 +686,50 @@ def test_a_chart_with_a_multi_term_unit_leaves_no_point_uncovered():
     tree = run_driver(sys, {}, max_level=2)
     exclusive, _ = audit_tree(sys, tree, enumerate_fiber(sys, 3, 2), 2, Field(3))
     assert exclusive["ok"], len(exclusive["uncovered"])
+
+
+# -- the deep-audit tier: one level past the routine oracle plan --------------
+#
+# ``verify --all`` probes p = 3 up to m = 3 (``PROBE_BUDGET``).  At m = 6 the
+# fiber has 3^18 candidate points and a few million points; the free last
+# jet order makes it a few hundred thousand blocks, which the audit reads in
+# seconds.  These runs are tests only: the ``verify --all`` report is fixed.
+
+DEEP_BUDGET = 3**18
+
+
+def deep_audit(kind, n, char):
+    """The level-6 fiber over F_3 and its ``audit_tree`` reports."""
+    pr = preset(kind, n=n, char=char)
+    fiber = enumerate_fiber(pr.system, 3, 6, budget=DEEP_BUDGET)
+    tree = run_driver(pr.system, pr.covers, max_level=6)
+    return fiber, audit_tree(pr.system, tree, fiber, 6, probe_field(pr.equation.field, 3))
+
+
+def test_deep_audit_a2_char3_partitions_the_level_6_fiber():
+    fiber, (exclusive, partition) = deep_audit("A", 2, 3)
+    assert len(fiber) == 3_365_793
+    assert exclusive["ok"] and partition["ok"]
+
+
+class LeftUncovered(AssertionError):
+    """A deep audit found fiber points in no leaf."""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LeftUncovered,
+    reason="the multi-term-unit gap on the grid (ROADMAP item 2): the level-6 cover's "
+    "two charts take x2 + 2*y2 and 2*x2 + y2 as units, and no leaf holds the "
+    "354,294 points where they vanish",
+)
+def test_deep_audit_d4_char0_partitions_the_level_6_fiber():
+    fiber, (exclusive, partition) = deep_audit("D", 2, 0)
+    assert len(fiber) == 4_782_969
+    assert partition["ok"] and not exclusive["overlapping"]
+    uncovered = exclusive["uncovered"]
+    # every lost point has x1 = y1 = z1 = z2 = 0 and x2 = y2 != 0
+    assert all(pt[:3] == (0, 0, 0) and pt[5] == 0 and pt[3] == pt[4] != 0 for pt in uncovered)
+    if uncovered:
+        assert len(uncovered) == 354_294
+        raise LeftUncovered(f"{len(uncovered)} points lie in no leaf")
