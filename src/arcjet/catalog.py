@@ -25,6 +25,7 @@ from .strata import (
     Stratum,
     forced_vanishing,
     nonvanishing_evidence,
+    reduction_of,
 )
 
 SUPPORTED_CHARS = (0, 2, 3, 5, 7)
@@ -376,9 +377,10 @@ def _unit_vs_zero(
         for v in sorted(b.zero_vars, key=lambda v: (v[1], v[0]))
     ]
     candidates.extend(b.equations)
+    red = reduction_of(sys, a)
     best: Optional[WitnessCertificate] = None
     for g in candidates:
-        val = a.simplify(g)
+        val = red(g)
         if val.is_zero():
             continue
         if a.is_unit_monomial(val):

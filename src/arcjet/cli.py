@@ -368,7 +368,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=0, help="probe prime (defaults to preset characteristic)")
     p.add_argument("--level", type=_int_at_least(0, "level"), default=3)
     p.add_argument("--check", choices=("counts", "coverage", "partition"), default="coverage")
-    p.add_argument("--budget", type=_int_at_least(1, "budget"), default=10_000_000)
+    p.add_argument("--budget", type=_int_at_least(1, "budget"), default=10_000_000,
+                   help="most candidate triples (p^3 per prefix it extends) the fiber search tests")
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_oracle)
 

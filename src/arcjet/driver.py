@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -158,7 +157,7 @@ def _process(
 ) -> Node:
     node = _new_node(tree, parent, level, s)
     while True:
-        s = _normalize(s)
+        s = _normalize(sys, s)
         node.stratum = s
         found = next_nontrivial(sys, s, tree.max_level)
         if found is None:
@@ -203,37 +202,34 @@ def _process(
 
 # Each driver run of a level graph re-derives the charts of the shallower
 # runs (E8 to level 35: 153 eliminations of 8 distinct inputs, 531 pivot
-# searches of 20), so the two pure moves are decided once per tower, in
-# ``JetSystem.moves``.  Per tower, not process-wide: a preset builds a fresh
-# tower per operation, so a process-wide cache would never hit across
-# operations and would only keep dead towers alive.  A None pivot is kept;
-# an elimination that raises keeps nothing and raises again on every call.
-# ``find_pivot`` and ``eliminate_tail`` stay the uncached reference route.
+# searches of 20, and 153 Coxeter numbers of 8 cover relations), so the
+# pure moves are decided once per tower, in ``JetSystem.moves``.  Per tower,
+# not process-wide: a preset builds a fresh tower per operation, so a
+# process-wide cache would never hit across operations and would only keep
+# dead towers alive.  A None pivot is kept; an elimination that raises
+# keeps nothing and raises again on every call.  ``find_pivot``,
+# ``eliminate_tail`` and ``coxeter_number`` stay the uncached reference route.
 
 
-def _pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
-    """``find_pivot(s, q)``, decided once per tower."""
-    key = (s, q)
+def _decided(sys: JetSystem, key: object, move, *args):
+    """``move(*args)``, decided once per tower under ``key``."""
     try:
         return sys.moves[key]
     except KeyError:
-        pivot = sys.moves[key] = find_pivot(s, q)
-        return pivot
+        out = sys.moves[key] = move(*args)
+        return out
 
 
-def _eliminate(
-    sys: JetSystem, s: Stratum, n: int, q: Polynomial, pivot: PivotChoice
-) -> Stratum:
-    """``eliminate_tail(sys, s, n, q, pivot)``, decided once per tower."""
-    key = (s, n, q, pivot)
-    chart = sys.moves.get(key)
-    if chart is None:
-        chart = sys.moves[key] = eliminate_tail(sys, s, n, q, pivot)
-    return chart
+def _pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
+    return _decided(sys, (s, q), find_pivot, sys, s, q)
+
+
+def _eliminate(sys: JetSystem, s: Stratum, n: int, q: Polynomial, pivot: PivotChoice) -> Stratum:
+    return _decided(sys, (s, n, q, pivot), eliminate_tail, sys, s, n, q, pivot)
 
 
 def _do_split(sys, covers, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
-    open_part, closed_part = split(s, v, sys.field)
+    open_part, closed_part = split(sys, s, v)
     node.kind = "split"
     node.note = f"split on {var_name(v)} at level {n}"
     _process(sys, covers, tree, open_part, n, node.nid)
@@ -306,7 +302,7 @@ def _do_cover(
 ) -> None:
     field = sys.field
     unit_sets = covers.get(n) or _auto_cover(sys, s, q)
-    terminal = coxeter_number(q) == n
+    terminal = _decided(sys, q, coxeter_number, q) == n
     node.kind = "cover"
     node.note = (
         f"cover at level {n} localizing "
@@ -360,7 +356,7 @@ def _do_cover(
             consumed=max(s.consumed, n if terminal else n - 1),
         )
     if terminal:
-        res_node = _new_node(tree, node.nid, n, _normalize(residual))
+        res_node = _new_node(tree, node.nid, n, _normalize(sys, residual))
         res_node.kind = "residual"
         res_node.note = "terminal residual"
     else:
@@ -385,9 +381,6 @@ def _row_reduce(aug: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
     return None if aug else reduced
 
 
-# every driver run of a level graph meets the same few cover relations again
-# (8 distinct among 153 calls for E8 to level 35): solve each one once
-@lru_cache(maxsize=1 << 8)
 def coxeter_number(f: Polynomial) -> Optional[int]:
     """The Coxeter number h of a quasi-homogeneous relation in the families
     x, y, z, or None when it has none.
@@ -441,7 +434,7 @@ def _auto_cover(sys: JetSystem, s: Stratum, q: Polynomial) -> tuple[tuple[Var, .
     return tuple((v,) for v in sorted(picked, key=_split_key, reverse=True))
 
 
-def _normalize(s: Stratum) -> Stratum:
+def _normalize(sys: JetSystem, s: Stratum) -> Stratum:
     """Collapse equations that degenerate after new coordinates vanished:
     a relation reduced to (unit monomial) * v^a just forces v = 0."""
     changed = True
@@ -452,7 +445,7 @@ def _normalize(s: Stratum) -> Stratum:
         uv = s.unit_vars()
         for i, eq in enumerate(eqs):
             others = tuple(e for j, e in enumerate(eqs) if j != i)
-            r = replace(s, equations=others).simplify(eq)
+            r = replace(s, equations=others).simplify(sys, eq)
             if r.is_zero():
                 changed = True
                 continue
@@ -478,7 +471,7 @@ def _absorb_residuals(sys: JetSystem, tree: StratificationTree) -> None:
         target = None
         for comp in reversed(tree.components):
             chart = tree.chart_of(comp)
-            if closure_contains(chart.stratum, node.stratum, sys.field):
+            if closure_contains(sys, chart.stratum, node.stratum):
                 target = comp.index
                 break
         node.absorbed_into = target

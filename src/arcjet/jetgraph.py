@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Callable
 
-from .algebra import QQ, Field, Polynomial, format_poly, var_name
+from .algebra import QQ, Polynomial, format_poly, var_name
 from .driver import Covers, run_driver
 from .hasse import JetSystem
 from .oracle import (
@@ -40,9 +40,9 @@ from .oracle import (
 from .strata import Stratum, closure_contains
 
 
-def descriptor_contains(b: Stratum, a: Stratum, field: Field) -> bool:
+def descriptor_contains(sys: JetSystem, b: Stratum, a: Stratum) -> bool:
     """Does the closure of ``b`` contain ``a``?  (See ``closure_contains``.)"""
-    return closure_contains(b, a, field)
+    return closure_contains(sys, b, a)
 
 
 def descriptor_key(d: Stratum, fmt: Callable[[Polynomial], str]) -> tuple:
@@ -98,9 +98,8 @@ def _level_pieces(sys: JetSystem, covers: Covers, m: int) -> list[tuple[object, 
     # drop pieces strictly inside another piece's closure; of pieces with
     # equal closures keep the first.  inside[i][j]: piece i lies in the
     # closure of piece j.
-    field = sys.field
     inside = [
-        [i != j and descriptor_contains(b, a, field) for j, (_, b) in enumerate(cands)]
+        [i != j and descriptor_contains(sys, b, a) for j, (_, b) in enumerate(cands)]
         for i, (_, a) in enumerate(cands)
     ]
     return [
@@ -139,7 +138,7 @@ def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
                 hits = [
                     pidx
                     for pidx, (_, pd) in enumerate(levels[m - 2])
-                    if descriptor_contains(pd, cut, sys.field)
+                    if descriptor_contains(sys, pd, cut)
                 ]
                 if not hits:
                     flags.append(

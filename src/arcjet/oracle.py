@@ -287,14 +287,13 @@ def enumerate_fiber(
     determined derivative level is nonzero.  Order ``m`` is one block per
     surviving prefix: its head tuple and the ``p**3`` last-order values
     that pass the levels checked there (one shared cube when none is).
+    Raises ``OracleError`` after testing more than ``budget`` candidate triples.
     """
     field = probe_field(sys.field, p)
     if field != sys.field:
         sys = JetSystem(transport_poly(sys.f, field))
     if sys.f.terms.get(()):
         return Fiber(m, ())  # f(0) != 0: the surface misses the origin
-    if p ** (3 * m) > budget:
-        raise OracleError("fiber too large; reduce m or p")
     if m == 0:
         return Fiber(0, (((), ((),)),))  # the origin alone
     # Each level is checked once the highest order among its terms is
@@ -311,8 +310,14 @@ def enumerate_fiber(
     cube = (*product(range(p), repeat=3),)
     last = 3 * (m - 1)
     last_checks = by_order.get(m, ())
+    tested = 0
 
     def dfs(o: int) -> None:
+        nonlocal tested
+        if o < m or last_checks:  # p**3 candidate triples to test
+            tested += len(cube)
+            if tested > budget:
+                raise OracleError(f"fiber search over budget ({budget} triples); reduce m or p")
         if o == m:
             tails = cube
             if last_checks:
@@ -332,11 +337,13 @@ def enumerate_fiber(
             if all(vanishes(parts, prefix, p) for parts in checks):
                 dfs(o + 1)
 
-    dfs(1)
-    # dfs refers to itself through its closure cell: drop it, or the cycle
-    # keeps ``out`` alive after the caller is done with the points, until
-    # the next full garbage collection
-    del dfs
+    try:
+        dfs(1)
+    finally:
+        # dfs refers to itself through its closure cell: drop it, or the
+        # cycle keeps ``out`` alive after the caller is done with the points
+        # (or with an over-budget error), until the next garbage collection
+        del dfs
     return Fiber(m, tuple(out))
 
 

@@ -9,25 +9,23 @@ each solved coordinate as N / c^k, N a polynomial in the free and unit
 coordinates (``generic_point``).
 
 A truncation to jet level ``m`` (``oracle.truncate_stratum``) is a stratum
-too, with no rule and ``consumed = m``.  Every reduction modulo a stratum
-goes through ``Stratum.simplify``, that is its ``Reduction``: the vanishing
-coordinates drop out, then the rewrite rules of the equations (one per
-distinct reduced equation) are applied to a fixpoint.  A ``Reduction``
-reads only ``(zero_vars, equations)``, and ``reduction_of`` builds one per
-such key, shared by every stratum, driver run and graph of the process.
-A derivative level is reduced through ``JetSystem.reduced``, once per
-stratum and level.
+too, with no rule and ``consumed = m``.  A stratum is plain data: a
+reduction modulo it is a ``Reduction`` that ``reduction_of(sys, s)`` hands
+out from the derivative tower ``sys`` (the vanishing coordinates drop out,
+then the rewrite rules of the equations apply to a fixpoint).  It reads
+only ``(zero_vars, equations)``, so the tower keeps one per such key and
+one rule per equation, shared by its driver runs, truncations and graph
+and freed with it.  A derivative level is reduced through
+``JetSystem.reduced``, once per stratum and level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     QQ,
-    Field,
     Mono,
     Polynomial,
     Var,
@@ -56,21 +54,23 @@ class RewriteRule:
     rhs: Polynomial
 
 
-def rewrite_rules_for(equations: Sequence[Polynomial]) -> tuple[RewriteRule, ...]:
+def rewrite_rules_for(
+    equations: Sequence[Polynomial], memo: Optional[dict] = None
+) -> tuple[RewriteRule, ...]:
     """Extract one rewrite rule per equation when a usable lead term exists.
 
     Preference: a linear single-variable term with constant coefficient;
     otherwise a pure power ``c*v^d`` with the largest variable.  Equations
     with no such term contribute no rule (they still define the stratum).
-    Each distinct equation's rule is built once (``_lead_rule`` is cached).
+    The same reduced equation recurs in every stratum of a chart's descent
+    and in every truncation of it, so ``memo`` (a tower's ``lead_rules``)
+    keeps each equation's rule; without one, every rule is searched afresh.
     """
-    return tuple(rule for eq in equations if (rule := _lead_rule(eq)) is not None)
+    memo = {} if memo is None else memo
+    rules = (memo[eq] if eq in memo else memo.setdefault(eq, _lead_rule(eq)) for eq in equations)
+    return tuple(rule for rule in rules if rule is not None)
 
 
-# the same reduced equation recurs in every stratum of a chart's descent and
-# in every truncation of it; rules and polynomials are immutable, so one rule
-# serves them all (``_lead_rule.__wrapped__`` is the uncached search)
-@lru_cache(maxsize=1 << 12)
 def _lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
     # a lead is a pure power c*v^e whose variable occurs in no other term
     occurrences: dict[Var, int] = {}
@@ -144,24 +144,22 @@ def _top_exponents(p: Polynomial) -> dict[Var, int]:
     return top
 
 
-def closure_contains(b: Stratum, a: Stratum, field: Field) -> bool:
+def closure_contains(sys: JetSystem, b: Stratum, a: Stratum) -> bool:
     """Does the closure of ``b`` contain ``a``?
 
-    ``a`` and ``b`` are strata, truncations included.  Sound syntactic test:
-    unit constraints of ``b`` drop away in the closure, and every closed
-    constraint of ``b`` (vanishing coordinate, vanishing monomial, equation)
-    must already hold on ``a``, i.e. ``a.simplify`` reduces it to zero.
+    ``a`` and ``b`` are strata of ``sys``, truncations included.  Sound
+    syntactic test: unit constraints of ``b`` drop away in the closure, and
+    every closed constraint of ``b`` (vanishing coordinate, vanishing
+    monomial, equation) must already hold on ``a``: ``a``'s reduction is 0.
     """
+    red = reduction_of(sys, a)
     return (
-        all(
-            v in a.zero_vars or not a.simplify(Polynomial.variable(field, v))
-            for v in b.zero_vars
-        )
+        all(v in a.zero_vars or not red(Polynomial.variable(sys.field, v)) for v in b.zero_vars)
         and all(
-            mm in a.zero_monomials or not a.simplify(Polynomial.monomial(field, mm))
+            mm in a.zero_monomials or not red(Polynomial.monomial(sys.field, mm))
             for mm in b.zero_monomials
         )
-        and all(a.reduction.vanishes(e) for e in b.equations)
+        and all(red.vanishes(e) for e in b.equations)
     )
 
 
@@ -169,14 +167,16 @@ class Reduction:
     """Reduction modulo the vanishing coordinates and the equations of a
     stratum: the coordinates drop out, then the rewrite rules of the
     equations reduced modulo them apply to a fixpoint.  It reads nothing
-    else of the stratum, so strata with equal ``(zero_vars, equations)``
-    share one (``reduction_of``)."""
+    else of the stratum, so the strata of one tower with equal
+    ``(zero_vars, equations)`` share one (``reduction_of``), whose rules
+    come from the tower's ``lead_rules``."""
 
-    __slots__ = ("zero_vars", "equations", "_rules", "_equation_set", "_vanishes")
+    __slots__ = ("zero_vars", "equations", "_lead_rules", "_rules", "_equation_set", "_vanishes")
 
-    def __init__(self, zero_vars: frozenset[Var], equations: tuple[Polynomial, ...]):
-        self.zero_vars = zero_vars
-        self.equations = equations
+    def __init__(self, s: Stratum, lead_rules: dict[Polynomial, Optional[RewriteRule]]):
+        self.zero_vars = s.zero_vars
+        self.equations = s.equations
+        self._lead_rules = lead_rules
         self._rules: Optional[tuple[RewriteRule, ...]] = None
         self._equation_set: Optional[frozenset[Polynomial]] = None
         self._vanishes: dict[Polynomial, bool] = {}
@@ -186,8 +186,8 @@ class Reduction:
         """The rewrite rules of the equations reduced modulo the zero set,
         built on first use."""
         if self._rules is None:
-            zs = self.zero_vars
-            self._rules = rewrite_rules_for(tuple(e.reduce_mod_vars(zs) for e in self.equations))
+            eqs = tuple(e.reduce_mod_vars(self.zero_vars) for e in self.equations)
+            self._rules = rewrite_rules_for(eqs, self._lead_rules)
         return self._rules
 
     def __call__(self, p: Polynomial) -> Polynomial:
@@ -206,15 +206,13 @@ class Reduction:
         return v
 
 
-# a reduction reads only its key, so one per key serves every stratum of the
-# process, across driver runs, graphs and fields: polynomials compare with
-# their field, and verdicts are kept per polynomial, so a key without
-# equations, the same in every field, mixes nothing
-# (``reduction_of.__wrapped__`` builds a fresh one)
-@lru_cache(maxsize=1 << 12)
-def reduction_of(zero_vars: frozenset[Var], equations: tuple[Polynomial, ...]) -> Reduction:
-    """The reduction modulo ``(zero_vars, equations)``."""
-    return Reduction(zero_vars, equations)
+def reduction_of(sys: JetSystem, s: Stratum) -> Reduction:
+    """The reduction modulo ``s``, one per tower and (zero_vars, equations)."""
+    key = (s.zero_vars, s.equations)
+    red = sys.reductions.get(key)
+    if red is None:
+        red = sys.reductions[key] = Reduction(s, sys.lead_rules)
+    return red
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,6 @@ class EliminationRule:
 
 @dataclass(frozen=True)
 class Stratum:
-    # frozen, so the cached reduction cannot go stale: ``replace`` builds a
-    # new instance
     zero_vars: frozenset[Var]
     equations: tuple[Polynomial, ...] = ()
     units: tuple[Polynomial, ...] = ()
@@ -267,13 +263,8 @@ class Stratum:
 
     # -- derived helpers ----------------------------------------------
 
-    @cached_property
-    def reduction(self) -> Reduction:
-        """Reduction modulo ``zero_vars`` and ``equations``."""
-        return reduction_of(self.zero_vars, self.equations)
-
-    def simplify(self, p: Polynomial) -> Polynomial:
-        return self.reduction(p)
+    def simplify(self, sys: JetSystem, p: Polynomial) -> Polynomial:
+        return reduction_of(sys, self)(p)
 
     def unit_vars(self) -> frozenset[Var]:
         """Coordinates invertible on the stratum: declared monomial units
@@ -341,9 +332,9 @@ def next_nontrivial(
     return None
 
 
-def split(s: Stratum, v: Var, field: Field) -> tuple[Stratum, Stratum]:
+def split(sys: JetSystem, s: Stratum, v: Var) -> tuple[Stratum, Stratum]:
     """Partition into the open part (v invertible) and closed part (v = 0)."""
-    open_part = replace(s, units=s.units + (Polynomial.variable(field, v),))
+    open_part = replace(s, units=s.units + (Polynomial.variable(sys.field, v),))
     closed_part = replace(s, zero_vars=s.zero_vars | {v})
     return open_part, closed_part
 
@@ -366,7 +357,7 @@ class PivotChoice:
     extra_unit: Optional[Polynomial]  # non-monomial cofactor declared a unit
 
 
-def find_pivot(s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
+def find_pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
     """Choose a variable of ``q`` whose partial derivative is invertible.
 
     The stratum is considered with ``q`` already imposed (so unit inference
@@ -377,9 +368,10 @@ def find_pivot(s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
     """
     probe = replace(s, equations=s.equations + (q,))
     uv = probe.unit_vars()
+    red = reduction_of(sys, probe)
     picks: list[PivotChoice] = []
     for v in q.variables():
-        c = probe.simplify(q.partial(v))
+        c = red(q.partial(v))
         if c.is_zero():
             continue
         content = c.content_monomial()
@@ -428,12 +420,13 @@ def eliminate_tail(
 
 
 def _verify_rule(sys: JetSystem, chart: Stratum, rule: EliminationRule) -> None:
-    want = chart.simplify(rule.coeff)
+    red = reduction_of(sys, chart)
+    want = red(rule.coeff)
     orders = [o for _, o in chart.zero_vars] + [o for e in chart.equations for _, o in e.variables()]
     bound = rule.offset + max([rule.offset, *orders])
     for m in range(rule.start_level, max(rule.start_level, bound + 1) + 1):
         w, c_m, num = rule_instance(sys, chart, rule, m)
-        got = chart.simplify(c_m)
+        got = red(c_m)
         if got != want:
             raise EngineError(
                 f"unstable elimination coefficient at level {m}: "
@@ -466,19 +459,20 @@ def generic_point(
     sys: JetSystem, chart: Stratum, up_to: int
 ) -> dict[Var, tuple[Polynomial, int]]:
     """Values of the coordinates of order <= up_to that the chart's rule
-    solves.  ``(N, k)`` stands for N / c^k, c = ``chart.simplify(rule.coeff)``
-    the coefficient of the solved coordinate at every level
+    solves.  ``(N, k)`` stands for N / c^k, c = ``rule.coeff`` reduced
+    modulo the chart, the coefficient of the solved coordinate at every level
     (``_verify_rule``).  Levels are solved in order, so each N involves only
     free and unit coordinates."""
     rule = chart.rule
     values: dict[Var, tuple[Polynomial, int]] = {}
     if rule is None:
         return values
-    c = chart.simplify(rule.coeff)
+    red = reduction_of(sys, chart)
+    c = red(rule.coeff)
     for m in range(rule.start_level, rule.offset + up_to + 1):
         w, _, num = rule_instance(sys, chart, rule, m)
         n, k = _substitute(num, values, c)
-        values[w] = (chart.simplify(n), k + 1)
+        values[w] = (red(n), k + 1)
     return values
 
 
@@ -510,11 +504,12 @@ def check_elimination_soundness(
     if rule is None:
         return []
     point = generic_point(sys, chart, up_to)
-    c = chart.simplify(rule.coeff)
+    red = reduction_of(sys, chart)
+    c = red(rule.coeff)
     return [
         m
         for m in range(rule.start_level, up_to + 1)
-        if chart.simplify(_substitute(sys.reduced(chart, m), point, c)[0])
+        if red(_substitute(sys.reduced(chart, m), point, c)[0])
     ]
 
 
@@ -557,12 +552,12 @@ def forced_vanishing(
     w, c_m, num = rule_instance(sys, chart, rule, m)
     assert w == target
     # the equations survive on the restricted set in reduced form
-    restricted = replace(chart, zero_vars=chart.zero_vars | rs)
-    if restricted.simplify(c_m).is_zero():
+    restricted = reduction_of(sys, replace(chart, zero_vars=chart.zero_vars | rs))
+    if restricted(c_m).is_zero():
         raise RestrictionIncompatible(
             f"restriction kills the unit coefficient of {var_name(target)}"
         )
-    val = restricted.simplify(num)
+    val = restricted(num)
     if val.is_zero():
         return True
     # terms may involve deeper eliminated coordinates that are themselves
@@ -605,6 +600,6 @@ def nonvanishing_evidence(
         return "free"
     m = v[1] + rule.offset
     _, _, num = rule_instance(sys, chart, rule, m)
-    if chart.simplify(num):
+    if chart.simplify(sys, num):
         return "eliminated-nonzero"
     return None

@@ -75,6 +75,18 @@ def test_oracle_counts(capsys):
     assert payload["points"] == 32 and payload["ok"] is True
 
 
+def test_oracle_budget_caps_the_triples_tested(capsys):
+    """The budget counts the candidate triples the search tests (415,233
+    here), not the 3^18 box: the default budget counts this fiber, and a
+    budget one short of the work raises."""
+    argv = ["oracle", "--kind", "A", "--n", "2", "--char", "3", "--level", "6", "--check", "counts"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["points"] == 3_365_793
+    code, out = run(capsys, *argv, "--budget", "415232")
+    assert code == 1 and "budget" in json.loads(out)["error"]
+
+
 def test_oracle_coverage(capsys):
     code, out = run(
         capsys, "oracle", "--kind", "D", "--n", "2", "--char", "3", "--level", "2",

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from arcjet import driver, strata
-from arcjet.algebra import Field, QQ, parse_poly, var
+from arcjet.algebra import Field, Polynomial, QQ, parse_poly, var
 from arcjet.catalog import components, preset, preset_grid
 from arcjet.cli import _oracle_plan
 from arcjet.driver import _square_split, coxeter_number, run_driver
@@ -173,24 +173,28 @@ def test_coxeter_number_of_jet_relations(text, h):
 
 def coxeter_mismatches(monkeypatch, number) -> tuple[list, list]:
     """Build the level-6 graphs of all 69 presets with ``number`` as the
-    driver's Coxeter number; the relations it was asked for, and those on
-    which it differs from the uncached solve."""
-    asked = []
+    driver's Coxeter number; the relations each graph's tower solved, and
+    those whose number the tower kept differs from a fresh solve."""
+    solved = []
 
     def recording(f):
-        asked.append(f)
+        solved.append(f)
         return number(f)
 
     monkeypatch.setattr(driver, "coxeter_number", recording)
+    kept = []
     for pr in preset_grid():
         build_graph(pr.system, pr.covers, 6)
-    solve = coxeter_number.__wrapped__
-    return asked, [f for f in dict.fromkeys(asked) if number(f) != solve(f)]
+        kept.extend((q, h) for q, h in pr.system.moves.items() if isinstance(q, Polynomial))
+    monkeypatch.undo()
+    # each tower solves each of its relations once
+    assert len(solved) == len(kept)
+    return solved, [q for q, h in kept if h != coxeter_number(q)]
 
 
 def test_cached_coxeter_number_matches_the_uncached_solve(monkeypatch):
-    asked, bad = coxeter_mismatches(monkeypatch, coxeter_number)
-    assert len(asked) > len(set(asked)) > 1 and bad == []
+    solved, bad = coxeter_mismatches(monkeypatch, coxeter_number)
+    assert len(solved) > 1 and bad == []
 
 
 def test_a_cache_keyed_by_term_count_fails_the_differential_test(monkeypatch):
@@ -198,7 +202,7 @@ def test_a_cache_keyed_by_term_count_fails_the_differential_test(monkeypatch):
     by_count = {}
 
     def keyed_by_count(f):
-        return by_count.setdefault(len(f.terms), coxeter_number.__wrapped__(f))
+        return by_count.setdefault(len(f.terms), coxeter_number(f))
 
     assert coxeter_mismatches(monkeypatch, keyed_by_count)[1]
 
@@ -261,7 +265,7 @@ def fresh_outcome(sys, args):
     """The uncached move's result, or the error it raises."""
     try:
         if len(args) == 2:
-            return strata.find_pivot(*args)
+            return strata.find_pivot(sys, *args)
         return strata.eliminate_tail(sys, *args)
     except Exception as e:
         return repr(e)
@@ -405,10 +409,82 @@ def test_the_move_memo_dies_with_its_tower():
     assert tower_collected()
 
 
+def reductions_left_behind() -> list:
+    """The reductions that outlive a preset's runs and graph, once the
+    preset is dropped (reductions alive before are not counted)."""
+    before = {id(obj): obj for obj in gc.get_objects() if isinstance(obj, strata.Reduction)}
+    tower_collected()
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, strata.Reduction) and id(obj) not in before
+    ]
+
+
+def test_no_reduction_outlives_its_tower():
+    # the reductions live on the tower and die with it
+    assert reductions_left_behind() == []
+
+
 def test_a_process_wide_elimination_cache_keeps_dead_towers_alive(monkeypatch):
     """Control: a cache keyed by the tower outlives it."""
     monkeypatch.setattr(driver, "eliminate_tail", functools.lru_cache(strata.eliminate_tail))
     assert not tower_collected()
+
+
+def equality_tests_per_e8_graph() -> list[int]:
+    """``Polynomial.__eq__`` calls of each of two E8 (char 0) graph builds to
+    level 35 in one process, each on a fresh preset and tower."""
+    calls = 0
+    eq = Polynomial.__eq__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return eq(self, other)
+
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "__eq__", counting)
+        for _ in range(2):
+            calls = 0
+            pr = preset("E8", char=0)
+            build_graph(pr.system, pr.covers, 35)
+            counts.append(calls)
+    return counts
+
+
+def test_a_second_build_does_no_more_work_than_the_first():
+    """Every memo lives on the tower, so a second build in the same process
+    starts from nothing, as the first did, and does the same work (559
+    equality tests each); it reuses nothing of the first build either."""
+    first, second = equality_tests_per_e8_graph()
+    assert first == second
+
+
+def cache_reductions_process_wide(monkeypatch) -> None:
+    """Control set-up: ``reduction_of`` behind a process-wide cache keyed by
+    (zero_vars, equations), as it once was."""
+
+    @functools.lru_cache(maxsize=None)
+    def shared(zero_vars, equations):
+        return strata.Reduction(Stratum(zero_vars, equations), {})
+
+    monkeypatch.setattr(strata, "reduction_of", lambda sys, s: shared(s.zero_vars, s.equations))
+
+
+def test_a_process_wide_reduction_cache_fails_the_repeated_build_test(monkeypatch):
+    """Control: the cache hands the second build the first build's
+    reductions, whose equations are equal to the fresh tower's but not the
+    same objects, so every lookup and verdict compares them term by term."""
+    cache_reductions_process_wide(monkeypatch)
+    first, second = equality_tests_per_e8_graph()
+    assert second > first
+
+
+def test_a_process_wide_reduction_cache_keeps_reductions_alive(monkeypatch):
+    """Control: the cache's reductions outlive the tower they served."""
+    cache_reductions_process_wide(monkeypatch)
+    assert reductions_left_behind()
 
 
 # -- a surface off the origin --------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name a module under src/arcjet imports is used in that module,
 every parameter of its functions and methods is read, no default argument
-is a mutable display, and no module runs generated code.
+is a mutable display, no module runs generated code, and no module-level
+function sits behind a process-wide cache.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -266,6 +267,52 @@ def test_reductions_are_built_only_by_reduction_of(path):
         == "Reduction"
     ]
     assert not direct, f"{path.name} builds a Reduction directly: {', '.join(direct)}"
+
+
+PROCESS_WIDE_CACHES = ("lru_cache", "cache")
+
+
+def process_wide_caches(tree: ast.Module):
+    """Module-level functions decorated with ``functools.lru_cache`` or
+    ``functools.cache``, bare or called, imported or as ``functools.``
+    attributes."""
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+            if name in PROCESS_WIDE_CACHES:
+                yield fn.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_wide_caches(path):
+    # every memo lives on the derivative tower it was computed from and is
+    # freed with it; a cache on a module-level function outlives its towers
+    # and fills up across operations
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cached = sorted({f"line {n}" for n in process_wide_caches(tree)})
+    assert not cached, f"{path.name} caches a function process-wide: {', '.join(cached)}"
+
+
+def test_the_process_wide_cache_guard_sees_every_spelling():
+    # control: each decorator is caught; a cache local to one call is not
+    spellings = [
+        "import functools\n@functools.lru_cache(maxsize=256)\ndef f(x):\n    return x\n",
+        "from functools import lru_cache\n@lru_cache\ndef f(x):\n    return x\n",
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x):\n    return x\n",
+        "import functools\n@functools.cache\ndef f(x):\n    return x\n",
+        "from functools import cache\n@cache\ndef f(x):\n    return x\n",
+    ]
+    assert all(list(process_wide_caches(ast.parse(text))) for text in spellings)
+    local = ast.parse(
+        "import functools\n"
+        "def build(polys):\n"
+        "    fmt = functools.cache(str)\n"
+        "    return [fmt(p) for p in polys]\n"
+    )
+    assert not list(process_wide_caches(local))
 
 
 def reductions_of_derivatives(tree: ast.Module):

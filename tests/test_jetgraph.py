@@ -83,7 +83,7 @@ def test_descriptor_restriction_and_containment():
     assert d3.consumed == 3 and d3.rule is None
     assert all(v[1] <= 3 for v in d3.zero_vars)
     # the deeper descriptor lies inside (the closure of) the shallow one
-    assert descriptor_contains(d3, d3, sys.field)
+    assert descriptor_contains(sys, d3, d3)
 
 
 @pytest.mark.parametrize("kind,n,m", [("D", 2, 3), ("A", 1, 2)])
@@ -185,7 +185,7 @@ def test_flag_order_is_pinned(monkeypatch):
     # a truncation target: a level's edge flags come before its probe flags
     levels = {m: _level_pieces(pr.system, pr.covers, m) for m in range(1, 7)}
     monkeypatch.setattr(jetgraph, "_level_pieces", lambda sys, covers, m: levels[m])
-    monkeypatch.setattr(jetgraph, "descriptor_contains", lambda b, a, field: False)
+    monkeypatch.setattr(jetgraph, "descriptor_contains", lambda sys, b, a: False)
     g = build_graph(pr.system, pr.covers, 6)
     assert not g.edges
     expected = []

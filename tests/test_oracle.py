@@ -95,17 +95,24 @@ def test_enumerate_matches_reference_elsewhere():
     assert list(enumerate_fiber(e6, 3, 2)) == brute_points(e6.f, 3, 2)
 
 
-@pytest.mark.parametrize("char", [2, 0], ids=["same-field", "moved-field"])
-def test_enumerate_fiber_leaves_no_garbage_cycle(char):
+@pytest.mark.parametrize(
+    "char,budget", [(2, None), (0, None), (2, 20)], ids=["same-field", "moved-field", "over-budget"]
+)
+def test_enumerate_fiber_leaves_no_garbage_cycle(char, budget):
     # the point list is freed as soon as the caller drops it, not at some
-    # later garbage collection: the call leaves no reference cycle behind
+    # later garbage collection: the call leaves no reference cycle behind,
+    # nor does a search that its budget stops midway
     sys = JetSystem(parse_poly("z^2 + x*y", Field(char)))
     gc.collect()
     gc.disable()
     try:
-        pts = enumerate_fiber(sys, 2, 2)
-        assert len(pts) == 32
-        del pts
+        if budget is None:
+            pts = enumerate_fiber(sys, 2, 2)
+            assert len(pts) == 32
+            del pts
+        else:
+            with pytest.raises(OracleError):
+                enumerate_fiber(sys, 2, 3, budget=budget)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -273,11 +280,12 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
     assigns = {pt: point_assignment(pt, m) for pt in pts}
     members = [[pt for pt in pts if stratum_membership(assigns[pt], T)] for T in leaves]
     proper = 0
+    assert target == sys.field  # the truncations are strata of sys
     for i, b in enumerate(leaves):
-        assert closure_contains(b, b, target)
+        assert closure_contains(sys, b, b)
         closed = replace(b, units=())
         for j, (a, a_pts) in enumerate(zip(leaves, members)):
-            if not closure_contains(b, a, target):
+            if not closure_contains(sys, b, a):
                 continue
             proper += i != j
             bad = [pt for pt in a_pts if not stratum_membership(assigns[pt], closed)]

@@ -87,7 +87,7 @@ def reference_lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
 
 
 def assert_same_rule(eq):
-    got, want = strata._lead_rule.__wrapped__(eq), reference_lead_rule(eq)
+    got, want = strata._lead_rule(eq), reference_lead_rule(eq)
     if want is None:
         assert got is None, eq
     else:
@@ -127,20 +127,22 @@ def test_lead_rule_matches_reference_on_the_e8_graph(monkeypatch):
     """Every equation whose rule the E8 (char 0) graph to level 12 asks for.
 
     The equations are recorded where rules are asked for,
-    ``rewrite_rules_for``, ahead of the rule cache: the search itself runs
-    only on a cache miss.  A graph shares one rule set per (zero_vars,
-    equations) in the ``reduction_of`` cache, which each test starts empty,
-    so each distinct set reaches ``rewrite_rules_for`` once."""
+    ``rewrite_rules_for``, ahead of the tower's rule memo: the search itself
+    runs only on a memo miss.  The graph's tower shares one rule set per
+    (zero_vars, equations), and its memos start empty, so each distinct set
+    reaches ``rewrite_rules_for`` once.  Every rule the tower kept is the
+    one the search gives."""
     seen = []
     rules_for = strata.rewrite_rules_for
 
-    def recording(equations):
+    def recording(equations, memo=None):
         seen.extend(equations)
-        return rules_for(equations)
+        return rules_for(equations, memo)
 
     monkeypatch.setattr(strata, "rewrite_rules_for", recording)
     pr = preset("E8", char=0)
-    build_graph(JetSystem(pr.equation), pr.covers, 12)
+    sys = JetSystem(pr.equation)
+    build_graph(sys, pr.covers, 12)
     monkeypatch.undo()
     equations = list(dict.fromkeys(seen))
     assert len(equations) >= 10
@@ -148,13 +150,14 @@ def test_lead_rule_matches_reference_on_the_e8_graph(monkeypatch):
     assert {reference_lead_rule(eq) is None for eq in equations} == {True, False}
     for eq in equations:
         assert_same_rule(eq)
-        assert strata._lead_rule(eq) == strata._lead_rule.__wrapped__(eq), eq
+    assert sys.lead_rules.keys() == set(equations)
+    for eq, rule in sys.lead_rules.items():
+        assert rule == strata._lead_rule(eq), eq
 
 
 def uncached_rules(equations):
-    """``rewrite_rules_for`` without the rule cache."""
-    search = strata._lead_rule.__wrapped__
-    return tuple(r for eq in equations if (r := search(eq)) is not None)
+    """``rewrite_rules_for`` without a rule memo."""
+    return tuple(r for eq in equations if (r := strata._lead_rule(eq)) is not None)
 
 
 def reference_rewrite(p: Polynomial, rules) -> Polynomial:
@@ -266,11 +269,11 @@ def test_memo_and_rule_cache_match_uncached_routes(pr):
     for node in tree.nodes:
         s = node.stratum
         reduced_eqs = tuple(e.reduce_mod_vars(s.zero_vars) for e in s.equations)
-        assert s.reduction.rules == uncached_rules(reduced_eqs), (pr.label, node.nid)
+        assert strata.reduction_of(sys, s).rules == uncached_rules(reduced_eqs), (pr.label, node.nid)
         for eq in reduced_eqs:
             assert_same_rule(eq)
         for m in range(pr.max_level + 1):
-            assert sys.reduced(s, m) == s.simplify(sys.derivative(m)), (pr.label, node.nid, m)
+            assert sys.reduced(s, m) == s.simplify(sys, sys.derivative(m)), (pr.label, node.nid, m)
 
 
 def test_reduced_is_computed_once_per_stratum_and_level():
@@ -292,7 +295,7 @@ def test_stratum_simplify_combines_zeros_and_rules():
         zero_vars=frozenset({var("x", 0)}),
         equations=(P("z2 - y1^2"),),
     )
-    assert s.simplify(P("x0*y3 + z2*y1")) == P("y1^3")
+    assert s.simplify(JetSystem(P("z^2 + x*y")), P("x0*y3 + z2*y1")) == P("y1^3")
 
 
 @pytest.mark.parametrize(
@@ -319,27 +322,32 @@ def test_simplify_matches_uncached_reference(kind, n, char, variant):
         for m in range(s.consumed + 1, pr.max_level + 1):
             f_m = sys.derivative(m)
             want = rewrite(f_m.reduce_mod_vars(s.zero_vars), rewrite_rules_for(s.equations))
-            assert s.simplify(f_m) == want, (node.nid, m)
+            assert s.simplify(sys, f_m) == want, (node.nid, m)
             checked += 1
     assert checked
 
 
 def test_simplify_cache_follows_replace():
+    sys = JetSystem(P("z^2 + x*y"))
     s = Stratum(zero_vars=frozenset({var("x", 0)}), equations=(P("z2 - y1^2"),))
-    assert s.simplify(P("z3 + z2")) == P("z3 + y1^2")  # fills s's rule cache
+    assert s.simplify(sys, P("z3 + z2")) == P("z3 + y1^2")  # fills the tower's memo
     s2 = replace(s, equations=s.equations + (P("z3 - x1*y1"),))
-    assert s2.simplify(P("z3 + z2")) == P("x1*y1 + y1^2")
-    assert s.simplify(P("z3 + z2")) == P("z3 + y1^2")
+    assert s2.simplify(sys, P("z3 + z2")) == P("x1*y1 + y1^2")
+    assert s.simplify(sys, P("z3 + z2")) == P("z3 + y1^2")
 
 
 def test_strata_share_a_reduction_through_their_memo():
+    sys = JetSystem(P("z^2 + x*y"))
     s = Stratum(zero_vars=frozenset({var("x", 0)}), equations=(P("z2 - y1^2"),))
     twin = replace(s, units=(P("x1"),), consumed=2)
     other = add_equation(s, P("z3 - x1"), 3)
-    assert twin.reduction is s.reduction is strata.reduction_of(s.zero_vars, s.equations)
-    assert other.reduction is not s.reduction
-    assert strata.reduction_of.cache_info().currsize == 2
-    assert other.simplify(P("z3 + z2")) == P("x1 + y1^2")
+    red = strata.reduction_of(sys, s)
+    assert strata.reduction_of(sys, twin) is red
+    assert strata.reduction_of(sys, other) is not red
+    assert len(sys.reductions) == 2
+    assert other.simplify(sys, P("z3 + z2")) == P("x1 + y1^2")
+    # another tower builds its own
+    assert strata.reduction_of(JetSystem(P("z^2 + x*y")), s) is not red
 
 
 def recorded_reductions(monkeypatch, build) -> tuple[int, list]:
@@ -349,11 +357,11 @@ def recorded_reductions(monkeypatch, build) -> tuple[int, list]:
     seen = {}
     real = strata.reduction_of
 
-    def recording(zero_vars, equations):
+    def recording(sys, s):
         nonlocal calls
         calls += 1
-        red = real(zero_vars, equations)
-        seen.setdefault((zero_vars, equations, id(red)), (zero_vars, equations, red))
+        red = real(sys, s)
+        seen.setdefault((s.zero_vars, s.equations, id(red)), (s.zero_vars, s.equations, red))
         return red
 
     monkeypatch.setattr(strata, "reduction_of", recording)
@@ -385,9 +393,9 @@ def build_e8_graph_to_12():
 
 def test_shared_reductions_match_the_uncached_route(monkeypatch):
     """Every reduction that the E8 (char 0) graph to level 12 and the
-    level-6 graphs of all 69 presets share: its rules are the uncached
-    rules (``_lead_rule.__wrapped__``) of the asking stratum, and each
-    verdict it kept is the uncached one."""
+    level-6 graphs of all 69 presets share, each graph through its own
+    tower: its rules are the uncached rules (``_lead_rule``) of the asking
+    stratum, and each verdict it kept is the uncached one."""
 
     def build():
         build_e8_graph_to_12()
@@ -395,8 +403,8 @@ def test_shared_reductions_match_the_uncached_route(monkeypatch):
             build_graph(pr.system, pr.covers, 6)
 
     calls, seen = recorded_reductions(monkeypatch, build)
-    # 3,509 strata asked for 346 distinct reductions, shared across the
-    # graphs
+    # 5,579 lookups of 1,010 distinct reductions, each graph's tower
+    # building its own
     assert calls > 3 * len(seen) > 1000
     assert sum(len(red._vanishes) for _, _, red in seen) > 500  # verdicts kept
     assert reduction_mismatches(seen) == []
@@ -410,10 +418,10 @@ def test_the_e8_graph_builds_one_rule_set_per_reduction_key(monkeypatch):
     builds = 0
     rules_for = strata.rewrite_rules_for
 
-    def counting(equations):
+    def counting(equations, memo=None):
         nonlocal builds
         builds += 1
-        return rules_for(equations)
+        return rules_for(equations, memo)
 
     monkeypatch.setattr(strata, "rewrite_rules_for", counting)
     pr = preset("E8", char=0)
@@ -446,9 +454,9 @@ def test_closure_contains_matches_the_reference_on_every_graph_pair(monkeypatch)
     included, gets the reference verdict."""
     asked = []
 
-    def recording(b, a, field):
-        verdict = strata.closure_contains(b, a, field)
-        asked.append((b, a, field, verdict))
+    def recording(sys, b, a):
+        verdict = strata.closure_contains(sys, b, a)
+        asked.append((b, a, sys.field, verdict))
         return verdict
 
     monkeypatch.setattr(jetgraph, "closure_contains", recording)
@@ -470,12 +478,11 @@ def test_a_memo_keyed_by_the_zero_set_alone_fails_the_differential_test(monkeypa
     stratum another stratum's rules, and the differential test sees it."""
 
     by_zeros = {}
-    fresh = strata.reduction_of.__wrapped__
 
-    def by_zero_set(zero_vars, equations):
-        if zero_vars not in by_zeros:
-            by_zeros[zero_vars] = fresh(zero_vars, equations)
-        return by_zeros[zero_vars]
+    def by_zero_set(sys, s):
+        if s.zero_vars not in by_zeros:
+            by_zeros[s.zero_vars] = strata.Reduction(s, sys.lead_rules)
+        return by_zeros[s.zero_vars]
 
     monkeypatch.setattr(strata, "reduction_of", by_zero_set)
     _, seen = recorded_reductions(monkeypatch, build_e8_graph_to_12)
@@ -520,7 +527,7 @@ def test_unit_vars_closure():
 
 def test_split_and_force_vanish():
     s = root_stratum()
-    op, cl = split(s, var("x", 1), QQ)
+    op, cl = split(JetSystem(P("z^2 + x*y")), s, var("x", 1))
     assert P("x1") in op.units
     assert var("x", 1) in cl.zero_vars
     s2 = force_vanish(s, var("z", 1), 2)
@@ -537,8 +544,8 @@ def quadric_chart():
     assert found is not None
     n, r = found
     assert n == 2 and r == P("z1^2 + x1*y1")
-    op, _ = split(s, var("x", 1), QQ)
-    pivot = find_pivot(op, r)
+    op, _ = split(sys, s, var("x", 1))
+    pivot = find_pivot(sys, op, r)
     assert pivot is not None
     assert pivot.v == var("y", 1) and pivot.coeff == P("x1")
     return sys, eliminate_tail(sys, op, n, r, pivot)
@@ -572,8 +579,8 @@ def test_quadratic_pivot_keeps_equation():
     sys = JetSystem(P("z^2 + x*y"))
     s = root_stratum()
     n, r = next_nontrivial(sys, s, 10)
-    op, _ = split(s, var("z", 1), QQ)
-    pivot = find_pivot(op, r)
+    op, _ = split(sys, s, var("z", 1))
+    pivot = find_pivot(sys, op, r)
     assert pivot is not None and pivot.v == var("z", 1)
     chart = eliminate_tail(sys, op, n, r, pivot)
     assert r in chart.equations
@@ -609,7 +616,7 @@ def test_a_chart_holds_one_rule():
     # eliminating again on a chart is refused: a chart holds one rule
     sys, chart = quadric_chart()
     n, r = next_nontrivial(sys, chart, 10)
-    pivot = find_pivot(chart, r)
+    pivot = find_pivot(sys, chart, r)
     assert pivot is not None
     with pytest.raises(EngineError, match="already a chart"):
         eliminate_tail(sys, chart, n, r, pivot)
@@ -678,16 +685,17 @@ def reference_soundness(sys: JetSystem, chart: Stratum, up_to: int) -> list[int]
     each level divides by its own reduced coefficient."""
     rule = chart.rule
     point: dict = {}
+    red = strata.reduction_of(sys, chart)
     for m in range(rule.start_level, rule.offset + up_to + 1):
         w, c_m, num = rule_instance(sys, chart, rule, m)
-        val = evaluate_rational(num, point, chart.simplify) * RationalExpression(
-            Polynomial.const(sys.field, 1), chart.simplify(c_m)
+        val = evaluate_rational(num, point, red) * RationalExpression(
+            Polynomial.const(sys.field, 1), red(c_m)
         )
-        point[w] = val.map_polys(chart.simplify)
+        point[w] = val.map_polys(red)
     return [
         m
         for m in range(rule.start_level, up_to + 1)
-        if chart.simplify(evaluate_rational(sys.reduced(chart, m), point, chart.simplify).num)
+        if red(evaluate_rational(sys.reduced(chart, m), point, red).num)
     ]
 
 
@@ -711,9 +719,9 @@ def driver_test_charts():
             yield sys, node.stratum, up_to
     sys, chart = quadric_chart()
     yield sys, chart, 10
-    op, _ = split(root_stratum(), var("z", 1), QQ)
+    op, _ = split(sys, root_stratum(), var("z", 1))
     r = P("z1^2 + x1*y1")
-    yield sys, eliminate_tail(sys, op, 2, r, find_pivot(op, r)), 10
+    yield sys, eliminate_tail(sys, op, 2, r, find_pivot(sys, op, r)), 10
 
 
 def offset_shifted_a_series_charts():
@@ -748,10 +756,10 @@ def test_the_generic_point_flags_the_levels_the_rational_route_flags(cases, soun
 def six_level_probe(sys, chart, rule):
     """The fixed window the check once read, levels ``start_level`` to
     ``start_level + 5``, kept as the reference."""
-    want = chart.simplify(rule.coeff)
+    want = chart.simplify(sys, rule.coeff)
     for m in range(rule.start_level, rule.start_level + 6):
         w, c_m, num = rule_instance(sys, chart, rule, m)
-        if chart.simplify(c_m) != want:
+        if chart.simplify(sys, c_m) != want:
             raise EngineError(f"unstable elimination coefficient at level {m}")
         if w in num.variables():
             raise EngineError(f"elimination not well-founded at level {m}")
@@ -826,10 +834,10 @@ def test_the_exact_check_agrees_with_the_six_level_probe(monkeypatch, build):
     assert checks and all(passed for *_, passed in checks)
     for sys, chart, rule, levels, _ in checks:
         assert probe_outcome(sys, chart, rule), rule.describe()
-        want = chart.simplify(rule.coeff)
+        want = chart.simplify(sys, rule.coeff)
         for m in range(levels[-1] + 1, levels[-1] + 4):
             w, c_m, num = rule_instance(sys, chart, rule, m)
-            assert chart.simplify(c_m) == want and w not in num.variables(), (rule.describe(), m)
+            assert chart.simplify(sys, c_m) == want and w not in num.variables(), (rule.describe(), m)
 
 
 def test_the_check_reads_the_levels_its_bound_names(monkeypatch):
@@ -856,9 +864,9 @@ def test_a_rule_failing_past_the_six_level_window_raises():
     The bound there is 1 + max(1, 9) = 10, so the check reads levels 2 to
     11; the six-level window stopped at level 7."""
     sys = JetSystem(P("z^2 + x*y"))
-    op, _ = split(root_stratum(), var("x", 1), QQ)
+    op, _ = split(sys, root_stratum(), var("x", 1))
     r = P("z1^2 + x1*y1")
-    pivot = find_pivot(op, r)
+    pivot = find_pivot(sys, op, r)
     s = force_vanish(op, var("y", 9), 0)
     with pytest.raises(EngineError, match="at level 10: 0 != x1"):
         eliminate_tail(sys, s, 2, r, pivot)
