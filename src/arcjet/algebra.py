@@ -320,10 +320,11 @@ QQ = Field(0)
 class Polynomial:
     """Immutable sparse multivariate polynomial over a fixed Field."""
 
-    # ``_hash`` and ``_order`` are computed on first use: no method mutates
-    # ``terms`` after construction, and every ``_of_terms`` caller hands
-    # over a dict it built for the new polynomial alone
-    __slots__ = ("field", "terms", "_hash", "_order")
+    # ``_hash`` and ``_top`` (the support: each variable's top exponent)
+    # are computed on first use: no method mutates ``terms`` after
+    # construction, and every ``_of_terms`` caller hands over a dict it
+    # built for the new polynomial alone
+    __slots__ = ("field", "terms", "_hash", "_top")
 
     def __init__(self, field: Field, terms: Mapping[Mono, Scalar]):
         norm: dict[Mono, Scalar] = {}
@@ -333,7 +334,7 @@ class Polynomial:
                 norm[m] = c
         self.field = field
         self.terms = norm
-        self._hash = self._order = None
+        self._hash = self._top = None
 
     # -- constructors -------------------------------------------------
 
@@ -344,7 +345,7 @@ class Polynomial:
         out = Polynomial.__new__(Polynomial)
         out.field = field
         out.terms = terms
-        out._hash = out._order = None
+        out._hash = out._top = None
         return out
 
     @staticmethod
@@ -357,7 +358,7 @@ class Polynomial:
 
     @staticmethod
     def variable(field: Field, v: Var, exp: int = 1) -> "Polynomial":
-        return Polynomial(field, {mono_from_pairs([(v, exp)]): field.one})
+        return Polynomial._of_terms(field, {((v, exp),) if exp else ONE_MONO: field.one})
 
     @staticmethod
     def monomial(field: Field, m: Mono, c: Scalar = 1) -> "Polynomial":
@@ -385,32 +386,34 @@ class Polynomial:
 
     def __reduce__(self):
         # a string hash differs between processes: never pickle ``_hash``
-        # (nor ``_order``: the copy scans its terms again on first use)
+        # (nor ``_top``: the copy scans its terms again on first use)
         return Polynomial._of_terms, (self.field, self.terms)
 
     def sorted_terms(self) -> list[tuple[Mono, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
+    def top_exponents(self) -> dict[Var, int]:
+        """The support: each variable's highest exponent, read in one scan on
+        first use and kept (callers must not mutate it)."""
+        top = self._top
+        if top is None:
+            top = self._top = {}
+            get = top.get
+            for m in self.terms:
+                for v, e in m:
+                    if e > get(v, 0):
+                        top[v] = e
+        return top
+
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for m in self.terms:
-            out.update(mono_vars(m))
-        return out
+        return set(self.top_exponents())
 
     def max_order(self) -> int:
         """The highest jet order among the variables (-1 for a constant)."""
-        o = self._order
-        if o is None:
-            o = self._order = max((order for m in self.terms for (_, order), _ in m), default=-1)
-        return o
+        return max([order for _, order in self.top_exponents()], default=-1)
 
     def degree_in(self, v: Var) -> int:
-        deg = 0
-        for m in self.terms:
-            for w, e in m:
-                if w == v:
-                    deg = max(deg, e)
-        return deg
+        return self.top_exponents().get(v, 0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -486,10 +489,11 @@ class Polynomial:
         """Drop every term containing one of the given variables.
 
         This is reduction modulo the ideal generated by the variables.
-        When no term drops, ``self`` itself is returned (with its hash).
+        When no term drops, which the support tells without a scan, ``self``
+        itself is returned (with its hash).
         """
         zs = zero_vars if isinstance(zero_vars, (set, frozenset)) else set(zero_vars)
-        if not zs:
+        if zs.isdisjoint(self.top_exponents()):
             return self
         terms: dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
@@ -498,8 +502,6 @@ class Polynomial:
                     break
             else:
                 terms[m] = c
-        if len(terms) == len(self.terms):
-            return self
         return Polynomial._of_terms(self.field, terms)
 
     def partial(self, v: Var) -> "Polynomial":
@@ -632,34 +634,39 @@ class Polynomial:
 
 
 def format_poly(p: Polynomial) -> str:
-    """Canonical plain-text form, e.g. ``z3^2 + x2^3`` or ``2*x1*y1 - z0``."""
+    """Canonical plain-text form, e.g. ``z3^2 + x2^3`` or ``2*x1*y1 - z0``.
+
+    One pass over the sorted terms.  Residues mod p are never negative, so
+    the sign test needs no look at the characteristic; the text of each
+    (variable, exponent) pair is built once per call."""
     terms = p.terms
     if not terms:
         return "0"
-    signed = p.field.char == 0
-    parts: list[str] = []
+    names: dict[tuple[Var, int], str] = {}
+    get = names.get
+    out: list[str] = []
     for m in sorted(terms, key=mono_key):
         c = terms[m]
-        neg = False
-        if signed:
-            if isinstance(c, Gaussian):
-                if (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0):
-                    neg = True
-                    c = -c
-            elif c.numerator < 0:  # a Fraction: its sign without a comparison
-                neg = True
-                c = -c
-        if not m:
-            body = _fmt_scalar(c)
+        if type(c) is Gaussian:
+            neg = (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0)
+            coeff = _fmt_scalar(-c if neg else c)
+        else:  # int or Fraction
+            n, d = c.numerator, c.denominator
+            neg = n < 0
+            coeff = str(-n if neg else n) if d == 1 else f"{-n if neg else n}/{d}"
+        out.append((" - " if neg else " + ") if out else ("-" if neg else ""))
+        if m:
+            body = "*".join([get(pair) or _pair_name(names, pair) for pair in m])
+            out.append(body if coeff == "1" else f"{coeff}*{body}")
         else:
-            body = "*".join([f"{f}{o}" if e == 1 else f"{f}{o}^{e}" for (f, o), e in m])
-            if c != 1:
-                body = f"{_fmt_scalar(c)}*{body}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+            out.append(coeff)
+    return "".join(out)
+
+
+def _pair_name(names: dict[tuple[Var, int], str], pair: tuple[Var, int]) -> str:
+    (f, o), e = pair
+    name = names[pair] = f"{f}{o}" if e == 1 else f"{f}{o}^{e}"
+    return name
 
 
 def _fmt_scalar(c: Scalar) -> str:

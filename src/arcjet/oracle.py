@@ -29,6 +29,7 @@ from .algebra import (
     Gaussian,
     Polynomial,
     Var,
+    format_poly,
     is_prime,
     var,
 )
@@ -106,9 +107,20 @@ def transport_scalar(c, target: Field):
 
 
 def transport_poly(p: Polynomial, target: Field) -> Polynomial:
+    """``p`` over ``target``.  A coefficient that has no value there is an
+    ``OracleError`` naming the lowest such term by ``mono_key``, whatever
+    the order of ``p``'s terms."""
     if p.field == target:
         return p
-    return Polynomial(target, {m: transport_scalar(c, target) for m, c in p.terms.items()})
+    try:
+        return Polynomial(target, {m: transport_scalar(c, target) for m, c in p.terms.items()})
+    except OracleError:
+        for m, c in p.sorted_terms():
+            try:
+                transport_scalar(c, target)
+            except OracleError as e:
+                raise OracleError(f"{e} (term {format_poly(Polynomial.monomial(p.field, m))})") from e
+        raise
 
 
 def probe_field(source: Field, p: int) -> Field:

@@ -101,9 +101,9 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
     """Reduce every occurrence of each rule's lead power, to a fixpoint.
 
     A rule applies only where its lead ``v^power`` occurs: the top exponent
-    of every variable is read in one sweep over ``p``, again after each
-    rule that fires, and ``p`` is split by ``v`` only for a rule whose lead
-    occurs."""
+    of every variable is read from the support of ``p`` (kept on it), again
+    after each rule that fires, and ``p`` is split by ``v`` only for a rule
+    whose lead occurs."""
     if not rules:
         return p
     changed = True
@@ -113,7 +113,7 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
         guard += 1
         if guard > 1000:
             raise EngineError("rewriting did not terminate")
-        top = _top_exponents(p)
+        top = p.top_exponents()
         for rule in rules:
             if top.get(rule.v, 0) < rule.power:
                 continue
@@ -129,19 +129,8 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
                     term = term * Polynomial.variable(field, rule.v, r)
                 acc = acc + term
             p = acc
-            top = _top_exponents(p)
+            top = p.top_exponents()
     return p
-
-
-def _top_exponents(p: Polynomial) -> dict[Var, int]:
-    """The highest exponent of each variable of ``p``."""
-    top: dict[Var, int] = {}
-    get = top.get
-    for mono in p.terms:
-        for v, e in mono:
-            if e > get(v, 0):
-                top[v] = e
-    return top
 
 
 def closure_contains(sys: JetSystem, b: Stratum, a: Stratum) -> bool:

@@ -251,9 +251,15 @@ def test_hash_is_cached_and_follows_equality(field, data):
     assert f == twin
     assert hash(f) == hash(twin) == hash((field.char, frozenset(f.terms.items())))
     assert f._hash == hash(f)  # kept after the first call
-    # the cache never crosses a pickle: string hashes differ by process
+    # no cache crosses a pickle: string hashes differ by process, and every
+    # private slot (``_hash``, ``_top`` and any later one) is a cache
+    f.max_order()
+    caches = [slot for slot in Polynomial.__slots__ if slot.startswith("_")]
+    assert {"_hash", "_top"} <= set(caches)
+    assert all(getattr(f, slot) is not None for slot in caches)
     copy = pickle.loads(pickle.dumps(f))
-    assert copy == f and copy._hash is None and hash(copy) == hash(f)
+    assert copy == f and all(getattr(copy, slot) is None for slot in caches)
+    assert hash(copy) == hash(f) and copy.top_exponents() == f.top_exponents()
 
 
 def test_reduce_mod_vars_returns_an_untouched_polynomial_itself():
@@ -290,30 +296,84 @@ def test_division_by_one_returns_the_receiver(field, data):
         assert g.divide_monomial(g.content_monomial()) is not g
 
 
-def scanned_order(f: Polynomial) -> int:
-    return max((v[1] for m in f.terms for v, _ in m), default=-1)
+def scanned_support(f: Polynomial) -> dict:
+    """Each variable's top exponent, from a fresh scan of the terms."""
+    top = {}
+    for m in f.terms:
+        for v, e in m:
+            top[v] = max(top.get(v, 0), e)
+    return top
+
+
+def assert_support_matches_a_fresh_scan(p: Polynomial) -> None:
+    top = scanned_support(p)
+    assert p.top_exponents() == top
+    assert p._top == top  # kept after the first call
+    assert p.max_order() == max((o for _, o in top), default=-1)
+    assert p.variables() == set(top)
+    for v in {*top, var("x", 1), var("t", 0)}:
+        assert p.degree_in(v) == top.get(v, 0)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_cached_max_order_matches_a_fresh_scan(field, data):
+    """The support kept on a polynomial, and ``max_order``, ``degree_in``
+    and ``variables``, which read it, agree with a fresh scan, also on
+    derived polynomials."""
     f, g = draw_poly(data, field), draw_poly(data, field)
-    derived = (f * g, f + g, f.partial(var("x", 1)), f.reduce_mod_vars({var("y", 2)}))
+    e = data.draw(st.integers(0, 3))
+    derived = (
+        f * g,
+        f + g,
+        f.partial(var("x", 1)),
+        f.reduce_mod_vars({var("y", 2)}),
+        Polynomial.variable(field, var("z", 2), e),
+    )
     for p in (f, g, *derived):
-        assert p.max_order() == scanned_order(p)
-        assert p._order == scanned_order(p)  # kept after the first call
-        assert p.max_order() == scanned_order(p)
-    copy = pickle.loads(pickle.dumps(f))
-    assert copy._order is None and copy.max_order() == scanned_order(f)
+        assert_support_matches_a_fresh_scan(p)
+        assert_support_matches_a_fresh_scan(p)
 
 
 def test_a_stale_order_fails_the_differential_test():
-    """Control: an order kept from other terms is caught by the scan."""
+    """Control: a support kept from other terms is caught by the scan."""
     f = parse_poly("x1*z3 + y2", QQ)
-    assert f.max_order() == scanned_order(f) == 3
-    f._order = 2
-    assert f.max_order() != scanned_order(f)
+    assert_support_matches_a_fresh_scan(f)
+    f._top = {var("x", 1): 1, var("z", 2): 1, var("y", 2): 1}
+    assert f.max_order() == 2 and max(o for _, o in scanned_support(f)) == 3
+    with pytest.raises(AssertionError):
+        assert_support_matches_a_fresh_scan(f)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reduce_mod_vars_returns_self_exactly_when_no_term_meets_the_zero_set(field, data):
+    f = draw_poly(data, field)
+    zs = set(data.draw(st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 2)), max_size=3)))
+    met = any(v in zs for m in f.terms for v, _ in m)
+    kept = {m: c for m, c in f.terms.items() if not any(v in zs for v, _ in m)}
+    if data.draw(st.booleans()):
+        f.top_exponents()  # the support is already kept, or read on the call
+    got = f.reduce_mod_vars(zs)
+    assert (got is f) == (not met)
+    assert got == Polynomial(field, kept)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(fam=st.sampled_from(FAMILIES), order=st.integers(0, 9), e=st.integers(0, 5))
+def test_variable_matches_the_normalised_route(field, fam, order, e):
+    """``Polynomial.variable`` builds its term directly; the reference goes
+    through ``mono_from_pairs`` and ``Field.of``."""
+    v = var(fam, order)
+    got = Polynomial.variable(field, v, e)
+    want = Polynomial(field, {mono_from_pairs([(v, e)]): field.one})
+    assert got == want and hash(got) == hash(want)
+    assert [(m, type(c)) for m, c in got.terms.items()] == [
+        (m, type(c)) for m, c in want.terms.items()
+    ]
 
 
 def reference_mono_key(m) -> tuple:

@@ -162,12 +162,32 @@ def test_a_surface_off_the_origin_has_an_empty_fiber():
 
 
 def test_a_denominator_that_vanishes_mod_p_is_an_oracle_error():
-    # some chart of this characteristic-0 tree carries the coefficient 16/9,
-    # which has no value in F_3
+    # a level-3 equation of this characteristic-0 tree carries the
+    # coefficients 16/9 (its highest term) and 256/81 (its lowest), which
+    # have no value in F_3; the error names the lowest failing term by
+    # ``mono_key``, so the order of the dict's terms does not show
     sys = JetSystem(parse_poly("-4*x0*y0 - 9*x0*z0 - 8*x0^2 - 2*x0*z0^2 - 4*y0^2*z0", Field(0)))
     tree = run_driver(sys, {}, max_level=3)
-    with pytest.raises(OracleError, match="16/9 .* F_3"):
-        audit_tree(sys, tree, enumerate_fiber(sys, 3, 3), 3, probe_field(sys.field, 3))
+    target = probe_field(sys.field, 3)
+    with pytest.raises(OracleError, match=r"256/81 .* F_3 \(term x1\*y1\^2\)") as raised:
+        audit_tree(sys, tree, enumerate_fiber(sys, 3, 3), 3, target)
+    # control: each polynomial of the truncations that fails to move, built
+    # again with its terms in reversed order, gives the same message
+    messages = set()
+    for node in tree.nodes:
+        T = truncate_stratum(sys, node.stratum, 3)
+        for e in T.equations + T.units:
+            flipped = Polynomial(e.field, dict(reversed(list(e.terms.items()))))
+            assert flipped == e
+            try:
+                transport_poly(e, target)
+            except OracleError as err:
+                with pytest.raises(OracleError) as again:
+                    transport_poly(flipped, target)
+                assert list(flipped.terms) != list(e.terms)
+                assert str(again.value) == str(err)
+                messages.add(str(err))
+    assert str(raised.value) in messages
 
 
 def test_probe_field_carries_extension():
