@@ -701,9 +701,15 @@ class ParseError(ValueError):
 
 
 # the largest product of the exponents any number or variable of a parsed
-# polynomial is raised to: it bounds both the degree and the size of the
-# coefficients a short text can ask for (``z^99999999999``, ``((2^99)^99)^99``)
+# polynomial is raised to: it bounds the power one factor can ask for, and so
+# the size of its coefficients (``z^99999999999``, ``((2^99)^99)^99``).  It
+# does not bound the degree: a product of factors adds their degrees, so
+# ``z^128*z^128`` has degree 256, and its size is bounded by ``MAX_TERMS``
 MAX_EXPONENT = 128
+
+# the deepest nesting of parentheses: the parser descends three calls per
+# level, so this keeps it well under the interpreter's recursion limit
+MAX_NESTING = 64
 
 # the most term pairs one multiplication in a parsed polynomial may touch:
 # a product (and a power, one factor at a time) is multiplied out left to
@@ -722,10 +728,12 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     exponents; nested powers multiply, and their product may not exceed
     ``MAX_EXPONENT``.  Products and powers are multiplied out one factor at
     a time, and a step whose running product's term count times the next
-    factor's passes ``MAX_TERMS`` is rejected before it runs.
+    factor's passes ``MAX_TERMS`` is rejected before it runs.  Parentheses
+    nest at most ``MAX_NESTING`` deep.
     """
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek() -> Optional[str]:
         return tokens[pos][0] if pos < len(tokens) else None
@@ -776,6 +784,7 @@ def parse_poly(text: str, field: Field) -> Polynomial:
             acc, power = product(acc, factor), max(power, p)
 
     def parse_factor() -> tuple[Polynomial, int]:
+        nonlocal depth
         kind, text_ = take()
         power = 1
         if kind == "num":
@@ -798,7 +807,11 @@ def parse_poly(text: str, field: Field) -> Polynomial:
             order = int(text_[1:]) if len(text_) > 1 else 0
             base = Polynomial.variable(field, var(fam, order))
         elif kind == "op" and text_ == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}")
             base, power = parse_expr()
+            depth -= 1
             k, t = take() if pos < len(tokens) else ("", "")
             if (k, t) != ("op", ")"):
                 raise ParseError("unbalanced parentheses")

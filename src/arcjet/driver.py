@@ -339,13 +339,14 @@ def _do_cover(
     if len(unit_sets) == 1 and len(unit_sets[0]) > 1:
         if not terminal:
             raise EngineError("product localization requires a terminal cover")
-        residual = replace(
-            s,
-            zero_monomials=s.zero_monomials
-            + (mono_from_pairs((v, 1) for v in cover_vars),),
-            equations=s.equations + (q,),
-            consumed=max(s.consumed, n),
+        # Off the one chart the product of its coordinates vanishes: one
+        # more equation, appended after normalizing (it has no lead rule,
+        # so it would only add reduction keys to the normalization).
+        residual = _normalize(
+            sys, replace(s, equations=s.equations + (q,), consumed=max(s.consumed, n))
         )
+        product = Polynomial.monomial(field, mono_from_pairs((v, 1) for v in cover_vars))
+        residual = replace(residual, equations=residual.equations + (product,))
     else:
         # Re-process the cover level on the complement: the relation may
         # stay nontrivial there and demand its own decision.
@@ -355,12 +356,13 @@ def _do_cover(
             equations=s.equations + ((q,) if terminal else ()),
             consumed=max(s.consumed, n if terminal else n - 1),
         )
-    if terminal:
-        res_node = _new_node(tree, node.nid, n, _normalize(sys, residual))
-        res_node.kind = "residual"
-        res_node.note = "terminal residual"
-    else:
-        _process(sys, covers, tree, residual, n, node.nid)
+        if not terminal:
+            _process(sys, covers, tree, residual, n, node.nid)
+            return
+        residual = _normalize(sys, residual)
+    res_node = _new_node(tree, node.nid, n, residual)
+    res_node.kind = "residual"
+    res_node.note = "terminal residual"
 
 
 def _row_reduce(aug: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:

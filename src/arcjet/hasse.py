@@ -148,39 +148,43 @@ class JetSystem:
         for each i, the monomials of the prefix's level i with the
         coordinate ``(fam, k - i)`` inserted.  So a power of one family is
         a prefix of every higher power, and a monomial in several families
-        reuses the table of its leading factors."""
-        lst = self._tables.setdefault(key, [])
-        if len(lst) > up_to:
+        reuses the table of its leading factors.  The prefixes are extended
+        shortest first, in a loop: a monomial's degree is not bounded by the
+        interpreter's recursion limit."""
+        tables = self._tables
+        lst = tables.get(key)
+        if lst is not None and len(lst) > up_to:
             return lst
-        if not key:
-            lst.extend({} for _ in range(up_to + 1 - len(lst)))
-            return lst
-        fam = key[-1]
+        lower = tables[()]
+        lower.extend({} for _ in range(up_to + 1 - len(lower)))
         p = self.field.char
-        lower = self._series(key[:-1], up_to)
-        while len(lst) <= up_to:
-            k = len(lst)
-            level: dict[Mono, int] = {}
-            get = level.get
-            for i in range(k + 1):
-                order = k - i
-                v = (fam, order)
-                single = ((v, 1),)
-                for jm, n in lower[i].items():
-                    # the pairs of fam trail jm (key is sorted by family),
-                    # in increasing order: find where v goes among them
-                    j = len(jm)
-                    while j and jm[j - 1][0][0] == fam and jm[j - 1][0][1] > order:
-                        j -= 1
-                    if j and jm[j - 1][0] == v:
-                        new = jm[: j - 1] + ((v, jm[j - 1][1] + 1),) + jm[j:]
-                    else:
-                        new = jm[:j] + single + jm[j:]
-                    level[new] = get(new, 0) + n
-            if p:
-                level = {jm: r for jm, n in level.items() if (r := n % p)}
-            lst.append(level)
-        return lst
+        for length in range(1, len(key) + 1):
+            fam = key[length - 1]
+            lst = tables.setdefault(key[:length], [])
+            while len(lst) <= up_to:
+                k = len(lst)
+                level: dict[Mono, int] = {}
+                get = level.get
+                for i in range(k + 1):
+                    order = k - i
+                    v = (fam, order)
+                    single = ((v, 1),)
+                    for jm, n in lower[i].items():
+                        # the pairs of fam trail jm (key is sorted by family),
+                        # in increasing order: find where v goes among them
+                        j = len(jm)
+                        while j and jm[j - 1][0][0] == fam and jm[j - 1][0][1] > order:
+                            j -= 1
+                        if j and jm[j - 1][0] == v:
+                            new = jm[: j - 1] + ((v, jm[j - 1][1] + 1),) + jm[j:]
+                        else:
+                            new = jm[:j] + single + jm[j:]
+                        level[new] = get(new, 0) + n
+                if p:
+                    level = {jm: r for jm, n in level.items() if (r := n % p)}
+                lst.append(level)
+            lower = lst
+        return lower
 
 
 def series_oracle(f: Polynomial, m: int) -> list[Polynomial]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Callable
 
-from .algebra import QQ, Polynomial, format_poly, var_name
+from .algebra import Polynomial, format_poly, var_name
 from .driver import Covers, run_driver
 from .hasse import JetSystem
 from .oracle import (
@@ -47,10 +47,13 @@ def descriptor_contains(sys: JetSystem, b: Stratum, a: Stratum) -> bool:
 
 def descriptor_key(d: Stratum, fmt: Callable[[Polynomial], str]) -> tuple:
     """Canonical, hashable, printable form of a truncated descriptor;
-    ``fmt`` is ``format_poly`` or a cache of it."""
+    ``fmt`` is ``format_poly`` or a cache of it.  The second slot, once the
+    monomials forced to vanish, is always empty (such a monomial is an
+    equation); it stays so that schema ``jet-component-graph/1`` keeps its
+    four parts."""
     return (
         tuple(sorted(var_name(v) for v in d.zero_vars)),
-        tuple(sorted(fmt(Polynomial.monomial(QQ, mm)) for mm in d.zero_monomials)),
+        (),
         tuple(sorted(fmt(u) for u in d.units)),
         tuple(sorted(fmt(e) for e in d.equations)),
     )
@@ -243,25 +246,3 @@ def export(g: JetComponentGraph, fmt: str) -> str:
             sort_keys=True,
         )
     raise ValueError(f"unknown export format {fmt!r}")
-
-
-def import_json(text: str) -> JetComponentGraph:
-    data = json.loads(text)
-    if data["schema"] != SCHEMA:
-        raise ValueError(f"unsupported schema {data['schema']!r}")
-    return JetComponentGraph(
-        schema=data["schema"],
-        max_level=data["max_level"],
-        vertices=tuple(
-            GraphVertex(
-                vid=v["vid"],
-                level=v["level"],
-                label=v["label"],
-                component_ids=tuple(v["component_ids"]),
-                descriptor=tuple(tuple(part) for part in v["descriptor"]),
-            )
-            for v in data["vertices"]
-        ),
-        edges=tuple((a, b) for a, b in data["edges"]),
-        flags=tuple(data["flags"]),
-    )

@@ -196,7 +196,6 @@ class CompiledStratum:
 
     p: int
     zeros: tuple[int, ...]
-    zero_monomials: tuple[tuple[int, ...], ...]
     units: tuple[Compiled, ...]
     equations: tuple[Compiled, ...]
 
@@ -204,9 +203,6 @@ class CompiledStratum:
         # plain loops: this runs once per (point, truncation)
         for i in self.zeros:
             if pt[i]:
-                return False
-        for mono in self.zero_monomials:
-            if all(pt[i] for i in mono):
                 return False
         p = self.p
         for e in self.equations:
@@ -221,8 +217,6 @@ class CompiledStratum:
         """The point indices ``contains`` reads: two points that agree on
         them get the same answer."""
         out = set(self.zeros)
-        for mono in self.zero_monomials:
-            out.update(mono)
         for parts in self.units + self.equations:
             for table in parts:
                 for _, idx in table:
@@ -266,12 +260,9 @@ def compile_stratum(T: Stratum) -> CompiledStratum:
     m = T.consumed
     polys = T.units + T.equations
     zeros = (_index(v, m) for v in T.zero_vars)
-    # a zero monomial vanishes where one of its coordinates does
-    monos = (tuple(_index(v, m) for v, _ in mono) for mono in T.zero_monomials)
     return CompiledStratum(
         p=polys[0].field.char if polys else 0,
         zeros=tuple(i for i in zeros if i is not None),
-        zero_monomials=tuple(mono for mono in monos if None not in mono),
         units=tuple(compile_poly(u, m) for u in T.units),
         equations=tuple(compile_poly(e, m) for e in T.equations),
     )
@@ -322,40 +313,46 @@ def enumerate_fiber(
     cube = (*product(range(p), repeat=3),)
     last = 3 * (m - 1)
     last_checks = by_order.get(m, ())
+    # each order below m: the index of its triple in a point, and its checks
+    steps = [(3 * (o - 1), by_order.get(o, ())) for o in range(1, m)]
     tested = 0
 
-    def dfs(o: int) -> None:
+    def enter(o: int) -> bool:
+        """Count order ``o``'s candidate triples; at order m, add the
+        prefix's block.  True when ``o`` is below m, an order to search."""
         nonlocal tested
         if o < m or last_checks:  # p**3 candidate triples to test
             tested += len(cube)
             if tested > budget:
                 raise OracleError(f"fiber search over budget ({budget} triples); reduce m or p")
-        if o == m:
-            tails = cube
-            if last_checks:
-                kept = []
-                for vals in cube:
-                    prefix[last:] = vals
-                    if all(vanishes(parts, prefix, p) for parts in last_checks):
-                        kept.append(vals)
-                tails = tuple(kept)
-            if tails:
-                out.append((tuple(prefix[:last]), tails))
-            return
-        base = 3 * (o - 1)
-        checks = by_order.get(o, ())
-        for vals in cube:
-            prefix[base:base + 3] = vals
-            if all(vanishes(parts, prefix, p) for parts in checks):
-                dfs(o + 1)
+        if o < m:
+            return True
+        tails = cube
+        if last_checks:
+            kept = []
+            for vals in cube:
+                prefix[last:] = vals
+                if all(vanishes(parts, prefix, p) for parts in last_checks):
+                    kept.append(vals)
+            tails = tuple(kept)
+        if tails:
+            out.append((tuple(prefix[:last]), tails))
+        return False
 
-    try:
-        dfs(1)
-    finally:
-        # dfs refers to itself through its closure cell: drop it, or the
-        # cycle keeps ``out`` alive after the caller is done with the points
-        # (or with an over-budget error), until the next garbage collection
-        del dfs
+    # depth first over orders 1..m-1 on an explicit stack, one cube iterator
+    # per assigned order (no recursion, so m is not bounded by the
+    # interpreter's recursion limit): the top's next triple that passes its
+    # order's checks extends the prefix
+    stack = [iter(cube)] if enter(1) else []
+    while stack:
+        base, checks = steps[len(stack) - 1]
+        for vals in stack[-1]:
+            prefix[base:base + 3] = vals
+            if all(vanishes(parts, prefix, p) for parts in checks) and enter(len(stack) + 1):
+                stack.append(iter(cube))
+                break
+        else:
+            stack.pop()
     return Fiber(m, tuple(out))
 
 
@@ -374,9 +371,10 @@ def truncate_stratum(
     """The truncation of ``s`` to level ``m``: a stratum with no rule and
     ``consumed = m``, whose equations include the solved instances of its
     elimination rule that fit below the level, so membership is a plain
-    evaluate-and-compare; units and zero monomials that mention an order
-    above ``m`` are forgotten.  Coefficients are moved into ``target`` if
-    given."""
+    evaluate-and-compare; equations and units that mention an order above
+    ``m`` are forgotten (a monomial forced to vanish, such as a product
+    cover's ``x10*z15``, is an equation like any other).  Coefficients are
+    moved into ``target`` if given."""
     eqs = [e for e in s.equations if e.max_order() <= m]
     levels = () if s.rule is None else range(s.rule.start_level, m + 1)
     for lvl in levels:
@@ -387,9 +385,6 @@ def truncate_stratum(
         zero_vars=frozenset(v for v in s.zero_vars if v[1] <= m),
         equations=tuple(eqs),
         units=tuple(u for u in s.units if u.max_order() <= m),
-        zero_monomials=tuple(
-            mm for mm in s.zero_monomials if all(v[1] <= m for v, _ in mm)
-        ),
         consumed=m,
     )
     return T if target is None else transport_stratum(T, target)
@@ -401,7 +396,6 @@ def stratum_membership(assign: Mapping[Var, int], T: Stratum) -> bool:
     must already be in the probe field of p (``transport_stratum``)."""
     return (
         not any(assign.get(v, 0) for v in T.zero_vars)
-        and not any(all(assign.get(v, 0) for v, _ in mono) for mono in T.zero_monomials)
         and all(u.evaluate(assign) for u in T.units)
         and not any(e.evaluate(assign) for e in T.equations)
     )

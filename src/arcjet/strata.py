@@ -25,8 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
-    QQ,
-    Mono,
     Polynomial,
     Var,
     format_poly,
@@ -138,16 +136,12 @@ def closure_contains(sys: JetSystem, b: Stratum, a: Stratum) -> bool:
 
     ``a`` and ``b`` are strata of ``sys``, truncations included.  Sound
     syntactic test: unit constraints of ``b`` drop away in the closure, and
-    every closed constraint of ``b`` (vanishing coordinate, vanishing
-    monomial, equation) must already hold on ``a``: ``a``'s reduction is 0.
+    every closed constraint of ``b`` (vanishing coordinate, equation) must
+    already hold on ``a``: ``a``'s reduction is 0.
     """
     red = reduction_of(sys, a)
     return (
         all(v in a.zero_vars or not red(Polynomial.variable(sys.field, v)) for v in b.zero_vars)
-        and all(
-            mm in a.zero_monomials or not red(Polynomial.monomial(sys.field, mm))
-            for mm in b.zero_monomials
-        )
         and all(red.vanishes(e) for e in b.equations)
     )
 
@@ -246,9 +240,6 @@ class Stratum:
     units: tuple[Polynomial, ...] = ()
     rule: Optional[EliminationRule] = None
     consumed: int = 0
-    # monomials (products of coordinates) forced to vanish without choosing a
-    # branch; only used on terminal absorbed residuals of product covers.
-    zero_monomials: tuple[Mono, ...] = ()
 
     # -- derived helpers ----------------------------------------------
 
@@ -294,9 +285,9 @@ class Stratum:
             "equations": [format_poly(e) for e in self.equations],
             "units": [format_poly(u) for u in self.units],
             "rules": [] if self.rule is None else [self.rule.describe()],
-            "zero_monomials": [
-                format_poly(Polynomial.monomial(QQ, m)) for m in self.zero_monomials
-            ],
+            # a slot of the report format, always empty: a monomial forced
+            # to vanish is an equation
+            "zero_monomials": [],
             "consumed": self.consumed,
         }
 

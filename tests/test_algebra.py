@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from arcjet.algebra import (
     FAMILIES,
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_TERMS,
     Field,
     Gaussian,
@@ -193,6 +194,22 @@ def test_parse_bounds_exponents_before_expanding(monkeypatch):
         "(x*(y + z^64))^3",
     ):
         with pytest.raises(ParseError, match="above"):
+            parse_poly(text, QQ)
+
+
+def nested(k: int, body: str = "x") -> str:
+    return "(" * k + body + ")" * k
+
+
+def test_parse_bounds_parenthesis_nesting():
+    # the parser descends three calls per parenthesis: a nesting past
+    # MAX_NESTING is refused, and siblings do not add up
+    x = Polynomial.variable(QQ, var("x", 0))
+    assert parse_poly(nested(MAX_NESTING), QQ) == x
+    assert parse_poly(" + ".join([nested(MAX_NESTING)] * 3), QQ) == x.scale(3)
+    assert parse_poly(nested(MAX_NESTING - 1, nested(1, "x") + "*y"), QQ) == parse_poly("x*y", QQ)
+    for text in (nested(MAX_NESTING + 1), nested(400), nested(MAX_NESTING, nested(1, "y") + "*x")):
+        with pytest.raises(ParseError, match="nest deeper than"):
             parse_poly(text, QQ)
 
 

@@ -218,6 +218,8 @@ def test_config_explicit_flags_win(capsys, tmp_path):
             "--equation",
             "*".join(f"(x{i}+y{i})" for i in range(1, MAX_TERMS.bit_length() + 1)),
         ],
+        # far past the nesting bound, and past the recursion limit unbounded
+        ["derive", "--equation", "(" * 400 + "x" + ")" * 400],
     ],
     ids=[
         "parse-error",
@@ -233,6 +235,7 @@ def test_config_explicit_flags_win(capsys, tmp_path):
         "exponent-above-bound",
         "preset-exponent-above-bound",
         "term-count-above-bound",
+        "parentheses-nest-too-deep",
     ],
 )
 def test_malformed_input_is_a_json_error(capsys, argv):

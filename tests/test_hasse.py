@@ -98,6 +98,16 @@ def test_derivatives_match_series_route_on_the_grid():
             assert sys.derivative(k) == expected[k], f"mismatch at order {k} for {f}"
 
 
+def test_a_monomial_past_the_recursion_limit_has_a_tower():
+    # eleven factors x^100 parse (only each power is bounded) into x^1100,
+    # whose 1,100 prefix tables are built in a loop, shortest first
+    f = parse_poly("*".join(["x^100"] * 11), QQ)
+    sys = JetSystem(f)
+    x0, x1 = var("x", 0), var("x", 1)
+    assert sys.derivative(1) == Polynomial.monomial(QQ, ((x0, 1099), (x1, 1)), 1100)
+    assert [sys.derivative(m) for m in range(2)] == series_oracle(f, 1)
+
+
 def test_derivative_examples():
     sys = JetSystem(parse_poly("z^2 + x*y", QQ))
     assert sys.derivative(0) == parse_poly("z0^2 + x0*y0", QQ)

@@ -15,7 +15,6 @@ from arcjet.jetgraph import (
     build_graph,
     descriptor_contains,
     export,
-    import_json,
     simple_branch_check,
 )
 from arcjet.algebra import Field
@@ -197,14 +196,6 @@ def test_flag_order_is_pinned(monkeypatch):
         expected += [f for f in A3_LEVEL6_PROBE_FLAGS if f.startswith(f"level {m}:")]
     assert [len(levels[m]) for m in range(1, 7)] == [1, 2, 3, 3, 3, 3]
     assert g.flags == tuple(expected)
-
-
-def test_export_json_round_trip():
-    g = graph_for("A", n=2, M=8)
-    text = export(g, "json")
-    again = import_json(text)
-    assert export(again, "json") == text
-    assert export(again, "dot") == export(g, "dot")
 
 
 def test_export_deterministic():

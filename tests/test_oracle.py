@@ -1,10 +1,12 @@
 """Brute-force finite-field fiber enumeration and cover/partition audits."""
 
 import gc
+import inspect
 import random
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from sys import getrecursionlimit, setrecursionlimit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,25 @@ def test_budget_guard():
         enumerate_fiber(JetSystem(f), 3, 6, budget=1000)
 
 
+def test_a_deep_search_is_bounded_by_its_budget_not_the_recursion_limit():
+    # the all-zero prefix passes every order, so the search goes straight
+    # down to order 120 before its budget stops it: with the stack allowed
+    # only 60 frames more than the test's own, a search that recursed once
+    # per jet order would die with a RecursionError first
+    pr = preset("A", n=1, char=2)
+    pr.system.derivative(120)  # the tower is built before the limit drops
+    depth, frame = 0, inspect.currentframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = getrecursionlimit()
+    setrecursionlimit(depth + 60)
+    try:
+        with pytest.raises(OracleError, match="over budget"):
+            enumerate_fiber(pr.system, 2, 120, budget=2000)
+    finally:
+        setrecursionlimit(limit)
+
+
 def test_a_surface_off_the_origin_has_an_empty_fiber():
     # 1 + x*y + z^2 misses the origin: no jet of any level lies over it, not
     # even the origin itself at level 0; over Q, 3 + x*y + z^2 passes
@@ -267,7 +288,7 @@ def test_stratum_membership_basics():
 
 
 def test_truncation_forgets_constraints_above_its_level():
-    """A unit or zero monomial in an order above the level says nothing
+    """A unit or an equation in an order above the level says nothing
     about a point of the truncation: it is forgotten, so every fiber point
     still lies on the truncated root (a unit x5 compiled at level 3 would
     otherwise reject every point)."""
@@ -276,10 +297,10 @@ def test_truncation_forgets_constraints_above_its_level():
     s = replace(
         root_stratum(),
         units=(parse_poly("x5", field),),
-        zero_monomials=(mono_from_pairs([(var("x", 1), 1), (var("y", 5), 1)]),),
+        equations=(parse_poly("x1*y5", field),),
     )
     T = truncate_stratum(pr.system, s, 3)
-    assert T.units == () and T.zero_monomials == ()
+    assert T.units == () and T.equations == ()
     C = compile_stratum(T)
     assert all(C.contains(pt) for pt in enumerate_fiber(pr.system, 2, 3))
 
@@ -289,8 +310,8 @@ def test_truncation_forgets_constraints_above_its_level():
 )
 def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
     """Whenever the closure test says closure(b) contains a, every F_p point
-    of a's truncation satisfies b's closed constraints (zero coordinates,
-    zero monomials, equations; b's units drop away in the closure)."""
+    of a's truncation satisfies b's closed constraints (zero coordinates
+    and equations; b's units drop away in the closure)."""
     pr = preset(kind, n=n, char=p)
     sys = JetSystem(pr.equation)
     tree = run_driver(sys, pr.covers, max_level=m)
@@ -341,6 +362,52 @@ def test_compiled_poly_matches_evaluate(field, data):
     assert vanishes(compile_poly(moved, m), pt, p) == (not ref)
     shifted = moved - Polynomial.const(target, ref)
     assert vanishes(compile_poly(shifted, m), pt, p)
+
+
+def zero_monomial_rule(idx, pt):
+    """The rule a monomial forced to vanish once compiled to, on its point
+    indices (None: a coordinate of order 0 or above the level): no
+    constraint when one of them has no index, else some coordinate is 0."""
+    return None in idx or not all(pt[i] for i in idx)
+
+
+def first_coordinate_rule(idx, pt):
+    """Control: a rule that reads only the monomial's first coordinate."""
+    return None in idx or not pt[idx[0]]
+
+
+def monomial_rule_mismatches(field, rule, seed=7, cases=300):
+    """Random monomials (orders 0..m+1, exponents 1..3) on random level-m
+    points where the compiled monomial equation and ``rule`` disagree."""
+    rng = random.Random(seed)
+    p = field.char
+    bad = []
+    for _ in range(cases):
+        m = rng.randint(1, 3)
+        coords = rng.sample([var(f, o) for o in range(m + 2) for f in "xyz"], rng.randint(1, 4))
+        mono = mono_from_pairs((v, rng.randint(1, 3)) for v in coords)
+        T = replace(
+            root_stratum(), equations=(Polynomial.monomial(field, mono, field.of(1)),), consumed=m
+        )
+        C = compile_stratum(T)
+        idx = [oracle._index(v, m) for v, _ in mono]
+        for _ in range(8):
+            pt = tuple(rng.choice([0, *range(1, p)] if rng.random() < 0.5 else range(1, p))
+                       for _ in range(3 * m))
+            if C.contains(pt) != rule(idx, pt):
+                bad.append((mono, pt))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "field", [Field(2), Field(3), Field(3, i_adjoined=True)], ids=["F2", "F3", "F3i"]
+)
+def test_a_compiled_monomial_equation_is_the_zero_monomial_rule(field):
+    """A monomial as an equation holds at a point exactly when one of its
+    coordinates is 0 there, as the separate zero-monomial constraint did;
+    a coordinate of order 0 or above the level drops the constraint."""
+    assert monomial_rule_mismatches(field, zero_monomial_rule) == []
+    assert monomial_rule_mismatches(field, first_coordinate_rule)
 
 
 MEMBERSHIP_CASES = [(kind, n, p, p, m) for kind, n, p, m in AUDIT_CASES] + [
