@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .algebra import Field, Var, format_poly, parse_poly, var
@@ -262,6 +261,10 @@ def cmd_verify(args) -> int:
             (pr.kind, pr.n, pr.char, pr.variant) for pr in preset_grid()
         ]
         if args.workers > 1:
+            # imported here: the pool stack (multiprocessing, socket,
+            # pickle, subprocess, ...) costs every other process start-up
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 results = list(pool.map(_verify_label, keys))
         else:

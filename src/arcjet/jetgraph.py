@@ -9,10 +9,14 @@ shallower one's closure.  Every structural claim here is windowed to
 the graph settles into one unbranching chain per component.
 
 Containment of truncations (strata with ``consumed = m``) is decided
-syntactically (zero sets, rewriting by chart relations); when two
-same-level vertices stay distinct syntactically but their small
-finite-field point sets, tested in each prime's probe field, agree, the
-pair is flagged in the report rather than merged.
+syntactically by ``strata.closure_contains`` (zero sets, rewriting by
+chart relations).  Its answers of "not contained" rest on where rewriting
+stops, not on a proof: a constraint that holds but does not rewrite to 0
+reads as not holding (see its docstring), and the graph is built on those
+answers as they are.  When two same-level vertices stay distinct
+syntactically but their small finite-field point sets, tested in each
+prime's probe field, agree, the pair is flagged in the report rather than
+merged.
 """
 
 from __future__ import annotations

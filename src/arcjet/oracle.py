@@ -290,7 +290,9 @@ def enumerate_fiber(
     determined derivative level is nonzero.  Order ``m`` is one block per
     surviving prefix: its head tuple and the ``p**3`` last-order values
     that pass the levels checked there (one shared cube when none is).
-    Raises ``OracleError`` after testing more than ``budget`` candidate triples.
+    Raises ``OracleError`` after testing more than ``budget`` candidate
+    triples, and before building any derivative level when the all-zero
+    prefix alone, ``(m - 1) * p**3`` triples, exceeds it.
     """
     field = probe_field(sys.field, p)
     if field != sys.field:
@@ -299,6 +301,12 @@ def enumerate_fiber(
         return Fiber(m, ())  # f(0) != 0: the surface misses the origin
     if m == 0:
         return Fiber(0, (((), ((),)),))  # the origin alone
+    over_budget = f"fiber search over budget ({budget} triples); reduce m or p"
+    # every jet of the origin lies on the fiber and (0, 0, 0) opens every
+    # cube, so the search descends the all-zero prefix to order m - 1 and
+    # tests at least (m - 1) * p**3 triples: refuse before building a level
+    if (m - 1) * p**3 > budget:
+        raise OracleError(over_budget)
     # Each level is checked once the highest order among its terms is
     # assigned.
     by_order: dict[int, list[Compiled]] = {}
@@ -324,7 +332,7 @@ def enumerate_fiber(
         if o < m or last_checks:  # p**3 candidate triples to test
             tested += len(cube)
             if tested > budget:
-                raise OracleError(f"fiber search over budget ({budget} triples); reduce m or p")
+                raise OracleError(over_budget)
         if o < m:
             return True
         tails = cube

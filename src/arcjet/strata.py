@@ -134,10 +134,20 @@ def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
 def closure_contains(sys: JetSystem, b: Stratum, a: Stratum) -> bool:
     """Does the closure of ``b`` contain ``a``?
 
-    ``a`` and ``b`` are strata of ``sys``, truncations included.  Sound
-    syntactic test: unit constraints of ``b`` drop away in the closure, and
-    every closed constraint of ``b`` (vanishing coordinate, equation) must
-    already hold on ``a``: ``a``'s reduction is 0.
+    ``a`` and ``b`` are strata of ``sys``, truncations included.  What the
+    test decides is syntactic: whether every closed constraint of ``b``
+    (vanishing coordinate, equation) is shown to hold on ``a``, a
+    coordinate by vanishing there or reducing to 0, an equation by
+    ``Reduction.vanishes`` (one of ``a``'s equations, or rewriting to 0).
+    That the closed constraints hold is necessary for containment but not
+    sufficient: the closure drops ``b``'s units and can be smaller than
+    the zero set of its closed constraints.  And an answer of "not
+    contained" rests on where rewriting stops: an equation of ``b`` that
+    equals one of ``a``'s modulo ``a``'s zero set holds on ``a``, but it
+    does not rewrite to 0 when that equation has no lead rule (E8, char 0,
+    level 11: ``tests/test_jetgraph.py`` pins the pair, which is in fact
+    not contained).  The level graph and ``driver._absorb_residuals`` read
+    these answers as they are.
     """
     red = reduction_of(sys, a)
     return (

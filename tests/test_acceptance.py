@@ -24,7 +24,7 @@ from arcjet.catalog import (
 )
 from arcjet.cli import main as cli_main
 from arcjet.driver import run_driver
-from arcjet.hasse import JetSystem, congruence_shape, frontier_of, linearize, series_oracle
+from arcjet.hasse import JetSystem, frontier_of
 from arcjet.jetgraph import build_graph, export, simple_branch_check
 from arcjet.oracle import (
     coverage_check,
@@ -34,6 +34,8 @@ from arcjet.oracle import (
     split_partition_check,
     truncated_leaves,
 )
+
+from reference_hasse import congruence_shape, linearize, series_oracle
 
 
 _CAPFD = None

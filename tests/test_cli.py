@@ -1,5 +1,6 @@
 """Command-line entry point: subcommands, exit codes, config expansion."""
 
+import concurrent.futures
 import hashlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ from arcjet import cli, oracle
 from arcjet.algebra import MAX_EXPONENT, MAX_TERMS
 from arcjet.catalog import preset
 from arcjet.cli import _oracle_plan, _oracle_section, main
+from arcjet.hasse import JetSystem
 
 
 def run(capsys, *argv):
@@ -85,6 +87,29 @@ def test_oracle_budget_caps_the_triples_tested(capsys):
     assert json.loads(out)["points"] == 3_365_793
     code, out = run(capsys, *argv, "--budget", "415232")
     assert code == 1 and "budget" in json.loads(out)["error"]
+
+
+def test_a_budget_below_the_zero_path_builds_no_level(monkeypatch, capsys):
+    """Every search descends the all-zero prefix to order m - 1, testing
+    (m - 1) * p^3 triples: 994 * 8 = 7,952 here.  A budget one short of
+    that is the over-budget error before any derivative level is built."""
+    levels = []
+    derivative = JetSystem.derivative
+
+    def counting(self, m, zero_vars=frozenset()):
+        levels.append(m)
+        return derivative(self, m, zero_vars)
+
+    monkeypatch.setattr(JetSystem, "derivative", counting)
+    code, out = run(
+        capsys, "oracle", "--kind", "A", "--n", "1", "--char", "2",
+        "--level", "995", "--budget", "7951", "--check", "counts",
+    )
+    assert code == 1
+    assert out == (
+        '{"error": "fiber search over budget (7951 triples); reduce m or p", "ok": false}\n'
+    )
+    assert levels == []
 
 
 def test_oracle_coverage(capsys):
@@ -337,12 +362,13 @@ def test_verify_all_workers_match_single_process(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "preset_grid", lambda: iter(small))
     pools = []
 
-    class Pool(cli.ProcessPoolExecutor):
+    # the fan-out imports the pool at call time, so it reads this name
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     reports = []
     for workers in ("1", "2"):
         monkeypatch.setenv("ARCJET_WORKERS", workers)

@@ -7,13 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from arcjet.algebra import Field, Gaussian, Polynomial, QQ, parse_poly, var
 from arcjet.catalog import preset_grid
-from arcjet.hasse import (
-    JetSystem,
-    congruence_shape,
-    frontier_of,
-    linearize,
-    series_oracle,
-)
+from arcjet.hasse import JetSystem, frontier_of
+
+from reference_hasse import congruence_shape, linearize, series_oracle
 
 
 FIELDS = [QQ, Field(2), Field(3), Field(5)]
@@ -75,6 +71,19 @@ def test_e8_derivatives_match_series_route_to_level_12(field):
     expected = series_oracle(f, 12)
     for k in range(13):
         assert sys.derivative(k) == expected[k], f"mismatch at order {k} over {field}"
+
+
+def test_series_route_does_not_call_the_tower(monkeypatch):
+    """The series route is the tower's independent cross-check: with every
+    entry of ``JetSystem`` broken it still expands the E8 equation."""
+
+    def broken(*args, **kwargs):
+        raise AssertionError("series_oracle called the tower")
+
+    for name in ("__init__", "derivative", "reduced", "_series"):
+        monkeypatch.setattr(JetSystem, name, broken)
+    f = parse_poly("z^2 + x^3 + y^5", QQ)
+    assert series_oracle(f, 5)[0] == parse_poly("z0^2 + x0^3 + y0^5", QQ)
 
 
 @pytest.mark.parametrize("text", ["z^2 + x*y + t", "z^2 + x*y*t^2", "z^2 + x1*y"])

@@ -1,7 +1,8 @@
 """Every name a module under src/arcjet imports is used in that module,
 every parameter of its functions and methods is read, no default argument
-is a mutable display, no module runs generated code, and no module-level
-function sits behind a process-wide cache.
+is a mutable display, no module runs generated code, no module-level
+function sits behind a process-wide cache, and importing the CLI does not
+load the process-pool stack.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -13,6 +14,10 @@ is plain data (``re.compile``, an attribute call, is not the builtin).
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -393,3 +398,48 @@ def test_the_describe_guard_sees_every_spelling():
     described = ast.parse("def f(obj):\n    return obj.describe()\n")
     assert len(set(generic_renderings(walk))) == 2 and len(list(generic_renderings(bare))) == 2
     assert not list(generic_renderings(described))
+
+
+# what ``concurrent.futures.ProcessPoolExecutor`` pulls in; only
+# ``ARCJET_WORKERS>1 arcjet verify --all`` needs it
+POOL_PACKAGES = ("concurrent", "multiprocessing", "logging")
+POOL_MODULES = ("socket", "subprocess", "pickle", "selectors", "signal", "queue")
+
+
+def modules_loaded_by(statement: str) -> list[str]:
+    """The modules a fresh interpreter adds to ``sys.modules`` when it runs
+    ``statement`` with ``src`` on its path."""
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def pool_stack(modules: list[str]) -> list[str]:
+    return [
+        name
+        for name in modules
+        if name in POOL_MODULES
+        or any(name == pkg or name.startswith(pkg + ".") for pkg in POOL_PACKAGES)
+    ]
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    # every CLI run is a fresh process and pays for what the import loads;
+    # ``cmd_verify`` imports the pool only when it fans out
+    loaded = pool_stack(modules_loaded_by("import arcjet.cli"))
+    assert not loaded, f"import arcjet.cli loads the process-pool stack: {', '.join(loaded)}"
+
+
+def test_the_pool_stack_probe_sees_the_pool():
+    # control: the pool's own import reports every family the guard names
+    loaded = pool_stack(modules_loaded_by("import concurrent.futures.process"))
+    roots = {name.split(".")[0] for name in loaded}
+    assert roots == set(POOL_PACKAGES) | set(POOL_MODULES)

@@ -17,7 +17,7 @@ from arcjet.jetgraph import (
     export,
     simple_branch_check,
 )
-from arcjet.algebra import Field
+from arcjet.algebra import Field, format_poly
 from arcjet.oracle import (
     enumerate_fiber,
     point_assignment,
@@ -26,7 +26,7 @@ from arcjet.oracle import (
     stratum_membership,
     truncate_stratum,
 )
-from arcjet.strata import root_stratum
+from arcjet.strata import closure_contains, reduction_of, rewrite_rules_for, root_stratum
 
 
 def graph_for(kind, char=0, M=10, **kw):
@@ -83,6 +83,38 @@ def test_descriptor_restriction_and_containment():
     assert all(v[1] <= 3 for v in d3.zero_vars)
     # the deeper descriptor lies inside (the closure of) the shallow one
     assert descriptor_contains(sys, d3, d3)
+
+
+def test_a_not_contained_answer_rests_on_where_rewriting_stops():
+    """E8 (char 0) at level 11, the level's charts picked by their units.
+    Every closed constraint of the chart with unit x2 holds on the chart
+    with unit y2: its coordinates vanish there, its first equations reduce
+    to 0, and its last equation is, modulo the y2 chart's zero set, the y2
+    chart's own equation ``2*z5*z6 + 5*y2^4*y3``.  That equation has no
+    lead rule, so rewriting stops short of 0 and ``closure_contains``
+    answers "not contained".  The answer is right: the closure drops the
+    unit x2, so it is smaller than the zero set of the closed constraints.
+    A more complete vanishing check, one that also counted an equation
+    equal to one of the y2 chart's modulo its zero set, would answer
+    "contained" here and merge two components: it must fail this test, not
+    only the golden graph hash."""
+    pr = preset("E8", char=0)
+    sys = JetSystem(pr.equation)
+    tree = run_driver(sys, pr.covers, max_level=11)
+    charts = {
+        format_poly(u): truncate_stratum(sys, tree.chart_of(comp).stratum, 11)
+        for comp in tree.components
+        for u in tree.chart_of(comp).stratum.units
+    }
+    b, a = charts["x2"], charts["y2"]
+    red = reduction_of(sys, a)
+    *head, last = b.equations
+    assert b.zero_vars <= a.zero_vars
+    assert all(red.vanishes(e) for e in head)
+    own = last.reduce_mod_vars(a.zero_vars)
+    assert own in a.equations and format_poly(own) == "2*z5*z6 + 5*y2^4*y3"
+    assert rewrite_rules_for([own]) == () and not red.vanishes(last)
+    assert not closure_contains(sys, b, a)
 
 
 @pytest.mark.parametrize("kind,n,m", [("D", 2, 3), ("A", 1, 2)])

@@ -171,6 +171,66 @@ def test_a_deep_search_is_bounded_by_its_budget_not_the_recursion_limit():
         setrecursionlimit(limit)
 
 
+def reference_search(sys, p, m, budget):
+    """The fiber search on the slow route, counted as ``enumerate_fiber``
+    counts: depth first over orders 1..m, ``p**3`` candidate triples for
+    each order entered below m (and at m when some level tops out there), a
+    triple kept when every level whose top order it assigns evaluates to
+    0.  The points in lexicographic order, or ``None`` once more than
+    ``budget`` triples are tested."""
+    tower = JetSystem(transport_poly(sys.f, probe_field(sys.field, p)))
+    checks = {}
+    for n in range(1, m + 1):
+        level = tower.derivative(n, oracle.ORIGIN)
+        if level:
+            top = max(o for mono in level.terms for (_, o), _ in mono)
+            checks.setdefault(top, []).append(level)
+    cube = list(product(range(p), repeat=3))
+    points, tested = [], 0
+
+    def search(o, prefix, assign):
+        nonlocal tested
+        if o < m or o in checks:
+            tested += len(cube)
+            if tested > budget:
+                return False
+        for vals in cube:
+            at = {**assign, **{var(fam, o): v for fam, v in zip("xyz", vals)}}
+            if any(level.evaluate(at) for level in checks.get(o, ())):
+                continue
+            if o == m:
+                points.append(prefix + vals)
+            elif not search(o + 1, prefix + vals, at):
+                return False
+        return True
+
+    return points if search(1, (), {}) else None
+
+
+@pytest.mark.parametrize(
+    "kind,n,char,p,m,refused",
+    [("A", 1, 2, 2, 200, 5), ("D", 4, 3, 3, 2, 1), ("D", 4, 3, 3, 3, 4)],
+    ids=["A1-char2-m200", "D4-char3-m2", "D4-char3-m3"],
+)
+def test_the_zero_path_bound_refuses_only_what_the_search_would(kind, n, char, p, m, refused):
+    """The all-zero prefix alone tests ``(m - 1) * p**3`` triples, so a
+    budget below that is refused up front; at and above it the answer is
+    the one a search run to its end gives: the same points, or the same
+    over-budget error.  D4 (char 3) tests exactly the bound at m = 2 and
+    270 triples at m = 3; A1 (char 2) at m = 200 is over every budget."""
+    pr = preset(kind, n=n, char=char)
+    bound = (m - 1) * p**3
+    budgets = sorted({bound - 1, bound, bound + 1, bound + p**3, 10 * bound})
+    outcomes = [reference_search(pr.system, p, m, b) for b in budgets]
+    assert sum(pts is None for pts in outcomes) == refused
+    for budget, expected in zip(budgets, outcomes):
+        if expected is None:
+            with pytest.raises(OracleError, match=rf"over budget \({budget} triples\)"):
+                enumerate_fiber(pr.system, p, m, budget)
+        else:
+            assert list(enumerate_fiber(pr.system, p, m, budget)) == expected
+
+
 def test_a_surface_off_the_origin_has_an_empty_fiber():
     # 1 + x*y + z^2 misses the origin: no jet of any level lies over it, not
     # even the origin itself at level 0; over Q, 3 + x*y + z^2 passes
