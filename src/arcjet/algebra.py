@@ -588,24 +588,6 @@ class Polynomial:
             terms[mono_from_pairs(d.items())] = c
         return Polynomial._of_terms(self.field, terms)
 
-    def substitute(self, values: Mapping[Var, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for variables (generic composition)."""
-        f = self.field
-        out = Polynomial.zero(f)
-        pow_cache: dict[tuple[Var, int], Polynomial] = {}
-        for m, c in self.terms.items():
-            term = Polynomial.const(f, c)
-            for v, e in m:
-                if v in values:
-                    key = (v, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = values[v] ** e
-                    term = term * pow_cache[key]
-                else:
-                    term = term * Polynomial.variable(f, v, e)
-            out = out + term
-        return out
-
     def evaluate(self, point: Mapping[Var, Scalar]) -> Scalar:
         """Evaluate at a point; unassigned variables default to 0.  The values
         must be scalars of the field or integers: they are used as given."""

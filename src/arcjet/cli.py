@@ -40,7 +40,7 @@ from .catalog import (
 from .driver import StratificationTree, run_driver
 from .hasse import JetSystem
 from .jetgraph import build_graph, export, simple_branch_check
-from .oracle import PROBE_BUDGET, OracleError, audit_tree, enumerate_fiber, probe_field, probe_primes
+from .oracle import PROBE_BUDGET, OracleError, audit_tree, enumerate_fiber, probe_primes
 
 
 class InputError(ValueError):
@@ -161,7 +161,7 @@ def cmd_graph(args) -> int:
 def _oracle_section(pr: SingularityPreset, p: int, m: int, budget: int) -> dict:
     pts = enumerate_fiber(pr.system, p, m, budget=budget)
     tree = run_driver(pr.system, pr.covers, max_level=m)
-    exclusive, partition = audit_tree(pr.system, tree, pts, m, probe_field(pr.equation.field, p))
+    exclusive, partition = audit_tree(pr.system, tree, pts)
     return {
         "prime": p,
         "level": m,

@@ -36,9 +36,7 @@ from .oracle import (
     compile_stratum,
     enumerate_fiber,
     point_hits,
-    probe_field,
     probe_primes,
-    transport_stratum,
     truncate_stratum,
 )
 from .strata import Stratum, closure_contains
@@ -120,10 +118,9 @@ def _level_pieces(sys: JetSystem, covers: Covers, m: int) -> list[tuple[object, 
 
 def _hit_masks(sys: JetSystem, pieces: list[Stratum], p: int, m: int) -> set[int]:
     """The distinct ``point_hits`` bitmasks of the level-``m`` fiber's F_p
-    points on the pieces moved into the probe field of ``p``: pieces i and
-    j hold the same points exactly when bits i and j agree in every mask."""
-    field = probe_field(sys.field, p)
-    compiled = [compile_stratum(transport_stratum(d, field)) for d in pieces]
+    points on the pieces compiled into the probe field of ``p``: pieces i
+    and j hold the same points exactly when bits i and j agree in every mask."""
+    compiled = [compile_stratum(d, p) for d in pieces]
     return {hits for _, _, hits in point_hits(enumerate_fiber(sys, p, m), compiled)}
 
 

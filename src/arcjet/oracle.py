@@ -10,16 +10,21 @@ tautology.
 A point of the level-``m`` fiber assigns one residue to each coordinate
 of order 1..m in the three ambient families (order 0 is pinned to the
 origin).  A point is a flat tuple ordered x1,y1,z1,x2,y2,z2,... so that
-the enumeration is lexicographic and deterministic; a fiber is stored as
-prefix blocks (``Fiber``) that share the free last jet order.  The search
+the enumeration is lexicographic and deterministic; a fiber (``Fiber``,
+which carries its level and prime) is stored as prefix blocks that share
+the free last jet order, and the audits read both off it.  The search
 and the audits run on polynomials and truncations compiled into integer
-tables over that tuple, once per prime and level; ``stratum_membership`` on
-an unpacked point is the reference they are tested against.
+tables over that tuple, once per prime and level.  Compiling is the one
+place a coefficient moves from the source field (Q, Q(i) or F_p) into the
+probe field: the search compiles the derivative levels of the tower it is
+handed, and truncations stay strata over the source field.
+``stratum_membership`` on an unpacked point is the reference they are
+tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -43,7 +48,7 @@ POINT_FAMILIES = ("x", "y", "z")
 ORIGIN = frozenset(var(f, 0) for f in POINT_FAMILIES)
 
 JetPoint = tuple[int, ...]
-# a head and its tails, the points head + tail (a loose point: one empty tail)
+# a head and its tails, the points head + tail
 Block = tuple[JetPoint, tuple[JetPoint, ...]]
 
 
@@ -55,6 +60,7 @@ class Fiber:
     Iterating gives the points, ``len`` their count."""
 
     m: int
+    p: int
     blocks: tuple[Block, ...]
 
     def __len__(self) -> int:
@@ -106,23 +112,6 @@ def transport_scalar(c, target: Field):
         ) from e
 
 
-def transport_poly(p: Polynomial, target: Field) -> Polynomial:
-    """``p`` over ``target``.  A coefficient that has no value there is an
-    ``OracleError`` naming the lowest such term by ``mono_key``, whatever
-    the order of ``p``'s terms."""
-    if p.field == target:
-        return p
-    try:
-        return Polynomial(target, {m: transport_scalar(c, target) for m, c in p.terms.items()})
-    except OracleError:
-        for m, c in p.sorted_terms():
-            try:
-                transport_scalar(c, target)
-            except OracleError as e:
-                raise OracleError(f"{e} (term {format_poly(Polynomial.monomial(p.field, m))})") from e
-        raise
-
-
 def probe_field(source: Field, p: int) -> Field:
     """The prime-field home for reducing ``source``-coefficient data mod p."""
     if not is_prime(p):
@@ -137,11 +126,14 @@ def probe_field(source: Field, p: int) -> Field:
 # -- compiled route -----------------------------------------------------------
 #
 # Each polynomial the oracle evaluates on fiber points is compiled once per
-# (prime, level) into plain data over the flat point tuple: a term becomes
-# ``(coeff mod p, index tuple)``, where coordinate (family, o) has index
-# 3*(o-1) + family, repeated once per unit of its exponent.  A term with an
-# order-0 coordinate (pinned to the origin) or an order above the level (not
-# in the point) reads as 0 and is dropped.  Over F_p(i) a polynomial splits
+# (prime, level) into plain data over the flat point tuple, straight from its
+# source field: every coefficient moves into the probe field of p
+# (``transport_scalar``), and a term becomes ``(coeff mod p, index tuple)``,
+# where coordinate (family, o) has index 3*(o-1) + family, repeated once per
+# unit of its exponent.  A term with an order-0 coordinate (pinned to the
+# origin) or an order above the level (not in the point) reads as 0 and is
+# dropped, after its coefficient has moved: a coefficient with no value mod
+# p is an error wherever its term sits.  Over F_p(i) a polynomial splits
 # into a real and an imaginary table; fiber points have F_p coordinates, so
 # the value vanishes exactly when both parts do.  ``point_assignment``,
 # ``Polynomial.evaluate`` and ``stratum_membership`` remain the reference.
@@ -157,13 +149,26 @@ def _index(v: Var, m: int) -> Optional[int]:
     return 3 * (o - 1) + POINT_FAMILIES.index(fam) if 1 <= o <= m else None
 
 
-def compile_poly(f: Polynomial, m: int) -> Compiled:
-    """``f`` (over F_p or F_p(i)) as tables over level-``m`` points."""
-    p = f.field.char
-    if not p:
-        raise OracleError("compile a polynomial only after moving it into a probe field")
+def compile_poly(f: Polynomial, m: int, p: int) -> Compiled:
+    """``f`` (over Q, Q(i) or F_p) as tables over level-``m`` points, its
+    coefficients moved into the probe field of ``p``.  A coefficient that has no value there is an
+    ``OracleError`` naming the lowest such term by ``mono_key``, whatever
+    the order of ``f``'s terms."""
+    target = probe_field(f.field, p)
+    terms = f.terms.items()
+    if target != f.field:
+        try:
+            terms = [(mono, transport_scalar(c, target)) for mono, c in terms]
+        except OracleError:
+            for mono, c in f.sorted_terms():
+                try:
+                    transport_scalar(c, target)
+                except OracleError as e:
+                    term = format_poly(Polynomial.monomial(f.field, mono))
+                    raise OracleError(f"{e} (term {term})") from e
+            raise
     parts: tuple[list, list] = ([], [])
-    for mono, c in f.terms.items():
+    for mono, c in terms:
         idx: list[int] = []
         for v, e in mono:
             i = _index(v, m)
@@ -225,23 +230,19 @@ class CompiledStratum:
 
 
 def point_hits(
-    points: Fiber | Iterable[JetPoint], compiled: Sequence[CompiledStratum]
+    fiber: Fiber, compiled: Sequence[CompiledStratum]
 ) -> Iterator[tuple[JetPoint, tuple[JetPoint, ...], int]]:
-    """The points in blocks ``(head, tails, hits)``: every point head + tail
-    has the hits, one int with bit ``i`` set when ``compiled[i]`` holds it.
-    The tests run once per distinct projection onto the indices some
-    truncation reads (``reads``): of a fiber block's head, for the whole
+    """The fiber's points in blocks ``(head, tails, hits)``: every point
+    head + tail has the hits, one int with bit ``i`` set when ``compiled[i]``
+    holds it.  The tests run once per distinct projection onto the indices
+    some truncation reads (``reads``): of a block's head, for the whole
     block, when none of them is a last-order index, else of each point."""
     bits = [(1 << i, C) for i, C in enumerate(compiled)]
     idx = sorted(frozenset().union(*(C.reads() for C in compiled)))
-    if isinstance(points, Fiber):
-        blocks: Iterable[Block] = points.blocks
-        shared = not idx or idx[-1] < 3 * (points.m - 1)
-    else:
-        blocks, shared = ((pt, ((),)) for pt in points), True
+    shared = not idx or idx[-1] < 3 * (fiber.m - 1)
     key = itemgetter(*idx) if idx else (lambda _: ())
     memo: dict[object, int] = {}
-    for head, tails in blocks:
+    for head, tails in fiber.blocks:
         for pt, part in [(head, tails)] if shared else [(head + t, (t,)) for t in tails]:
             k = key(pt)
             hits = memo.get(k)
@@ -254,18 +255,14 @@ def point_hits(
             yield head, part, hits
 
 
-def compile_stratum(T: Stratum) -> CompiledStratum:
-    """Compile a truncation (``consumed`` = its level) whose coefficients are
-    already in the probe field (``transport_stratum``)."""
+def compile_stratum(T: Stratum, p: int) -> CompiledStratum:
+    """Compile a truncation (``consumed`` = its level) into the probe field
+    of ``p``, its equations before its units."""
     m = T.consumed
-    polys = T.units + T.equations
     zeros = (_index(v, m) for v in T.zero_vars)
-    return CompiledStratum(
-        p=polys[0].field.char if polys else 0,
-        zeros=tuple(i for i in zeros if i is not None),
-        units=tuple(compile_poly(u, m) for u in T.units),
-        equations=tuple(compile_poly(e, m) for e in T.equations),
-    )
+    equations = tuple(compile_poly(e, m, p) for e in T.equations)
+    units = tuple(compile_poly(u, m, p) for u in T.units)
+    return CompiledStratum(p, tuple(i for i in zeros if i is not None), units, equations)
 
 
 def probe_primes(field: Field) -> tuple[int, ...]:
@@ -283,35 +280,35 @@ def enumerate_fiber(
     """All F_p points of the level-``m`` fiber over the origin of the
     equation of ``sys``, in lexicographic order.
 
-    The derivatives are read off ``sys`` itself when its field is already
-    the probe field of ``p``, and off a tower of the equation moved into
-    that field otherwise.  Depth-first over jet orders 1..m-1 on one flat
-    prefix list; a partial assignment is rejected as soon as some fully
-    determined derivative level is nonzero.  Order ``m`` is one block per
-    surviving prefix: its head tuple and the ``p**3`` last-order values
-    that pass the levels checked there (one shared cube when none is).
+    The derivative levels are read off ``sys`` and compiled into the probe
+    field of ``p``; every coefficient of the equation moves there first
+    (an ``OracleError`` if one cannot).  Depth-first over jet orders
+    1..m-1 on one flat prefix list; a partial assignment is rejected as
+    soon as some fully determined derivative level is nonzero.  Order
+    ``m`` is one block per surviving prefix: its head tuple and the
+    ``p**3`` last-order values that pass the levels checked there (one
+    shared cube when none is).
     Raises ``OracleError`` after testing more than ``budget`` candidate
     triples, and before building any derivative level when the all-zero
-    prefix alone, ``(m - 1) * p**3`` triples, exceeds it.
+    prefix alone, ``(m - 1) * p**3`` triples, or at ``m = 1`` the ``p**3``
+    cube, exceeds it.
     """
-    field = probe_field(sys.field, p)
-    if field != sys.field:
-        sys = JetSystem(transport_poly(sys.f, field))
-    if sys.f.terms.get(()):
-        return Fiber(m, ())  # f(0) != 0: the surface misses the origin
+    if compile_poly(sys.f, 0, p):
+        return Fiber(m, p, ())  # f(0) != 0 mod p: the surface misses the origin
     if m == 0:
-        return Fiber(0, (((), ((),)),))  # the origin alone
+        return Fiber(0, p, (((), ((),)),))  # the origin alone
     over_budget = f"fiber search over budget ({budget} triples); reduce m or p"
     # every jet of the origin lies on the fiber and (0, 0, 0) opens every
     # cube, so the search descends the all-zero prefix to order m - 1 and
-    # tests at least (m - 1) * p**3 triples: refuse before building a level
-    if (m - 1) * p**3 > budget:
+    # tests at least (m - 1) * p**3 triples; at m = 1 the cube is the fiber's
+    # one block: refuse before building a level or the cube
+    if max(m - 1, 1) * p**3 > budget:
         raise OracleError(over_budget)
     # Each level is checked once the highest order among its terms is
     # assigned.
     by_order: dict[int, list[Compiled]] = {}
     for n in range(1, m + 1):
-        parts = compile_poly(sys.derivative(n, ORIGIN), m)
+        parts = compile_poly(sys.derivative(n, ORIGIN), m, p)
         if parts:
             top = max((i for t in parts for _, idx in t for i in idx), default=0)
             by_order.setdefault(top // 3 + 1, []).append(parts)
@@ -361,47 +358,35 @@ def enumerate_fiber(
                 break
         else:
             stack.pop()
-    return Fiber(m, tuple(out))
+    return Fiber(m, p, tuple(out))
 
 
-def transport_stratum(T: Stratum, target: Field) -> Stratum:
-    """Move a truncation's coefficients into the probe field."""
-    return replace(
-        T,
-        equations=tuple(transport_poly(e, target) for e in T.equations),
-        units=tuple(transport_poly(u, target) for u in T.units),
-    )
-
-
-def truncate_stratum(
-    sys: JetSystem, s: Stratum, m: int, target: Optional[Field] = None
-) -> Stratum:
+def truncate_stratum(sys: JetSystem, s: Stratum, m: int) -> Stratum:
     """The truncation of ``s`` to level ``m``: a stratum with no rule and
     ``consumed = m``, whose equations include the solved instances of its
     elimination rule that fit below the level, so membership is a plain
     evaluate-and-compare; equations and units that mention an order above
     ``m`` are forgotten (a monomial forced to vanish, such as a product
-    cover's ``x10*z15``, is an equation like any other).  Coefficients are
-    moved into ``target`` if given."""
+    cover's ``x10*z15``, is an equation like any other).  Its coefficients
+    stay in the field of ``sys``."""
     eqs = [e for e in s.equations if e.max_order() <= m]
     levels = () if s.rule is None else range(s.rule.start_level, m + 1)
     for lvl in levels:
         r = sys.reduced(s, lvl)
         if not r.is_zero() and r.max_order() <= m:
             eqs.append(r)
-    T = Stratum(
+    return Stratum(
         zero_vars=frozenset(v for v in s.zero_vars if v[1] <= m),
         equations=tuple(eqs),
         units=tuple(u for u in s.units if u.max_order() <= m),
         consumed=m,
     )
-    return T if target is None else transport_stratum(T, target)
 
 
 def stratum_membership(assign: Mapping[Var, int], T: Stratum) -> bool:
     """Does the point lie on the truncation ``T``?  ``assign`` holds the
     point's residues mod p (``point_assignment``), and ``T``'s coefficients
-    must already be in the probe field of p (``transport_stratum``)."""
+    must already be in the probe field of p."""
     return (
         not any(assign.get(v, 0) for v in T.zero_vars)
         and all(u.evaluate(assign) for u in T.units)
@@ -410,44 +395,37 @@ def stratum_membership(assign: Mapping[Var, int], T: Stratum) -> bool:
 
 
 def truncated_leaves(
-    sys: JetSystem,
-    tree: StratificationTree,
-    m: int,
-    target: Optional[Field] = None,
+    sys: JetSystem, tree: StratificationTree, m: int
 ) -> list[tuple[Node, Stratum]]:
     """Truncations of every nonempty leaf of a driver run."""
     return [
-        (node, truncate_stratum(sys, node.stratum, m, target))
+        (node, truncate_stratum(sys, node.stratum, m))
         for node in tree.leaves()
         if node.kind != "empty"
     ]
 
 
-def _level_of(truncations: Iterable[Stratum]) -> int:
-    """The one level a batch of truncations shares, to test points at."""
-    levels = {T.consumed for T in truncations}
-    if len(levels) != 1:
-        raise OracleError(f"expected truncations at one level, got levels {sorted(levels)}")
-    return levels.pop()
-
-
 def _audit(
-    points: Fiber | Iterable[JetPoint],
-    m: int,
+    fiber: Fiber,
     truncations: Sequence[Stratum],
     groups: dict[object, list[int]],
     splits: Sequence[tuple[int, int, tuple[int, ...]]],
 ) -> tuple[dict, dict]:
-    """One pass over the points: each truncation is compiled once, and the
-    points' hits come from ``point_hits``, a block at a time.  The hits give
-    the leaf-group cover (``groups``: key -> positions in ``truncations``;
+    """One pass over the fiber: each truncation is compiled once into the
+    fiber's prime, and the points' hits come from ``point_hits``, a block
+    at a time (a truncation of another level than a nonempty fiber's is a
+    ``ValueError``, raised once for the fiber).  The hits give the
+    leaf-group cover (``groups``: key -> positions in ``truncations``;
     skipped when empty) and the split partition (``splits``: node id,
     parent position, child positions).
 
     Groups and split children are read through precomputed masks, once per
     distinct hits value; a block's points are built only when its verdict
-    adds to a report, which lists points in the order given."""
-    compiled = [compile_stratum(T) for T in truncations]
+    adds to a report, which lists points in the fiber's order."""
+    for T in truncations:
+        if T.consumed != fiber.m and fiber.blocks:
+            raise ValueError(f"point has {3 * fiber.m} entries, expected {3 * T.consumed}")
+    compiled = [compile_stratum(T, fiber.p) for T in truncations]
     group_masks = [(key, _mask(pos)) for key, pos in groups.items()]
     split_masks = [(nid, 1 << parent, _mask(children)) for nid, parent, children in splits]
 
@@ -463,22 +441,11 @@ def _audit(
         ]
         return (keys, fails) if fails or (keys is not None and len(keys) != 1) else ()
 
-    def checked(points: Iterable[JetPoint]) -> Iterator[JetPoint]:
-        for pt in points:
-            if len(pt) != 3 * m:
-                raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
-            yield pt
-
-    # a fiber's points all have its level's length: check it once
-    if not isinstance(points, Fiber):
-        points = checked(points)
-    elif points.m != m and points.blocks:
-        raise ValueError(f"point has {3 * points.m} entries, expected {3 * m}")
     verdicts: dict[int, tuple] = {}
     uncovered: list[JetPoint] = []
     overlapping: list[tuple[JetPoint, list[object]]] = []
     failures = []
-    for head, tails, hits in point_hits(points, compiled):
+    for head, tails, hits in point_hits(fiber, compiled):
         v = verdicts.get(hits)
         if v is None:
             v = verdicts[hits] = verdict(hits)
@@ -519,19 +486,13 @@ def _leaf_groups(leaves: Iterable[tuple[Node, int]]) -> dict[object, list[int]]:
     return groups
 
 
-def coverage_check(
-    points: Iterable[JetPoint],
-    leaves: Sequence[Stratum],
-) -> list[JetPoint]:
+def coverage_check(fiber: Fiber, leaves: Sequence[Stratum]) -> list[JetPoint]:
     """Fiber points belonging to no leaf; expected empty."""
     groups: dict[object, list[int]] = {i: [i] for i in range(len(leaves))}
-    return _audit(points, _level_of(leaves), leaves, groups, ())[0]["uncovered"]
+    return _audit(fiber, leaves, groups, ())[0]["uncovered"]
 
 
-def exclusive_cover_check(
-    points: Iterable[JetPoint],
-    leaves: Sequence[tuple[Node, Stratum]],
-) -> dict:
+def exclusive_cover_check(fiber: Fiber, leaves: Sequence[tuple[Node, Stratum]]) -> dict:
     """Every fiber point should land in exactly one leaf *group*.
 
     Sibling charts of one cover overlap by design (they describe the same
@@ -539,50 +500,33 @@ def exclusive_cover_check(
     component they chart; residual and stabilized leaves stand alone.
     """
     groups = _leaf_groups((node, i) for i, (node, _) in enumerate(leaves))
-    truncations = [T for _, T in leaves]
-    return _audit(points, _level_of(truncations), truncations, groups, ())[0]
+    return _audit(fiber, [T for _, T in leaves], groups, ())[0]
 
 
 def _tree_audit(
-    sys: JetSystem,
-    tree: StratificationTree,
-    points: Iterable[JetPoint],
-    m: int,
-    target: Optional[Field],
-    leaves: Sequence[Node],
+    sys: JetSystem, tree: StratificationTree, fiber: Fiber, leaves: Sequence[Node]
 ) -> tuple[dict, dict]:
     """Truncate each node the checks need once (``leaves``, every split
-    parent and its children), then audit the points in one pass."""
+    parent and its children) to the fiber's level, then audit the fiber in
+    one pass."""
     split_nodes = [node for node in tree.nodes if node.kind == "split"]
     pos: dict[int, int] = {}
     for nid in [n.nid for n in leaves] + [k for n in split_nodes for k in (n.nid, *n.children)]:
         pos.setdefault(nid, len(pos))
-    truncations = [truncate_stratum(sys, tree.node(nid).stratum, m, target) for nid in pos]
+    truncations = [truncate_stratum(sys, tree.node(nid).stratum, fiber.m) for nid in pos]
     groups = _leaf_groups((node, pos[node.nid]) for node in leaves)
     splits = [(n.nid, pos[n.nid], tuple(pos[c] for c in n.children)) for n in split_nodes]
-    return _audit(points, m, truncations, groups, splits)
+    return _audit(fiber, truncations, groups, splits)
 
 
-def audit_tree(
-    sys: JetSystem,
-    tree: StratificationTree,
-    points: Iterable[JetPoint],
-    m: int,
-    target: Optional[Field] = None,
-) -> tuple[dict, dict]:
+def audit_tree(sys: JetSystem, tree: StratificationTree, fiber: Fiber) -> tuple[dict, dict]:
     """``exclusive_cover_check`` on the nonempty leaves and
-    ``split_partition_check`` of a driver run, from one pass over the points."""
+    ``split_partition_check`` of a driver run, from one pass over the fiber."""
     leaves = [node for node in tree.leaves() if node.kind != "empty"]
-    return _tree_audit(sys, tree, points, m, target, leaves)
+    return _tree_audit(sys, tree, fiber, leaves)
 
 
-def split_partition_check(
-    sys: JetSystem,
-    tree: StratificationTree,
-    points: Iterable[JetPoint],
-    m: int,
-    target: Optional[Field] = None,
-) -> dict:
+def split_partition_check(sys: JetSystem, tree: StratificationTree, fiber: Fiber) -> dict:
     """At every open/closed split node the parent's points must fall into
     exactly one of the two (further evolved) child strata."""
-    return _tree_audit(sys, tree, points, m, target, ())[1]
+    return _tree_audit(sys, tree, fiber, ())[1]

@@ -3,7 +3,7 @@
 ``series_oracle`` substitutes honest truncated series (with an explicit
 ``t`` variable) into ``f`` and expands.  It exists purely as a cross-check
 of ``arcjet.hasse.JetSystem`` and shares no logic with it beyond raw
-polynomial multiplication: it must not call the tower.
+polynomial multiplication (``substitute``): it must not call the tower.
 ``congruence_shape`` and ``linearize`` read off the tower the reduction
 shapes that acceptance criterion 5 checks.
 """
@@ -11,10 +11,29 @@ shapes that acceptance criterion 5 checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from arcjet.algebra import Polynomial, Var
 from arcjet.hasse import JetSystem, frontier_of
+
+
+def substitute(f: Polynomial, values: Mapping[Var, Polynomial]) -> Polynomial:
+    """Substitute polynomials for variables of ``f`` (generic composition)."""
+    field = f.field
+    out = Polynomial.zero(field)
+    pow_cache: dict[tuple[Var, int], Polynomial] = {}
+    for m, c in f.terms.items():
+        term = Polynomial.const(field, c)
+        for v, e in m:
+            if v in values:
+                key = (v, e)
+                if key not in pow_cache:
+                    pow_cache[key] = values[v] ** e
+                term = term * pow_cache[key]
+            else:
+                term = term * Polynomial.variable(field, v, e)
+        out = out + term
+    return out
 
 
 def series_oracle(f: Polynomial, m: int) -> list[Polynomial]:
@@ -29,7 +48,7 @@ def series_oracle(f: Polynomial, m: int) -> list[Polynomial]:
                 field, ((( fam, k), 1), (tvar, k)) if k else (((fam, 0), 1),), 1
             )
         subs[(fam, 0)] = series
-    expanded = f.substitute(subs)
+    expanded = substitute(f, subs)
     # collect coefficients of t^0..t^m
     buckets = expanded.split_by_degree(tvar)
     out = []

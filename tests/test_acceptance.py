@@ -30,7 +30,6 @@ from arcjet.oracle import (
     coverage_check,
     enumerate_fiber,
     exclusive_cover_check,
-    probe_field,
     split_partition_check,
     truncated_leaves,
 )
@@ -309,15 +308,14 @@ def test_criterion_6_oracle_coverage_partition():
             if (kind, n, p, m) == ("A", 1, 2, 2):
                 pinned = len(pts)
             tree = run_driver(sysm, pr.covers, max_level=m)
-            target = probe_field(pr.equation.field, p)
-            leaves = truncated_leaves(sysm, tree, m, target)
+            leaves = truncated_leaves(sysm, tree, m)
             if coverage_check(pts, [T for _, T in leaves]):
                 problems.append(f"{pr.label} m={m}: uncovered points")
                 continue
             excl = exclusive_cover_check(pts, leaves)
             if not excl["ok"]:
                 problems.append(f"{pr.label} m={m}: not a partition by leaf group")
-            part = split_partition_check(sysm, tree, pts, m, target)
+            part = split_partition_check(sysm, tree, pts)
             if not part["ok"]:
                 problems.append(f"{pr.label} m={m}: split nodes do not partition")
     elapsed = time.monotonic() - t0

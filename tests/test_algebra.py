@@ -28,6 +28,8 @@ from arcjet.algebra import (
 )
 from arcjet.catalog import preset_grid
 
+from reference_hasse import substitute
+
 
 FIELDS = [Field(0), Field(2), Field(3), Field(5), Field(7)]
 # the same, then the fields with i adjoined
@@ -496,7 +498,7 @@ def test_evaluate_matches_substitution(field, data):
     and reads off the constant term."""
     f = draw_poly(data, field)
     point = {var(fam, o): data.draw(st.integers(0, 6)) for fam in "xyz" for o in range(3)}
-    ref = f.substitute({v: Polynomial.const(field, a) for v, a in point.items()})
+    ref = substitute(f, {v: Polynomial.const(field, a) for v, a in point.items()})
     assert f.evaluate(point) == ref.terms.get((), field.zero)
 
 

@@ -112,6 +112,79 @@ def test_a_budget_below_the_zero_path_builds_no_level(monkeypatch, capsys):
     assert levels == []
 
 
+@pytest.mark.parametrize("budget,points", [(1000, None), (1330, None), (1331, 1331)])
+def test_a_level_1_fiber_counts_its_cube_against_the_budget(monkeypatch, capsys, budget, points):
+    """At level 1 the fiber is one block whose tails are the whole p^3 cube
+    (every level-1 jet over the origin lies on the A1 cone): 11^3 = 1,331
+    triples at p = 11.  A smaller budget is the over-budget error before the
+    cube or any derivative level is built."""
+    levels = []
+    derivative = JetSystem.derivative
+
+    def counting(self, m, zero_vars=frozenset()):
+        levels.append(m)
+        return derivative(self, m, zero_vars)
+
+    monkeypatch.setattr(JetSystem, "derivative", counting)
+    code, out = run(
+        capsys, "oracle", "--kind", "A", "--n", "1", "--char", "0", "--p", "11",
+        "--level", "1", "--check", "counts", "--budget", str(budget),
+    )
+    if points is None:
+        assert code == 1
+        assert out == (
+            f'{{"error": "fiber search over budget ({budget} triples); reduce m or p", "ok": false}}\n'
+        )
+        assert levels == []
+    else:
+        assert code == 0
+        assert json.loads(out)["points"] == points and levels == [1]
+
+
+def counted_towers(monkeypatch) -> list:
+    """A list that gains one entry per ``JetSystem`` built from now on."""
+    built = []
+    init = JetSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetSystem, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("kind,n", [("A", 3), ("D", 2), ("E6", 6)])
+def test_a_char0_oracle_section_builds_no_tower_of_its_own(monkeypatch, kind, n):
+    """The oracle compiles the preset's own tower into each probe field: a
+    characteristic-0 section builds no second tower over F_p."""
+    pr = preset(kind, n=n, char=0)
+    _ = pr.system  # the preset's own tower, built before the count starts
+    built = counted_towers(monkeypatch)
+    for p, m in _oracle_plan(pr):
+        assert _oracle_section(pr, p, m, 200_000)["ok"]
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv,towers",
+    [
+        (["verify", "--all"], 69),
+        (["graph", "--kind", "A", "--n", "6", "--char", "0", "--max-level", "12"], 1),
+    ],
+    ids=["verify-all", "graph-A6-char0"],
+)
+def test_one_tower_per_preset(monkeypatch, tmp_path, capsys, argv, towers):
+    """An operation builds one derivative tower per preset it reads and no
+    more: ``verify --all`` one for each of the 69 presets, a level graph
+    (whose same-level probes enumerate characteristic-0 fibers over F_2 and
+    F_3) one."""
+    built = counted_towers(monkeypatch)
+    code, _ = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert len(built) == towers
+
+
 def test_oracle_coverage(capsys):
     code, out = run(
         capsys, "oracle", "--kind", "D", "--n", "2", "--char", "3", "--level", "2",
@@ -344,9 +417,9 @@ def test_oracle_plan_truncates_each_node_once(monkeypatch, kind, n, char, calls)
     seen = []
     truncate = oracle.truncate_stratum
 
-    def counting(sys, s, m, target=None):
+    def counting(sys, s, m):
         seen.append((s, m))
-        return truncate(sys, s, m, target)
+        return truncate(sys, s, m)
 
     monkeypatch.setattr(oracle, "truncate_stratum", counting)
     pr = preset(kind, n=n, char=char)

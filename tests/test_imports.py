@@ -1,8 +1,9 @@
 """Every name a module under src/arcjet imports is used in that module,
 every parameter of its functions and methods is read, no default argument
 is a mutable display, no module runs generated code, no module-level
-function sits behind a process-wide cache, and importing the CLI does not
-load the process-pool stack.
+function sits behind a process-wide cache, no module copies a whole
+polynomial or stratum into a probe field, the oracle builds no derivative
+tower, and importing the CLI does not load the process-pool stack.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -178,12 +179,15 @@ def test_membership_tests_go_through_point_hits(path):
     assert not direct, f"{path.name} tests membership directly: {', '.join(direct)}"
 
 
+def called_name(node: ast.Call):
+    """The name a call goes to, bare or as an attribute."""
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
 def is_enumeration(node: ast.AST) -> bool:
     """Is ``node`` a call of ``enumerate_fiber``, bare or as an attribute?"""
-    if not isinstance(node, ast.Call):
-        return False
-    f = node.func
-    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "enumerate_fiber"
+    return isinstance(node, ast.Call) and called_name(node) == "enumerate_fiber"
 
 
 def fiber_expansions(tree: ast.Module):
@@ -398,6 +402,64 @@ def test_the_describe_guard_sees_every_spelling():
     described = ast.parse("def f(obj):\n    return obj.describe()\n")
     assert len(set(generic_renderings(walk))) == 2 and len(list(generic_renderings(bare))) == 2
     assert not list(generic_renderings(described))
+
+
+WHOLE_OBJECT_TRANSPORTS = ("transport_poly", "transport_stratum")
+
+
+def whole_object_transports(tree: ast.Module):
+    """Definitions and calls of ``transport_poly`` or ``transport_stratum``,
+    bare or as attributes."""
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in WHOLE_OBJECT_TRANSPORTS:
+            yield n.lineno
+        elif isinstance(n, ast.Call) and called_name(n) in WHOLE_OBJECT_TRANSPORTS:
+            yield n.lineno
+
+
+def tower_builds(tree: ast.Module):
+    """Calls of ``JetSystem``, bare or as an attribute."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and called_name(n) == "JetSystem"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_coefficients_move_into_the_probe_field_as_they_compile(path):
+    # ``oracle.compile_poly`` is the one place a coefficient moves from the
+    # source field into the probe field; a polynomial or a stratum is not
+    # copied there first (the tests keep that route as their reference)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    moved = sorted({f"line {n}" for n in whole_object_transports(tree)})
+    assert not moved, f"{path.name} moves a whole object into the probe field: {', '.join(moved)}"
+
+
+def test_the_oracle_builds_no_tower():
+    # the oracle compiles the levels of the tower it is handed: one
+    # derivative tower per preset and operation, whatever the probe field
+    path = SRC / "oracle.py"
+    built = tower_builds(ast.parse(path.read_text(), filename=str(path)))
+    assert not built, f"oracle.py builds a derivative tower: {', '.join(f'line {n}' for n in built)}"
+
+
+def test_the_probe_field_guards_see_every_spelling():
+    # control: a definition and each call are caught; compiling, moving one
+    # scalar and naming the tower's type in an annotation are not
+    transports = [
+        "def transport_poly(p, target):\n    return p\n",
+        "def f(p, target):\n    return transport_poly(p, target)\n",
+        "def f(T, target):\n    return oracle.transport_stratum(T, target)\n",
+        "class C:\n    def transport_stratum(self, T):\n        return T\n",
+    ]
+    assert all(list(whole_object_transports(ast.parse(text))) for text in transports)
+    towers = [
+        "def f(g):\n    return JetSystem(g)\n",
+        "def f(g):\n    return hasse.JetSystem(transport(g))\n",
+    ]
+    assert all(tower_builds(ast.parse(text)) for text in towers)
+    allowed = ast.parse(
+        "def f(sys: JetSystem, p: int, target):\n"
+        "    return compile_poly(sys.f, 0, p), transport_scalar(1, target)\n"
+    )
+    assert not list(whole_object_transports(allowed)) and not tower_builds(allowed)
 
 
 # what ``concurrent.futures.ProcessPoolExecutor`` pulls in; only

@@ -28,6 +28,8 @@ from arcjet.oracle import (
 )
 from arcjet.strata import closure_contains, reduction_of, rewrite_rules_for, root_stratum
 
+from reference_oracle import transport_stratum
+
 
 def graph_for(kind, char=0, M=10, **kw):
     pr = preset(kind, char=char, **kw)
@@ -120,14 +122,15 @@ def test_a_not_contained_answer_rests_on_where_rewriting_stops():
 @pytest.mark.parametrize("kind,n,m", [("D", 2, 3), ("A", 1, 2)])
 def test_probe_tests_points_in_probe_field(kind, n, m):
     """The merge probe's bitmasks of characteristic-0 pieces are those of the
-    F_2 points on the pieces truncated straight into the probe field."""
+    F_2 points on the pieces truncated and then moved into the probe field
+    as whole strata (the reference route)."""
     pr = preset(kind, n=n, char=0)
     sys = JetSystem(pr.equation)
     target = probe_field(sys.field, 2)
     pts = enumerate_fiber(sys, 2, m)
 
     def reference(strata):
-        truncs = [truncate_stratum(sys, s, m, target) for s in strata]
+        truncs = [transport_stratum(truncate_stratum(sys, s, m), target) for s in strata]
         return {
             sum(1 << i for i, T in enumerate(truncs) if stratum_membership(point_assignment(pt, m), T))
             for pt in pts

@@ -18,7 +18,9 @@ from arcjet.cli import _oracle_plan
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.oracle import (
+    PROBE_BUDGET,
     CompiledStratum,
+    Fiber,
     OracleError,
     _audit,
     audit_tree,
@@ -32,13 +34,13 @@ from arcjet.oracle import (
     probe_field,
     split_partition_check,
     stratum_membership,
-    transport_poly,
     truncate_stratum,
     truncated_leaves,
     vanishes,
 )
 from arcjet.strata import EngineError, closure_contains, root_stratum
 
+from reference_oracle import transport_poly, transport_stratum
 from test_acceptance import random_base_poly
 from test_algebra import FIELDS, poly_strategy
 
@@ -231,6 +233,20 @@ def test_the_zero_path_bound_refuses_only_what_the_search_would(kind, n, char, p
             assert list(enumerate_fiber(pr.system, p, m, budget)) == expected
 
 
+CHAR0_PLANS = [(pr, p, m) for pr in preset_grid() if not pr.char for p, m in _oracle_plan(pr)]
+
+
+@pytest.mark.parametrize("pr,p,m", CHAR0_PLANS, ids=lambda v: getattr(v, "label", v))
+def test_the_search_matches_a_tower_built_in_the_probe_field(pr, p, m):
+    """On every characteristic-0 preset's oracle plan, the search, which
+    compiles the levels of the preset's own tower into F_p, finds the
+    points of the slow-route search over a tower of the equation moved into
+    the probe field first."""
+    expected = reference_search(pr.system, p, m, PROBE_BUDGET)
+    assert expected is not None
+    assert list(enumerate_fiber(pr.system, p, m, PROBE_BUDGET)) == expected
+
+
 def test_a_surface_off_the_origin_has_an_empty_fiber():
     # 1 + x*y + z^2 misses the origin: no jet of any level lies over it, not
     # even the origin itself at level 0; over Q, 3 + x*y + z^2 passes
@@ -251,9 +267,10 @@ def test_a_denominator_that_vanishes_mod_p_is_an_oracle_error():
     tree = run_driver(sys, {}, max_level=3)
     target = probe_field(sys.field, 3)
     with pytest.raises(OracleError, match=r"256/81 .* F_3 \(term x1\*y1\^2\)") as raised:
-        audit_tree(sys, tree, enumerate_fiber(sys, 3, 3), 3, target)
-    # control: each polynomial of the truncations that fails to move, built
-    # again with its terms in reversed order, gives the same message
+        audit_tree(sys, tree, enumerate_fiber(sys, 3, 3))
+    # control: each polynomial of the truncations that fails to compile,
+    # built again with its terms in reversed order, gives the same message,
+    # and so does moving it into F_3 first (the reference route)
     messages = set()
     for node in tree.nodes:
         T = truncate_stratum(sys, node.stratum, 3)
@@ -261,14 +278,31 @@ def test_a_denominator_that_vanishes_mod_p_is_an_oracle_error():
             flipped = Polynomial(e.field, dict(reversed(list(e.terms.items()))))
             assert flipped == e
             try:
-                transport_poly(e, target)
+                compile_poly(e, 3, 3)
             except OracleError as err:
-                with pytest.raises(OracleError) as again:
-                    transport_poly(flipped, target)
                 assert list(flipped.terms) != list(e.terms)
-                assert str(again.value) == str(err)
+                with pytest.raises(OracleError) as again:
+                    compile_poly(flipped, 3, 3)
+                with pytest.raises(OracleError) as moved:
+                    transport_poly(e, target)
+                assert str(again.value) == str(moved.value) == str(err)
                 messages.add(str(err))
     assert str(raised.value) in messages
+
+
+def test_an_equation_with_no_value_mod_p_is_an_oracle_error():
+    """The search moves every coefficient of the equation into the probe
+    field first: 1/3 has no value in F_3, and the error is the one moving
+    the equation as a whole gives, naming the term, at every level."""
+    sys = JetSystem(parse_poly("z^2 + x*y + 1/3*x^3", Field(0)))
+    with pytest.raises(OracleError) as moved:
+        transport_poly(sys.f, Field(3))
+    assert str(moved.value) == "coefficient 1/3 has a denominator that vanishes in F_3 (term x0^3)"
+    for m in (0, 1, 2):
+        with pytest.raises(OracleError) as raised:
+            enumerate_fiber(sys, 3, m)
+        assert str(raised.value) == str(moved.value)
+    assert len(enumerate_fiber(sys, 2, 1)) == 8
 
 
 def test_probe_field_carries_extension():
@@ -293,11 +327,10 @@ def audit(pr, p, m):
     sys = JetSystem(pr.equation)
     pts = enumerate_fiber(sys, p, m)
     tree = run_driver(sys, pr.covers, max_level=m)
-    target = probe_field(pr.equation.field, p)
-    leaves = truncated_leaves(sys, tree, m, target)
+    leaves = truncated_leaves(sys, tree, m)
     missing = coverage_check(pts, [T for _, T in leaves])
     excl = exclusive_cover_check(pts, leaves)
-    part = split_partition_check(sys, tree, pts, m, target)
+    part = split_partition_check(sys, tree, pts)
     return pts, missing, excl, part
 
 
@@ -316,8 +349,7 @@ def test_char_zero_preset_audited_at_probe_prime():
     sys = JetSystem(pr.equation)
     pts = enumerate_fiber(sys, 5, 2)
     tree = run_driver(sys, pr.covers, max_level=2)
-    target = probe_field(pr.equation.field, 5)
-    leaves = truncated_leaves(sys, tree, 2, target)
+    leaves = truncated_leaves(sys, tree, 2)
     assert coverage_check(pts, [T for _, T in leaves]) == []
 
 
@@ -326,8 +358,7 @@ def test_negative_control_dropped_leaf():
     sys = JetSystem(pr.equation)
     pts = enumerate_fiber(sys, 2, 2)
     tree = run_driver(sys, pr.covers, max_level=2)
-    target = probe_field(pr.equation.field, 2)
-    leaves = truncated_leaves(sys, tree, 2, target)
+    leaves = truncated_leaves(sys, tree, 2)
     assert coverage_check(pts, [T for _, T in leaves]) == []
     # deleting a leaf must surface uncovered points
     assert coverage_check(pts, [T for _, T in leaves[:-1]]) != []
@@ -337,8 +368,7 @@ def test_stratum_membership_basics():
     pr = preset("A", n=1, char=2)
     sys = JetSystem(pr.equation)
     tree = run_driver(sys, pr.covers, max_level=2)
-    target = probe_field(pr.equation.field, 2)
-    leaves = truncated_leaves(sys, tree, 2, target)
+    leaves = truncated_leaves(sys, tree, 2)  # over F_2 already
     pts = enumerate_fiber(sys, 2, 2)
     hits = {
         pt: sum(1 for _, T in leaves if stratum_membership(point_assignment(pt, 2), T))
@@ -361,7 +391,7 @@ def test_truncation_forgets_constraints_above_its_level():
     )
     T = truncate_stratum(pr.system, s, 3)
     assert T.units == () and T.equations == ()
-    C = compile_stratum(T)
+    C = compile_stratum(T, 2)
     assert all(C.contains(pt) for pt in enumerate_fiber(pr.system, 2, 3))
 
 
@@ -375,13 +405,12 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
     pr = preset(kind, n=n, char=p)
     sys = JetSystem(pr.equation)
     tree = run_driver(sys, pr.covers, max_level=m)
-    target = probe_field(pr.equation.field, p)
-    leaves = [T for _, T in truncated_leaves(sys, tree, m, target)]
+    leaves = [T for _, T in truncated_leaves(sys, tree, m)]
     pts = enumerate_fiber(sys, p, m)
     assigns = {pt: point_assignment(pt, m) for pt in pts}
     members = [[pt for pt in pts if stratum_membership(assigns[pt], T)] for T in leaves]
     proper = 0
-    assert target == sys.field  # the truncations are strata of sys
+    assert probe_field(sys.field, p) == sys.field  # membership reads the truncations as they are
     for i, b in enumerate(leaves):
         assert closure_contains(sys, b, b)
         closed = replace(b, units=())
@@ -408,7 +437,8 @@ def test_compiled_poly_matches_evaluate(field, data):
     """A compiled table vanishes at a flat point exactly when
     ``Polynomial.evaluate`` on the unpacked point does; subtracting the
     reference value always leaves a vanishing table.  Characteristic-0 data
-    is compared mod 5 after moving it into F_5."""
+    is compiled mod 5 straight from its field, and compiles to the tables
+    of its copy moved into F_5 first."""
     f = data.draw(poly_strategy(field))
     if field.i_adjoined:
         i = field.square_root(field.of(-1))
@@ -419,9 +449,10 @@ def test_compiled_poly_matches_evaluate(field, data):
     pt = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=3 * m, max_size=3 * m)))
     ref = target.of(f.evaluate(point_assignment(pt, m)))
     moved = transport_poly(f, target)
-    assert vanishes(compile_poly(moved, m), pt, p) == (not ref)
+    assert compile_poly(f, m, p) == compile_poly(moved, m, p)
+    assert vanishes(compile_poly(f, m, p), pt, p) == (not ref)
     shifted = moved - Polynomial.const(target, ref)
-    assert vanishes(compile_poly(shifted, m), pt, p)
+    assert vanishes(compile_poly(shifted, m, p), pt, p)
 
 
 def zero_monomial_rule(idx, pt):
@@ -449,7 +480,7 @@ def monomial_rule_mismatches(field, rule, seed=7, cases=300):
         T = replace(
             root_stratum(), equations=(Polynomial.monomial(field, mono, field.of(1)),), consumed=m
         )
-        C = compile_stratum(T)
+        C = compile_stratum(T, p)
         idx = [oracle._index(v, m) for v, _ in mono]
         for _ in range(8):
             pt = tuple(rng.choice([0, *range(1, p)] if rng.random() < 0.5 else range(1, p))
@@ -478,22 +509,47 @@ MEMBERSHIP_CASES = [(kind, n, p, p, m) for kind, n, p, m in AUDIT_CASES] + [
 
 @pytest.mark.parametrize("kind,n,char,p,m", MEMBERSHIP_CASES)
 def test_compiled_truncations_match_membership(kind, n, char, p, m):
-    """Every node of a driver run, truncated into the probe field and
-    compiled, holds exactly the fiber points ``stratum_membership`` puts on
-    the truncation."""
+    """Every node of a driver run, truncated and compiled into the probe
+    field, holds exactly the fiber points ``stratum_membership`` puts on the
+    truncation moved into the probe field."""
     pr = preset(kind, n=n, char=char)
     sys = pr.system
     tree = run_driver(sys, pr.covers, max_level=m)
     target = probe_field(pr.equation.field, p)
-    truncs = [truncate_stratum(sys, node.stratum, m, target) for node in tree.nodes]
-    compiled = [compile_stratum(T) for T in truncs]
+    truncs = [truncate_stratum(sys, node.stratum, m) for node in tree.nodes]
+    compiled = [compile_stratum(T, p) for T in truncs]
+    moved = [transport_stratum(T, target) for T in truncs]
     if target.i_adjoined:
         # F_3(i) is exercised: some table has an imaginary part
         assert any(len(e) == 2 for C in compiled for e in C.equations + C.units)
     for pt in enumerate_fiber(sys, p, m):
         assign = point_assignment(pt, m)
-        for T, C in zip(truncs, compiled):
+        for T, C in zip(moved, compiled):
             assert C.contains(pt) == stratum_membership(assign, T), (pt, T.describe())
+
+
+@pytest.mark.parametrize(
+    "kind,n,char,p,m",
+    [("E6", 6, 0, 3, 6), ("E6", 6, 0, 5, 6), ("D", 3, 0, 3, 6), ("E8", 8, 3, 3, 8)],
+    ids=["E6-char0-F3i", "E6-char0-F5", "D6-char0-F3", "E8-char3-F3"],
+)
+def test_compiling_from_the_source_field_matches_moving_first(kind, n, char, p, m):
+    """Every node of a driver run, truncated and compiled straight from the
+    source field, gets the tables its truncation gets when it is moved into
+    the probe field first (the reference route).  E6 (char 0) goes to
+    F_3(i) at p = 3 and to F_5 at p = 5, where i becomes a square root of
+    -1, so some coefficient there has an imaginary part; over F_3 an
+    E8 (char 3) truncation is already in its probe field."""
+    pr = preset(kind, n=n, char=char)
+    tree = run_driver(pr.system, pr.covers, max_level=m)
+    target = probe_field(pr.equation.field, p)
+    truncs = [truncate_stratum(pr.system, node.stratum, m) for node in tree.nodes]
+    direct = [compile_stratum(T, p) for T in truncs]
+    assert direct == [compile_stratum(transport_stratum(T, target), p) for T in truncs]
+    assert any(C.equations or C.units for C in direct)
+    coefficients = [c for T in truncs for e in T.equations + T.units for c in e.terms.values()]
+    imaginary = [c for c in coefficients if getattr(c, "im", 0)]
+    assert bool(imaginary) == (kind == "E6")
 
 
 def reference_audit(pts, m, truncs, groups, splits):
@@ -545,7 +601,8 @@ def test_audit_tree_matches_reference(kind, n, char, p, m):
     nids = [node.nid for node in leaves]
     nids += [k for node in split_nodes for k in (node.nid, *node.children) if k not in nids]
     pos = {nid: i for i, nid in enumerate(nids)}
-    truncs = [truncate_stratum(sys, tree.node(nid).stratum, m, target) for nid in nids]
+    truncs = [truncate_stratum(sys, tree.node(nid).stratum, m) for nid in nids]
+    moved = [transport_stratum(T, target) for T in truncs]
     groups = {}
     for node in leaves:
         key = ("component", node.component) if node.component is not None else ("leaf", node.nid)
@@ -554,27 +611,27 @@ def test_audit_tree_matches_reference(kind, n, char, p, m):
         (node.nid, pos[node.nid], tuple(pos[c] for c in node.children))
         for node in split_nodes
     ]
-    ref = reference_audit(pts, m, truncs, groups, splits)
-    assert audit_tree(sys, tree, pts, m, target) == ref
+    ref = reference_audit(pts, m, moved, groups, splits)
+    assert audit_tree(sys, tree, pts) == ref
     assert ref[0]["ok"] and ref[1]["ok"]
 
     assigns = [point_assignment(pt, m) for pt in pts]
-    held = next(i for i in range(len(leaves)) if any(stratum_membership(a, truncs[i]) for a in assigns))
+    held = next(i for i in range(len(leaves)) if any(stratum_membership(a, moved[i]) for a in assigns))
     duplicated = {**groups, ("duplicate",): [held]}
-    exclusive, _ = _audit(pts, m, truncs, duplicated, splits)
+    exclusive, _ = _audit(pts, truncs, duplicated, splits)
     assert exclusive["overlapping"]
-    assert exclusive == reference_audit(pts, m, truncs, duplicated, splits)[0]
+    assert exclusive == reference_audit(pts, m, moved, duplicated, splits)[0]
 
     dropped = [(nid, parent, children[:1]) for nid, parent, children in splits]
-    _, partition = _audit(pts, m, truncs, groups, dropped)
+    _, partition = _audit(pts, truncs, groups, dropped)
     assert bool(partition["failures"]) == bool(splits)
-    assert partition == reference_audit(pts, m, truncs, groups, dropped)[1]
+    assert partition == reference_audit(pts, m, moved, groups, dropped)[1]
 
     # the parent as a third child holds every point a real child holds
     widened = [(nid, parent, (parent, *children)) for nid, parent, children in splits]
-    _, partition = _audit(pts, m, truncs, groups, widened)
+    _, partition = _audit(pts, truncs, groups, widened)
     assert {f["hits"] for f in partition["failures"]} == ({2} if splits else set())
-    assert partition == reference_audit(pts, m, truncs, groups, widened)[1]
+    assert partition == reference_audit(pts, m, moved, groups, widened)[1]
 
 
 # -- the projection memo against the per-point loop ---------------------------
@@ -583,16 +640,21 @@ ORACLE_PLANS = [(pr, p, m) for pr in preset_grid() for p, m in _oracle_plan(pr)]
 
 
 def plan_compiled(pr, p, m):
-    """Every node of the depth-m driver run, truncated into the probe field
-    of ``p`` and compiled."""
+    """Every node of the depth-m driver run, truncated and compiled into the
+    probe field of ``p``."""
     tree = run_driver(pr.system, pr.covers, max_level=m)
-    target = probe_field(pr.equation.field, p)
-    return [compile_stratum(truncate_stratum(pr.system, node.stratum, m, target)) for node in tree.nodes]
+    return [compile_stratum(truncate_stratum(pr.system, node.stratum, m), p) for node in tree.nodes]
 
 
 def loop_hits(pt, compiled):
     """The unmemoised route: every truncation tested on the point itself."""
     return sum(1 << i for i, C in enumerate(compiled) if C.contains(pt))
+
+
+def loose(pts, p, m):
+    """Points in any order, repeats allowed, as a level-``m`` fiber of
+    one-point blocks: each point a head with one empty tail."""
+    return Fiber(m, p, tuple((pt, ((),)) for pt in pts))
 
 
 def point_orders(pts, p, m, seed):
@@ -613,18 +675,20 @@ def last_order_zero(pr, p, m):
     zero, compiled: a truncation that reads a last-order index."""
     root = root_stratum()
     s = replace(root, zero_vars=root.zero_vars | {var("x", m)})
-    return compile_stratum(truncate_stratum(pr.system, s, m, probe_field(pr.equation.field, p)))
+    return compile_stratum(truncate_stratum(pr.system, s, m), p)
 
 
 def point_hits_match_loop(pr, p, m, kernel=point_hits, extra=()):
-    """The hits of the fiber's blocks (``kernel``), and of the loose points
-    of every order of ``point_orders``, are those of the per-point loop."""
+    """The hits of the fiber's blocks (``kernel``), and of the one-point
+    blocks of every order of ``point_orders``, are those of the per-point
+    loop."""
     compiled = plan_compiled(pr, p, m) + list(extra)
     fiber = enumerate_fiber(pr.system, p, m)
     orders = point_orders(list(fiber), p, m, seed=m)
     ref = {pt: loop_hits(pt, compiled) for pt in orders[0] + orders[-1]}
     return expanded(kernel(fiber, compiled)) == [(pt, ref[pt]) for pt in orders[0]] and all(
-        expanded(point_hits(pts, compiled)) == [(pt, ref[pt]) for pt in pts] for pts in orders
+        expanded(point_hits(loose(pts, p, m), compiled)) == [(pt, ref[pt]) for pt in pts]
+        for pts in orders
     )
 
 
@@ -682,19 +746,17 @@ def test_hits_shared_across_tails_fail_the_differential_test():
     assert not point_hits_match_loop(pr, 3, 3, kernel=shared_tail_hits, extra=extra)
 
 
-def loop_audit(points, m, truncations, groups, splits):
+def loop_audit(fiber, truncations, groups, splits):
     """The audit as one ``contains`` loop per point, with each group and
     split verdict read per point: the route ``_audit`` memoises."""
-    compiled = [(1 << i, compile_stratum(T)) for i, T in enumerate(truncations)]
+    compiled = [(1 << i, compile_stratum(T, fiber.p)) for i, T in enumerate(truncations)]
     group_masks = [(key, sum(1 << i for i in set(pos))) for key, pos in groups.items()]
     split_masks = [
         (nid, 1 << parent, sum(1 << i for i in set(children)))
         for nid, parent, children in splits
     ]
     uncovered, overlapping, failures = [], [], []
-    for pt in points:
-        if len(pt) != 3 * m:
-            raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
+    for pt in fiber:
         hits = 0
         for bit, C in compiled:
             if C.contains(pt):
@@ -723,55 +785,40 @@ def loop_audit(points, m, truncations, groups, splits):
 def test_audit_matches_the_per_point_loop(monkeypatch, pr, p, m):
     """``_audit`` on the arguments ``audit_tree`` hands it equals the per-point
     loop, also on the other point orders of ``point_orders`` run as one
-    list; so does the cover audit with the group of the first point
-    dropped, on every seventh point (negative control, where there are two
-    groups or more: that point is left uncovered)."""
+    fiber of one-point blocks; so does the cover audit with the group of
+    the first point dropped, on every seventh point (negative control,
+    where there are two groups or more: that point is left uncovered)."""
     calls = []
     audit = oracle._audit
     monkeypatch.setattr(oracle, "_audit", lambda *args: calls.append(args) or audit(*args))
     fiber = enumerate_fiber(pr.system, p, m)
     pts = list(fiber)
     tree = run_driver(pr.system, pr.covers, max_level=m)
-    assert audit_tree(pr.system, tree, fiber, m, probe_field(pr.equation.field, p)) == loop_audit(*calls[0])
-    _, _, truncations, groups, splits = calls[0]
-    points = [pt for order in point_orders(pts, p, m, seed=m)[1:] for pt in order]
-    assert audit(points, m, truncations, groups, splits) == loop_audit(points, m, truncations, groups, splits)
+    assert audit_tree(pr.system, tree, fiber) == loop_audit(*calls[0])
+    _, truncations, groups, splits = calls[0]
+    points = loose([pt for order in point_orders(pts, p, m, seed=m)[1:] for pt in order], p, m)
+    assert audit(points, truncations, groups, splits) == loop_audit(points, truncations, groups, splits)
     if len(groups) < 2:
         return  # with no group left the cover audit is skipped
-    first = loop_hits(pts[0], [compile_stratum(T) for T in truncations])
+    first = loop_hits(pts[0], [compile_stratum(T, p) for T in truncations])
     dropped = {key: pos for key, pos in groups.items() if not any(first >> i & 1 for i in pos)}
-    exclusive, _ = audit(pts[::7], m, truncations, dropped, ())
+    sparse = loose(pts[::7], p, m)
+    exclusive, _ = audit(sparse, truncations, dropped, ())
     assert exclusive["uncovered"][0] == pts[0]
-    assert exclusive == loop_audit(pts[::7], m, truncations, dropped, ())[0]
-
-
-def test_audit_rejects_a_point_of_the_wrong_length():
-    """The first point of the wrong length raises with its own length, from a
-    list or from a one-pass iterator."""
-    pr = preset("A", n=2, char=3)
-    pts = list(enumerate_fiber(pr.system, 3, 2))
-    tree = run_driver(pr.system, pr.covers, max_level=2)
-    leaves = [T for _, T in truncated_leaves(pr.system, tree, 2, probe_field(pr.equation.field, 3))]
-    bad = pts[:5] + [pts[5] + (0,), pts[6][:4]] + pts[7:]
-    for points in (bad, iter(bad)):
-        with pytest.raises(ValueError, match="point has 7 entries, expected 6"):
-            coverage_check(points, leaves)
-    assert coverage_check(iter(pts), leaves) == coverage_check(pts, leaves) == []
+    assert exclusive == loop_audit(sparse, truncations, dropped, ())[0]
 
 
 def test_audit_rejects_a_fiber_of_another_level(monkeypatch):
-    """A fiber of another level raises the error its first point would raise
-    as a loose point, checked once for the fiber: the audit at the right
+    """A fiber of another level than the truncations' raises with its
+    points' length, checked once for the fiber: the audit at the right
     level never builds the fiber's points one by one."""
     pr = preset("A", n=2, char=3)
     tree = run_driver(pr.system, pr.covers, max_level=3)
-    leaves = [T for _, T in truncated_leaves(pr.system, tree, 3, probe_field(pr.equation.field, 3))]
-    shallow = enumerate_fiber(pr.system, 3, 2)
-    for points in (shallow, list(shallow)):
-        with pytest.raises(ValueError, match="point has 6 entries, expected 9"):
-            coverage_check(points, leaves)
+    leaves = [T for _, T in truncated_leaves(pr.system, tree, 3)]
+    with pytest.raises(ValueError, match="point has 6 entries, expected 9"):
+        coverage_check(enumerate_fiber(pr.system, 3, 2), leaves)
     fiber = enumerate_fiber(pr.system, 3, 3)
-    expected = coverage_check(list(fiber), leaves)
+    expected = coverage_check(loose(list(fiber), 3, 3), leaves)
 
     def refuse(self):
         raise AssertionError("the audit built the fiber's points one by one")
@@ -821,7 +868,7 @@ def test_driver_partitions_the_fibers_of_random_small_equations():
                     outcomes["error"] += 1
                     continue
                 target = probe_field(field, p)
-                exclusive, partition = audit_tree(sys, tree, enumerate_fiber(sys, p, m), m, target)
+                exclusive, partition = audit_tree(sys, tree, enumerate_fiber(sys, p, m))
                 assert not exclusive["overlapping"], (sys.f, field, m)
                 assert all(fl["hits"] == 0 for fl in partition["failures"]), (sys.f, field, m)
                 lost = exclusive["uncovered"] + [fl["point"] for fl in partition["failures"]]
@@ -839,7 +886,7 @@ def test_driver_partitions_the_fibers_of_random_small_equations():
 def test_a_chart_with_a_multi_term_unit_leaves_no_point_uncovered():
     sys = JetSystem(parse_poly("x^2 + y*z + 2*y^2", Field(3)))
     tree = run_driver(sys, {}, max_level=2)
-    exclusive, _ = audit_tree(sys, tree, enumerate_fiber(sys, 3, 2), 2, Field(3))
+    exclusive, _ = audit_tree(sys, tree, enumerate_fiber(sys, 3, 2))
     assert exclusive["ok"], len(exclusive["uncovered"])
 
 
@@ -858,7 +905,7 @@ def deep_audit(kind, n, char):
     pr = preset(kind, n=n, char=char)
     fiber = enumerate_fiber(pr.system, 3, 6, budget=DEEP_BUDGET)
     tree = run_driver(pr.system, pr.covers, max_level=6)
-    return fiber, audit_tree(pr.system, tree, fiber, 6, probe_field(pr.equation.field, 3))
+    return fiber, audit_tree(pr.system, tree, fiber)
 
 
 def test_deep_audit_a2_char3_partitions_the_level_6_fiber():
