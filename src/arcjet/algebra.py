@@ -8,13 +8,15 @@ from monomials to nonzero coefficients.  Coefficients are
 ``0 <= c < p`` in characteristic ``p``.
 
 Everything here is exact; there is no floating point anywhere in the
-package.
+package.  Its records (``Field``, ``Stratum``, ...) are plain slotted classes
+on ``Record``, written out rather than generated, since a generator would
+load ``inspect`` and compile them on every start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 import re
 from typing import Iterable, Mapping, Optional, Union
 
@@ -181,8 +183,33 @@ class Gaussian:
 Scalar = Union[int, Fraction, Gaussian]
 
 
-@dataclass(frozen=True)
-class Field:
+class Record:
+    """A record's fields are its ``__slots__`` in order (``__dict__`` aside).
+    Records of one class compare and hash as the tuple of their fields, but
+    never equal that tuple, which memo dicts key beside them.  A mutable
+    record sets ``__hash__ = None``; no method assigns to the others."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # a C callable, read through the class: ``self._astuple(self)``
+        cls._astuple = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Field(Record):
     """Q (char == 0) or the prime field F_p (char == p).
 
     With ``i_adjoined`` the scalars are Gaussian values over the base:
@@ -191,10 +218,11 @@ class Field:
     -1 already has a square root in F_p.
     """
 
-    char: int
-    i_adjoined: bool = False
+    __slots__ = ("char", "i_adjoined")
 
-    def __post_init__(self) -> None:
+    def __init__(self, char: int, i_adjoined: bool = False) -> None:
+        self.char = char
+        self.i_adjoined = i_adjoined
         if self.char < 0 or self.char == 1:
             raise ValueError(f"invalid characteristic {self.char}")
         if self.char > 1 and not is_prime(self.char):

@@ -8,16 +8,18 @@ itself (the cover whose relation has its level as Coxeter number); the
 unit sets are empty except for E8's two, at levels 15 and 30, which only
 fix the golden presentation of its charts.  Certificates of
 pairwise non-inclusion between component candidates are generated and
-replayed here as well.
+replayed here as well.  Presets, table lines and certificates are frozen
+records; a preset caches its one tower (``system``) in its ``__dict__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .algebra import Field, ParseError, Polynomial, Var, format_poly, parse_poly, var, var_name
+from .algebra import (
+    Field, ParseError, Polynomial, Record, Var, format_poly, parse_poly, var, var_name,
+)
 from .hasse import JetSystem
 from .driver import Covers, StratificationTree, run_driver
 from .strata import (
@@ -35,16 +37,24 @@ class PresetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SingularityPreset:
-    kind: str  # "A" | "D" | "E6" | "E7" | "E8"
-    n: int  # A: rank; D: half the rank; E-kinds: fixed
-    char: int
-    variant: str  # extra term appended to the base equation ("" = none)
-    equation: Polynomial
-    covers: Covers
-    expected_count: int
-    max_level: int
+class SingularityPreset(Record):
+    __slots__ = (
+        "kind", "n", "char", "variant", "equation", "covers", "expected_count", "max_level",
+        "__dict__",
+    )
+
+    def __init__(
+        self, kind: str, n: int, char: int, variant: str, equation: Polynomial,
+        covers: Covers, expected_count: int, max_level: int,
+    ) -> None:
+        self.kind = kind  # "A" | "D" | "E6" | "E7" | "E8"
+        self.n = n  # A: rank; D: half the rank; E-kinds: fixed
+        self.char = char
+        self.variant = variant  # extra term appended to the base equation ("" = none)
+        self.equation = equation
+        self.covers = covers
+        self.expected_count = expected_count
+        self.max_level = max_level
 
     @property
     def label(self) -> str:
@@ -187,13 +197,17 @@ def components(preset: SingularityPreset) -> StratificationTree:
 # -- golden reduction tables -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceLine:
-    level: int
-    zeroed: tuple[Var, ...]
-    expected: str
-    label: str
-    strict: bool = True
+class CongruenceLine(Record):
+    __slots__ = ("level", "zeroed", "expected", "label", "strict")
+
+    def __init__(
+        self, level: int, zeroed: tuple[Var, ...], expected: str, label: str, strict: bool = True
+    ) -> None:
+        self.level = level
+        self.zeroed = zeroed
+        self.expected = expected
+        self.label = label
+        self.strict = strict
 
 
 def _upto(xi: int, yj: int, zh: int, exclude: tuple[Var, ...] = ()) -> tuple[Var, ...]:
@@ -333,24 +347,37 @@ def verify_congruence_table(preset: SingularityPreset) -> dict:
 # -- non-inclusion certificates ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
-    container: int  # component index whose closure is shown too small
-    excluded: int  # component index shown not to be contained
-    kind: str  # "unit-vs-zero" | "forced-vanishing"
-    witness: Optional[str] = None  # vanishing polynomial (unit-vs-zero)
-    evidence: str = ""
-    target: Optional[Var] = None  # forced-vanishing data
-    restriction: tuple[Var, ...] = ()
-    level: Optional[int] = None
+class WitnessCertificate(Record):
+    __slots__ = (
+        "container", "excluded", "kind", "witness", "evidence", "target", "restriction", "level"
+    )
+
+    def __init__(
+        self, container: int, excluded: int, kind: str, witness: Optional[str] = None,
+        evidence: str = "", target: Optional[Var] = None, restriction: tuple[Var, ...] = (),
+        level: Optional[int] = None,
+    ) -> None:
+        self.container = container  # component index whose closure is shown too small
+        self.excluded = excluded  # component index shown not to be contained
+        self.kind = kind  # "unit-vs-zero" | "equal-dimension" | "forced-vanishing"
+        self.witness = witness  # vanishing polynomial (unit-vs-zero)
+        self.evidence = evidence
+        self.target = target  # forced-vanishing data
+        self.restriction = restriction
+        self.level = level
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    excluded: int
-    container: int
-    resolved: bool
-    certificate: Optional[WitnessCertificate]
+class PairVerdict(Record):
+    __slots__ = ("excluded", "container", "resolved", "certificate")
+
+    def __init__(
+        self, excluded: int, container: int, resolved: bool,
+        certificate: Optional[WitnessCertificate],
+    ) -> None:
+        self.excluded = excluded
+        self.container = container
+        self.resolved = resolved
+        self.certificate = certificate
 
     def describe(self) -> dict:
         c = self.certificate

@@ -6,7 +6,8 @@ vanish (radical of a power), split into an open/closed pair along a
 coordinate, record a relation, or open one or more elimination charts
 (optionally after localizing).  Chart leaves are the component candidates;
 closed complements of final covers are terminal residuals absorbed into a
-previously built component's closure.
+previously built component's closure.  The tree, its nodes and components
+are mutable records, filled in as the driver decides.
 
 A cover is terminal when its relation's Coxeter number equals its level
 (``coxeter_number``: the relation is then the equation itself at that
@@ -19,13 +20,13 @@ move is canonical and recomputed from the equation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .algebra import (
     Polynomial,
+    Record,
     Var,
     format_poly,
     mono_from_pairs,
@@ -55,37 +56,47 @@ from .strata import (
 Covers = Mapping[int, tuple[tuple[Var, ...], ...]]
 
 
-@dataclass
-class Node:
-    nid: int
-    level: int  # level of the decision that created this node
-    # the node's decision: split | cover (inner nodes) or
-    # chart | residual | stabilized | empty (leaves); "interior" only
-    # until it is made
-    kind: str
-    stratum: Stratum
-    children: list[int] = dc_field(default_factory=list)
-    component: Optional[int] = None
-    absorbed_into: Optional[int] = None
-    note: str = ""
+class Node(Record):
+    __slots__ = (
+        "nid", "level", "kind", "stratum", "children", "component", "absorbed_into", "note"
+    )
+    __hash__ = None
+
+    def __init__(self, nid: int, level: int, kind: str, stratum: Stratum) -> None:
+        self.nid = nid
+        self.level = level  # level of the decision that created this node
+        # the node's decision: split | cover (inner nodes) or chart | residual
+        # | stabilized | empty (leaves); "interior" only until it is made
+        self.kind = kind
+        self.stratum = stratum
+        self.children: list[int] = []
+        self.component: Optional[int] = None
+        self.absorbed_into: Optional[int] = None
+        self.note = ""
 
 
-@dataclass
-class Component:
-    index: int
-    emergence: int
-    chart_nodes: list[int] = dc_field(default_factory=list)
+class Component(Record):
+    __slots__ = ("index", "emergence", "chart_nodes")
+    __hash__ = None
+
+    def __init__(self, index: int, emergence: int) -> None:
+        self.index = index
+        self.emergence = emergence
+        self.chart_nodes: list[int] = []
 
     @property
     def name(self) -> str:
         return f"K{self.index + 1}"
 
 
-@dataclass
-class StratificationTree:
-    nodes: list[Node]
-    components: list[Component]
-    max_level: int
+class StratificationTree(Record):
+    __slots__ = ("nodes", "components", "max_level")
+    __hash__ = None
+
+    def __init__(self, nodes: list[Node], components: list[Component], max_level: int) -> None:
+        self.nodes = nodes
+        self.components = components
+        self.max_level = max_level
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
@@ -310,9 +321,7 @@ def _do_cover(
     )
     comp: Optional[Component] = None
     for uset in unit_sets:
-        s_ch = replace(
-            s, units=s.units + tuple(Polynomial.variable(field, v) for v in uset)
-        )
+        s_ch = s.replace(units=s.units + tuple(Polynomial.variable(field, v) for v in uset))
         factors = _square_split(s_ch, q)
         if factors is not None:
             # The localized relation is a difference of squares, so the
@@ -343,15 +352,14 @@ def _do_cover(
         # more equation, appended after normalizing (it has no lead rule,
         # so it would only add reduction keys to the normalization).
         residual = _normalize(
-            sys, replace(s, equations=s.equations + (q,), consumed=max(s.consumed, n))
+            sys, s.replace(equations=s.equations + (q,), consumed=max(s.consumed, n))
         )
         product = Polynomial.monomial(field, mono_from_pairs((v, 1) for v in cover_vars))
-        residual = replace(residual, equations=residual.equations + (product,))
+        residual = residual.replace(equations=residual.equations + (product,))
     else:
         # Re-process the cover level on the complement: the relation may
         # stay nontrivial there and demand its own decision.
-        residual = replace(
-            s,
+        residual = s.replace(
             zero_vars=s.zero_vars | set(cover_vars),
             equations=s.equations + ((q,) if terminal else ()),
             consumed=max(s.consumed, n if terminal else n - 1),
@@ -419,7 +427,7 @@ def _auto_cover(sys: JetSystem, s: Stratum, q: Polynomial) -> tuple[tuple[Var, .
     a single chart at the highest-exponent workable coordinate suffices."""
     candidates = []
     for v in sorted(q.variables(), key=_split_key, reverse=True):
-        probe = replace(s, units=s.units + (Polynomial.variable(q.field, v),))
+        probe = s.replace(units=s.units + (Polynomial.variable(q.field, v),))
         if _pivot(sys, probe, q) is not None:
             candidates.append(v)
     if not candidates:
@@ -447,7 +455,7 @@ def _normalize(sys: JetSystem, s: Stratum) -> Stratum:
         uv = s.unit_vars()
         for i, eq in enumerate(eqs):
             others = tuple(e for j, e in enumerate(eqs) if j != i)
-            r = replace(s, equations=others).simplify(sys, eq)
+            r = s.replace(equations=others).simplify(sys, eq)
             if r.is_zero():
                 changed = True
                 continue
@@ -455,13 +463,13 @@ def _normalize(sys: JetSystem, s: Stratum) -> Stratum:
             body = r.divide_monomial(content)
             loose = [v for v in mono_vars(content) if v not in uv]
             if len(body.terms) == 1 and not next(iter(body.terms)) and len(loose) == 1:
-                s = replace(s, zero_vars=s.zero_vars | {loose[0]}, equations=others)
+                s = s.replace(zero_vars=s.zero_vars | {loose[0]}, equations=others)
                 changed = True
                 break
             kept.append(eq)
         else:
             if len(kept) != len(s.equations):
-                s = replace(s, equations=tuple(kept))
+                s = s.replace(equations=tuple(kept))
     return s
 
 

@@ -16,7 +16,7 @@ reads as not holding (see its docstring), and the graph is built on those
 answers as they are.  When two same-level vertices stay distinct
 syntactically but their small finite-field point sets, tested in each
 prime's probe field, agree, the pair is flagged in the report rather than
-merged.
+merged.  The graph (mutable) and its vertices (frozen) are records.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Callable
 
-from .algebra import Polynomial, format_poly, var_name
+from .algebra import Polynomial, Record, format_poly, var_name
 from .driver import Covers, run_driver
 from .hasse import JetSystem
 from .oracle import (
@@ -61,22 +60,32 @@ def descriptor_key(d: Stratum, fmt: Callable[[Polynomial], str]) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class GraphVertex:
-    vid: int
-    level: int
-    label: str
-    component_ids: tuple[int, ...]  # stable components flowing through this vertex
-    descriptor: tuple
+class GraphVertex(Record):
+    __slots__ = ("vid", "level", "label", "component_ids", "descriptor")
+
+    def __init__(
+        self, vid: int, level: int, label: str, component_ids: tuple[int, ...], descriptor: tuple
+    ) -> None:
+        self.vid = vid
+        self.level = level
+        self.label = label
+        self.component_ids = component_ids  # stable components flowing through this vertex
+        self.descriptor = descriptor
 
 
-@dataclass
-class JetComponentGraph:
-    schema: str
-    max_level: int
-    vertices: tuple[GraphVertex, ...]
-    edges: tuple[tuple[int, int], ...]  # (lower vid, higher vid), level m -> m+1
-    flags: tuple[str, ...] = ()
+class JetComponentGraph(Record):
+    __slots__ = ("schema", "max_level", "vertices", "edges", "flags")
+    __hash__ = None
+
+    def __init__(
+        self, schema: str, max_level: int, vertices: tuple[GraphVertex, ...],
+        edges: tuple[tuple[int, int], ...], flags: tuple[str, ...] = (),
+    ) -> None:
+        self.schema = schema
+        self.max_level = max_level
+        self.vertices = vertices
+        self.edges = edges  # (lower vid, higher vid), level m -> m+1
+        self.flags = flags
 
     def at_level(self, m: int) -> list[GraphVertex]:
         return [v for v in self.vertices if v.level == m]

@@ -10,8 +10,8 @@ tautology.
 A point of the level-``m`` fiber assigns one residue to each coordinate
 of order 1..m in the three ambient families (order 0 is pinned to the
 origin).  A point is a flat tuple ordered x1,y1,z1,x2,y2,z2,... so that
-the enumeration is lexicographic and deterministic; a fiber (``Fiber``,
-which carries its level and prime) is stored as prefix blocks that share
+the enumeration is lexicographic and deterministic; a fiber (``Fiber``, a
+record that carries its level and prime) is stored as prefix blocks that share
 the free last jet order, and the audits read both off it.  The search
 and the audits run on polynomials and truncations compiled into integer
 tables over that tuple, once per prime and level.  Compiling is the one
@@ -24,7 +24,6 @@ tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -33,6 +32,7 @@ from .algebra import (
     Field,
     Gaussian,
     Polynomial,
+    Record,
     Var,
     format_poly,
     is_prime,
@@ -52,16 +52,18 @@ JetPoint = tuple[int, ...]
 Block = tuple[JetPoint, tuple[JetPoint, ...]]
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(Record):
     """The F_p points of a level-``m`` fiber as blocks in lexicographic
     order: a head holds orders 1..m-1, its tails the last-order triples it
     admits (one shared cube when no derivative level tops out at order m).
     Iterating gives the points, ``len`` their count."""
 
-    m: int
-    p: int
-    blocks: tuple[Block, ...]
+    __slots__ = ("m", "p", "blocks")
+
+    def __init__(self, m: int, p: int, blocks: tuple[Block, ...]) -> None:
+        self.m = m
+        self.p = p
+        self.blocks = blocks
 
     def __len__(self) -> int:
         return sum(len(tails) for _, tails in self.blocks)
@@ -195,14 +197,19 @@ def vanishes(parts: Compiled, pt: Sequence[int], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CompiledStratum:
+class CompiledStratum(Record):
     """A truncation as plain data over flat points of its level, mod ``p``."""
 
-    p: int
-    zeros: tuple[int, ...]
-    units: tuple[Compiled, ...]
-    equations: tuple[Compiled, ...]
+    __slots__ = ("p", "zeros", "units", "equations")
+
+    def __init__(
+        self, p: int, zeros: tuple[int, ...], units: tuple[Compiled, ...],
+        equations: tuple[Compiled, ...],
+    ) -> None:
+        self.p = p
+        self.zeros = zeros
+        self.units = units
+        self.equations = equations
 
     def contains(self, pt: JetPoint) -> bool:
         # plain loops: this runs once per (point, truncation)

@@ -9,7 +9,8 @@ each solved coordinate as N / c^k, N a polynomial in the free and unit
 coordinates (``generic_point``).
 
 A truncation to jet level ``m`` (``oracle.truncate_stratum``) is a stratum
-too, with no rule and ``consumed = m``.  A stratum is plain data: a
+too, with no rule and ``consumed = m``.  A stratum is a frozen record (a
+key of the driver's memo; ``Stratum.replace`` copies it with changes): a
 reduction modulo it is a ``Reduction`` that ``reduction_of(sys, s)`` hands
 out from the derivative tower ``sys`` (the vanishing coordinates drop out,
 then the rewrite rules of the equations apply to a fixpoint).  It reads
@@ -21,11 +22,11 @@ and freed with it.  A derivative level is reduced through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     Polynomial,
+    Record,
     Var,
     format_poly,
     mono_vars,
@@ -43,13 +44,15 @@ class EngineError(RuntimeError):
 # rewriting modulo stratum equations
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
     """Replace ``v^power`` by ``rhs`` (rhs free of ``v``)."""
 
-    v: Var
-    power: int
-    rhs: Polynomial
+    __slots__ = ("v", "power", "rhs")
+
+    def __init__(self, v: Var, power: int, rhs: Polynomial) -> None:
+        self.v = v
+        self.power = power
+        self.rhs = rhs
 
 
 def rewrite_rules_for(
@@ -212,8 +215,7 @@ def reduction_of(sys: JetSystem, s: Stratum) -> Reduction:
 # stratum data model
 
 
-@dataclass(frozen=True)
-class EliminationRule:
+class EliminationRule(Record):
     """Solve the coordinate of order ``m - offset`` (family ``family``) from
     the equation at level ``m``, for every ``m >= start_level``.
 
@@ -226,12 +228,16 @@ class EliminationRule:
     solved coordinate occurs in ``f_m`` only linearly, lies outside the
     reduction and has the reduced coefficient ``simplify((df/dx)_offset)``:
     ``_verify_rule`` checks levels ``start_level .. max(start_level, B + 1)``.
+    Hashed inside its chart's stratum, a memo key.
     """
 
-    family: str
-    offset: int
-    start_level: int
-    coeff: Polynomial
+    __slots__ = ("family", "offset", "start_level", "coeff")
+
+    def __init__(self, family: str, offset: int, start_level: int, coeff: Polynomial) -> None:
+        self.family = family
+        self.offset = offset
+        self.start_level = start_level
+        self.coeff = coeff
 
     def solved_order(self, m: int) -> int:
         return m - self.offset
@@ -243,13 +249,24 @@ class EliminationRule:
         )
 
 
-@dataclass(frozen=True)
-class Stratum:
-    zero_vars: frozenset[Var]
-    equations: tuple[Polynomial, ...] = ()
-    units: tuple[Polynomial, ...] = ()
-    rule: Optional[EliminationRule] = None
-    consumed: int = 0
+class Stratum(Record):
+    __slots__ = ("zero_vars", "equations", "units", "rule", "consumed")
+
+    def __init__(
+        self, zero_vars: frozenset[Var], equations: tuple[Polynomial, ...] = (),
+        units: tuple[Polynomial, ...] = (), rule: Optional[EliminationRule] = None,
+        consumed: int = 0,
+    ) -> None:
+        self.zero_vars = zero_vars
+        self.equations = equations
+        self.units = units
+        self.rule = rule
+        self.consumed = consumed
+
+    def replace(self, **changes) -> Stratum:
+        """A copy with the named fields changed (an unknown name raises
+        ``TypeError``); this stratum stays as it is."""
+        return Stratum(**dict(zip(self._fields, self._astuple(self)), **changes))
 
     # -- derived helpers ----------------------------------------------
 
@@ -324,27 +341,29 @@ def next_nontrivial(
 
 def split(sys: JetSystem, s: Stratum, v: Var) -> tuple[Stratum, Stratum]:
     """Partition into the open part (v invertible) and closed part (v = 0)."""
-    open_part = replace(s, units=s.units + (Polynomial.variable(sys.field, v),))
-    closed_part = replace(s, zero_vars=s.zero_vars | {v})
+    open_part = s.replace(units=s.units + (Polynomial.variable(sys.field, v),))
+    closed_part = s.replace(zero_vars=s.zero_vars | {v})
     return open_part, closed_part
 
 
 def force_vanish(s: Stratum, v: Var, level: int) -> Stratum:
-    return replace(s, zero_vars=s.zero_vars | {v}, consumed=max(s.consumed, level))
+    return s.replace(zero_vars=s.zero_vars | {v}, consumed=max(s.consumed, level))
 
 
 def add_equation(s: Stratum, q: Polynomial, level: int) -> Stratum:
-    return replace(s, equations=s.equations + (q,), consumed=max(s.consumed, level))
+    return s.replace(equations=s.equations + (q,), consumed=max(s.consumed, level))
 
 
 # -- elimination ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PivotChoice:
-    v: Var
-    coeff: Polynomial          # full rewritten partial of q
-    extra_unit: Optional[Polynomial]  # non-monomial cofactor declared a unit
+class PivotChoice(Record):
+    __slots__ = ("v", "coeff", "extra_unit")
+
+    def __init__(self, v: Var, coeff: Polynomial, extra_unit: Optional[Polynomial]) -> None:
+        self.v = v
+        self.coeff = coeff  # full rewritten partial of q
+        self.extra_unit = extra_unit  # non-monomial cofactor declared a unit
 
 
 def find_pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoice]:
@@ -356,7 +375,7 @@ def find_pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoic
     single-variable cofactor never qualifies, since inverting it would
     change the underlying set in an uncontrolled way.
     """
-    probe = replace(s, equations=s.equations + (q,))
+    probe = s.replace(equations=s.equations + (q,))
     uv = probe.unit_vars()
     red = reduction_of(sys, probe)
     picks: list[PivotChoice] = []
@@ -398,13 +417,13 @@ def eliminate_tail(
     linear = q.degree_in(pivot.v) == 1
     s2 = s
     if pivot.extra_unit is not None:
-        s2 = replace(s2, units=s2.units + (pivot.extra_unit,))
+        s2 = s2.replace(units=s2.units + (pivot.extra_unit,))
     if not linear:
         s2 = add_equation(s2, q, n)
     offset = n - pivot.v[1]
     start = n if linear else n + 1
     rule = EliminationRule(pivot.v[0], offset, start, pivot.coeff)
-    chart = replace(s2, rule=rule, consumed=max(s2.consumed, start))
+    chart = s2.replace(rule=rule, consumed=max(s2.consumed, start))
     _verify_rule(sys, chart, rule)
     return chart
 
@@ -542,7 +561,7 @@ def forced_vanishing(
     w, c_m, num = rule_instance(sys, chart, rule, m)
     assert w == target
     # the equations survive on the restricted set in reduced form
-    restricted = reduction_of(sys, replace(chart, zero_vars=chart.zero_vars | rs))
+    restricted = reduction_of(sys, chart.replace(zero_vars=chart.zero_vars | rs))
     if restricted(c_m).is_zero():
         raise RestrictionIncompatible(
             f"restriction kills the unit coefficient of {var_name(target)}"

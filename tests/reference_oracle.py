@@ -10,8 +10,6 @@ copies.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from arcjet.algebra import Field, Polynomial, format_poly
 from arcjet.oracle import OracleError, transport_scalar
 from arcjet.strata import Stratum
@@ -37,8 +35,7 @@ def transport_poly(p: Polynomial, target: Field) -> Polynomial:
 def transport_stratum(T: Stratum, target: Field) -> Stratum:
     """Move a truncation's coefficients into the probe field, its equations
     before its units."""
-    return replace(
-        T,
+    return T.replace(
         equations=tuple(transport_poly(e, target) for e in T.equations),
         units=tuple(transport_poly(u, target) for u in T.units),
     )

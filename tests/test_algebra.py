@@ -80,6 +80,20 @@ def test_field_basics():
         Field(-1)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((1,), {}, "invalid characteristic 1"),
+        ((4,), {}, "characteristic 4 is not prime"),
+        ((5,), {"i_adjoined": True}, "-1 is already a square mod 5; nothing to adjoin"),
+    ],
+)
+def test_field_checks_its_arguments_as_it_is_built(args, kwargs, message):
+    with pytest.raises(ValueError) as raised:
+        Field(*args, **kwargs)
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_field_inverse(field):
     for a in (1, 2, 3, 6, -5):

@@ -1,7 +1,5 @@
 """Named singularity presets: counts, reduction tables, separation evidence."""
 
-from dataclasses import replace
-
 import pytest
 
 from arcjet import driver
@@ -9,6 +7,7 @@ from arcjet.algebra import QQ, parse_poly, var
 from arcjet.catalog import (
     PairVerdict,
     PresetError,
+    SingularityPreset,
     _base_equation,
     components,
     golden_table,
@@ -89,7 +88,10 @@ def test_only_e8_scripts_cover_unit_sets():
 
 
 def _inventory(pr, covers):
-    return _component_inventory(pr, components(replace(pr, covers=covers)))
+    moved = SingularityPreset(
+        pr.kind, pr.n, pr.char, pr.variant, pr.equation, covers, pr.expected_count, pr.max_level
+    )
+    return _component_inventory(pr, components(moved))
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 import functools
 import gc
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +13,13 @@ from arcjet.cli import _oracle_plan
 from arcjet.driver import _square_split, coxeter_number, run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import build_graph
-from arcjet.strata import EngineError, Stratum, check_elimination_soundness, root_stratum
+from arcjet.strata import (
+    EngineError,
+    PivotChoice,
+    Stratum,
+    check_elimination_soundness,
+    root_stratum,
+)
 
 
 def P(text, field=QQ):
@@ -295,7 +300,9 @@ def move_mismatches(monkeypatch, build) -> tuple[list, list]:
     eliminations = {(id(sys), args): (sys, args) for sys, args, _ in asked if len(args) == 4}
     for sys, (s, n, q, pivot) in eliminations.values():
         others = q.variables() - {pivot.v}
-        neighbours = [(n + 1, pivot)] + [(n, replace(pivot, v=w)) for w in others]
+        neighbours = [(n + 1, pivot)] + [
+            (n, PivotChoice(w, pivot.coeff, pivot.extra_unit)) for w in others
+        ]
         for level, choice in neighbours:
             try:
                 driver._eliminate(sys, s, level, q, choice)
@@ -372,11 +379,11 @@ def test_a_failing_elimination_raises_on_every_call(monkeypatch):
     calls = counted(monkeypatch, "eliminate_tail")
     sys = JetSystem(P("z^2 + x*y"))
     q = P("x1*y1 + z1^2")
-    s = replace(root_stratum(), units=(P("x1"),))
+    s = root_stratum().replace(units=(P("x1"),))
     pivot = driver._pivot(sys, s, q)
     assert pivot.v == var("y", 1)
     # x1's coefficient y1 is no unit on this chart
-    wrong = replace(pivot, v=var("x", 1))
+    wrong = PivotChoice(var("x", 1), pivot.coeff, pivot.extra_unit)
     for _ in range(2):
         with pytest.raises(EngineError, match="unstable elimination coefficient"):
             driver._eliminate(sys, s, 2, q, wrong)

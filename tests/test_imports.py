@@ -3,7 +3,8 @@ every parameter of its functions and methods is read, no default argument
 is a mutable display, no module runs generated code, no module-level
 function sits behind a process-wide cache, no module copies a whole
 polynomial or stratum into a probe field, the oracle builds no derivative
-tower, and importing the CLI does not load the process-pool stack.
+tower, no module imports ``dataclasses``, and importing the CLI loads
+neither the process-pool stack nor ``dataclasses`` and ``inspect``.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -505,3 +506,55 @@ def test_the_pool_stack_probe_sees_the_pool():
     loaded = pool_stack(modules_loaded_by("import concurrent.futures.process"))
     roots = {name.split(".")[0] for name in loaded}
     assert roots == set(POOL_PACKAGES) | set(POOL_MODULES)
+
+
+# what the records of ``src`` would cost every start-up as dataclasses:
+# ``dataclasses`` imports ``inspect`` (with ``ast``, ``dis`` and
+# ``tokenize``), which nothing else the CLI loads needs
+DATACLASS_STACK = {"dataclasses", "inspect"}
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    loaded = DATACLASS_STACK & set(modules_loaded_by("import arcjet.cli"))
+    assert not loaded, f"import arcjet.cli loads {', '.join(sorted(loaded))}"
+
+
+def test_the_dataclass_probe_sees_dataclasses():
+    # control: neither module is loaded before the probe's statement runs
+    assert DATACLASS_STACK <= set(modules_loaded_by("import dataclasses"))
+
+
+def dataclass_imports(tree: ast.Module):
+    """Lines that import ``dataclasses``, or a name from it."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            if any(alias.name.split(".")[0] == "dataclasses" for alias in n.names):
+                yield n.lineno
+        elif isinstance(n, ast.ImportFrom) and n.module == "dataclasses":
+            yield n.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # the records are plain slotted classes on ``algebra.Record``; an import
+    # inside a function would still load ``inspect`` on the first call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted({f"line {n}" for n in dataclass_imports(tree)})
+    assert not found, f"{path.name} imports dataclasses: {', '.join(found)}"
+
+
+def test_the_dataclass_import_guard_sees_every_spelling():
+    # control: each spelling is caught, at module level or inside a
+    # function; a name that merely mentions dataclasses is not
+    spellings = [
+        "import dataclasses\n",
+        "import dataclasses as dc\n",
+        "import json, dataclasses\n",
+        "from dataclasses import dataclass\n",
+        "from dataclasses import dataclass, field as dc_field, replace\n",
+        "def f():\n    from dataclasses import replace\n    return replace\n",
+        "def f():\n    import dataclasses\n    return dataclasses.fields\n",
+    ]
+    assert all(list(dataclass_imports(ast.parse(text))) for text in spellings)
+    allowed = ast.parse("import dataclasses_json\nfrom .records import dataclass_like\n")
+    assert not list(dataclass_imports(allowed))

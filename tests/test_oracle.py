@@ -4,7 +4,7 @@ import gc
 import inspect
 import random
 from collections import Counter
-from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 from sys import getrecursionlimit, setrecursionlimit
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcjet import oracle
-from arcjet.algebra import Field, Polynomial, mono_from_pairs, parse_poly, var
+from arcjet.algebra import Field, Gaussian, Polynomial, mono_from_pairs, parse_poly, var
 from arcjet.catalog import PresetError, preset, preset_grid
 from arcjet.cli import _oracle_plan
 from arcjet.driver import run_driver
@@ -34,6 +34,7 @@ from arcjet.oracle import (
     probe_field,
     split_partition_check,
     stratum_membership,
+    transport_scalar,
     truncate_stratum,
     truncated_leaves,
     vanishes,
@@ -305,6 +306,22 @@ def test_an_equation_with_no_value_mod_p_is_an_oracle_error():
     assert len(enumerate_fiber(sys, 2, 1)) == 8
 
 
+def test_a_gaussian_in_a_field_without_a_root_of_minus_one_is_an_oracle_error():
+    """``probe_field`` adjoins i wherever -1 has no square root mod p, so the
+    oracle never asks for a missing root; a hand-built target does, and gets
+    the oracle's error rather than a failure inside ``Field.mul``."""
+    with pytest.raises(OracleError) as raised:
+        transport_scalar(Gaussian(0, 1), Field(3))
+    assert str(raised.value) == (
+        "coefficient Gaussian(0, 1) needs a square root of -1 that F_3 lacks"
+    )
+    # a real Gaussian needs no root: it moves as its real part
+    assert transport_scalar(Gaussian(5, 0), Field(3)) == 2
+    assert transport_scalar(Gaussian(Fraction(1, 2), 0), Field(3)) == 2
+    # where -1 has a root the imaginary part moves through it (2^2 = -1 mod 5)
+    assert transport_scalar(Gaussian(0, 1), Field(5)) == 2
+
+
 def test_probe_field_carries_extension():
     pr = preset("E6", char=0)
     target = probe_field(pr.equation.field, 3)
@@ -384,8 +401,7 @@ def test_truncation_forgets_constraints_above_its_level():
     otherwise reject every point)."""
     pr = preset("A", n=1, char=2)
     field = pr.equation.field
-    s = replace(
-        root_stratum(),
+    s = root_stratum().replace(
         units=(parse_poly("x5", field),),
         equations=(parse_poly("x1*y5", field),),
     )
@@ -413,7 +429,7 @@ def test_closure_contains_is_sound_on_fiber_points(kind, n, p, m):
     assert probe_field(sys.field, p) == sys.field  # membership reads the truncations as they are
     for i, b in enumerate(leaves):
         assert closure_contains(sys, b, b)
-        closed = replace(b, units=())
+        closed = b.replace(units=())
         for j, (a, a_pts) in enumerate(zip(leaves, members)):
             if not closure_contains(sys, b, a):
                 continue
@@ -477,8 +493,8 @@ def monomial_rule_mismatches(field, rule, seed=7, cases=300):
         m = rng.randint(1, 3)
         coords = rng.sample([var(f, o) for o in range(m + 2) for f in "xyz"], rng.randint(1, 4))
         mono = mono_from_pairs((v, rng.randint(1, 3)) for v in coords)
-        T = replace(
-            root_stratum(), equations=(Polynomial.monomial(field, mono, field.of(1)),), consumed=m
+        T = root_stratum().replace(
+            equations=(Polynomial.monomial(field, mono, field.of(1)),), consumed=m
         )
         C = compile_stratum(T, p)
         idx = [oracle._index(v, m) for v, _ in mono]
@@ -674,7 +690,7 @@ def last_order_zero(pr, p, m):
     """The root truncated to level m with the last-order coordinate x_m
     zero, compiled: a truncation that reads a last-order index."""
     root = root_stratum()
-    s = replace(root, zero_vars=root.zero_vars | {var("x", m)})
+    s = root.replace(zero_vars=root.zero_vars | {var("x", m)})
     return compile_stratum(truncate_stratum(pr.system, s, m), p)
 
 
@@ -921,7 +937,7 @@ class LeftUncovered(AssertionError):
 @pytest.mark.xfail(
     strict=True,
     raises=LeftUncovered,
-    reason="the multi-term-unit gap on the grid (ROADMAP item 2): the level-6 cover's "
+    reason="the multi-term-unit gap on the grid (ROADMAP item 1): the level-6 cover's "
     "two charts take x2 + 2*y2 and 2*x2 + y2 as units, and no leaf holds the "
     "354,294 points where they vanish",
 )

@@ -1,7 +1,7 @@
 """Stratum bookkeeping: rewriting, unit inference, elimination, soundness."""
 
+import pickle
 import random
-from dataclasses import replace
 from typing import Optional
 
 import pytest
@@ -291,7 +291,7 @@ def test_reduced_is_computed_once_per_stratum_and_level():
     assert r == P("z1^2 + x1*y1")
     # a stratum with the same zeros and equations shares the entry: units,
     # rules and the consumed level do not enter simplify
-    twin = replace(s, units=(P("x1"),), consumed=2)
+    twin = s.replace(units=(P("x1"),), consumed=2)
     assert sys.reduced(twin, 2) is r
     # other equations are another entry
     other = add_equation(s, P("z1 - x1"), 2)
@@ -339,15 +339,57 @@ def test_simplify_cache_follows_replace():
     sys = JetSystem(P("z^2 + x*y"))
     s = Stratum(zero_vars=frozenset({var("x", 0)}), equations=(P("z2 - y1^2"),))
     assert s.simplify(sys, P("z3 + z2")) == P("z3 + y1^2")  # fills the tower's memo
-    s2 = replace(s, equations=s.equations + (P("z3 - x1*y1"),))
+    s2 = s.replace(equations=s.equations + (P("z3 - x1*y1"),))
     assert s2.simplify(sys, P("z3 + z2")) == P("x1*y1 + y1^2")
     assert s.simplify(sys, P("z3 + z2")) == P("z3 + y1^2")
+
+
+def memo_keys():
+    """One record of each class that keys a memo dict, with the tuple of its
+    fields in declaration order."""
+    x0, x1 = var("x", 0), var("x", 1)
+    rule = EliminationRule("y", 1, 2, P("x1"))
+    return [
+        (Field(3, True), (3, True)),
+        (RewriteRule(x1, 2, P("y1^2")), (x1, 2, P("y1^2"))),
+        (rule, ("y", 1, 2, P("x1"))),
+        (
+            Stratum(frozenset({x0}), (P("z2 - y1^2"),), (P("x1"),), rule, 2),
+            (frozenset({x0}), (P("z2 - y1^2"),), (P("x1"),), rule, 2),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, fields", memo_keys(), ids=["Field", "RewriteRule", "EliminationRule", "Stratum"]
+)
+def test_memo_keys_hash_as_their_fields_but_never_equal_them(key, fields):
+    # a memo dict holds records beside plain tuples (the tower's reduction
+    # and derivative keys): a record must never collide with its own fields
+    assert hash(key) == hash(fields)
+    assert key != fields and fields != key
+    assert key.__eq__(fields) is NotImplemented
+    assert len({key: "record", fields: "tuple"}) == 2
+    twin = type(key)(*fields)
+    assert twin == key and hash(twin) == hash(key) and twin is not key
+    copy = pickle.loads(pickle.dumps(key))
+    assert copy == key and hash(copy) == hash(key)
+
+
+def test_replace_builds_a_fresh_stratum_and_leaves_the_old_one():
+    s = Stratum(frozenset({var("x", 0)}), (P("z2 - y1^2"),), (P("x1"),), None, 1)
+    changed = s.replace(units=(), consumed=3)
+    assert changed == Stratum(s.zero_vars, s.equations, (), None, 3)
+    assert s == Stratum(frozenset({var("x", 0)}), (P("z2 - y1^2"),), (P("x1"),), None, 1)
+    assert s.replace() == s and s.replace() is not s
+    with pytest.raises(TypeError):
+        s.replace(zero_monomials=())
 
 
 def test_strata_share_a_reduction_through_their_memo():
     sys = JetSystem(P("z^2 + x*y"))
     s = Stratum(zero_vars=frozenset({var("x", 0)}), equations=(P("z2 - y1^2"),))
-    twin = replace(s, units=(P("x1"),), consumed=2)
+    twin = s.replace(units=(P("x1"),), consumed=2)
     other = add_equation(s, P("z3 - x1"), 3)
     red = strata.reduction_of(sys, s)
     assert strata.reduction_of(sys, twin) is red
@@ -640,7 +682,7 @@ def test_a_rule_on_a_nonlinear_coordinate_raises_an_engine_error():
     # the quadratic z1 pivot asked one level up: the rule then solves z2 at
     # level 4, where z2 occurs squared, and the error names both
     sys = JetSystem(P("z^2 + x*y"))
-    s = replace(root_stratum(), units=(P("x1"),), consumed=1)
+    s = root_stratum().replace(units=(P("x1"),), consumed=1)
     q = P("x1*y1 + z1^2")
     pivot = PivotChoice(var("z", 1), q.partial(var("z", 1)), None)
     assert eliminate_tail(sys, s, 2, q, pivot).rule
@@ -652,7 +694,7 @@ def test_soundness_flags_wrong_rule():
     # negative control: a rule solving the wrong coordinate offset does not
     # kill the tower, and every checked level is reported bad
     sys, chart = quadric_chart()
-    wrong = replace(chart, rule=replace(chart.rule, offset=2, start_level=3))
+    wrong = chart.replace(rule=EliminationRule(chart.rule.family, 2, 3, chart.rule.coeff))
     assert check_elimination_soundness(sys, wrong, 8) == [3, 4, 5, 6, 7, 8]
     # and the rational-expression route flags the same levels
     assert reference_soundness(sys, wrong, 8) == [3, 4, 5, 6, 7, 8]
@@ -774,9 +816,11 @@ def offset_shifted_a_series_charts():
     """Control: each A-series chart with its rule's offset moved by one,
     which solves the wrong coordinate."""
     for sys, chart, up_to in a_series_charts():
+        r = chart.rule
         for step in (-1, 1):
-            if chart.rule.offset + step >= 1:
-                yield sys, replace(chart, rule=replace(chart.rule, offset=chart.rule.offset + step)), up_to
+            if r.offset + step >= 1:
+                wrong = EliminationRule(r.family, r.offset + step, r.start_level, r.coeff)
+                yield sys, chart.replace(rule=wrong), up_to
 
 
 @pytest.mark.parametrize(
@@ -918,7 +962,7 @@ def test_a_rule_failing_past_the_six_level_window_raises():
         eliminate_tail(sys, s, 2, r, pivot)
     assert eliminate_tail(sys, op, 2, r, pivot).rule
     rule = EliminationRule("y", 1, 2, pivot.coeff)
-    six_level_probe(sys, replace(s, rule=rule, consumed=2), rule)
+    six_level_probe(sys, s.replace(rule=rule, consumed=2), rule)
 
 
 def test_a_rule_one_offset_off_fails_the_check(monkeypatch):
@@ -928,8 +972,8 @@ def test_a_rule_one_offset_off_fails_the_check(monkeypatch):
     variants = 0
     for sys, chart, rule, _, _ in checks:
         for step in (-1, 1):
-            wrong = replace(rule, offset=rule.offset + step)
-            broken = replace(chart, rule=wrong)
+            wrong = EliminationRule(rule.family, rule.offset + step, rule.start_level, rule.coeff)
+            broken = chart.replace(rule=wrong)
             with pytest.raises(EngineError):
                 strata._verify_rule(sys, broken, wrong)
             variants += 1
