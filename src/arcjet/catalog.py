@@ -348,17 +348,13 @@ def verify_congruence_table(preset: SingularityPreset) -> dict:
 
 
 class WitnessCertificate(Record):
-    __slots__ = (
-        "container", "excluded", "kind", "witness", "evidence", "target", "restriction", "level"
-    )
+    __slots__ = ("kind", "witness", "evidence", "target", "restriction", "level")
 
     def __init__(
-        self, container: int, excluded: int, kind: str, witness: Optional[str] = None,
-        evidence: str = "", target: Optional[Var] = None, restriction: tuple[Var, ...] = (),
+        self, kind: str, witness: Optional[str] = None, evidence: str = "",
+        target: Optional[Var] = None, restriction: tuple[Var, ...] = (),
         level: Optional[int] = None,
     ) -> None:
-        self.container = container  # component index whose closure is shown too small
-        self.excluded = excluded  # component index shown not to be contained
         self.kind = kind  # "unit-vs-zero" | "equal-dimension" | "forced-vanishing"
         self.witness = witness  # vanishing polynomial (unit-vs-zero)
         self.evidence = evidence
@@ -368,15 +364,16 @@ class WitnessCertificate(Record):
 
 
 class PairVerdict(Record):
-    __slots__ = ("excluded", "container", "resolved", "certificate")
+    """Whether component ``excluded`` is shown not to lie in the closure of
+    component ``container``: resolved exactly when a certificate is held."""
+
+    __slots__ = ("excluded", "container", "certificate")
 
     def __init__(
-        self, excluded: int, container: int, resolved: bool,
-        certificate: Optional[WitnessCertificate],
+        self, excluded: int, container: int, certificate: Optional[WitnessCertificate]
     ) -> None:
         self.excluded = excluded
         self.container = container
-        self.resolved = resolved
         self.certificate = certificate
 
     def describe(self) -> dict:
@@ -384,9 +381,9 @@ class PairVerdict(Record):
         return {
             "excluded": self.excluded,
             "container": self.container,
-            "resolved": self.resolved,
+            "resolved": c is not None,
             "certificate": None if c is None else {
-                "container": c.container, "excluded": c.excluded, "kind": c.kind,
+                "container": self.container, "excluded": self.excluded, "kind": c.kind,
                 "witness": c.witness, "evidence": c.evidence, "level": c.level,
                 "target": None if c.target is None else var_name(c.target),
                 "restriction": [var_name(v) for v in c.restriction],
@@ -394,9 +391,7 @@ class PairVerdict(Record):
         }
 
 
-def _unit_vs_zero(
-    sys: JetSystem, a: Stratum, b: Stratum, ai: int, bi: int
-) -> Optional[WitnessCertificate]:
+def _unit_vs_zero(sys: JetSystem, a: Stratum, b: Stratum) -> Optional[WitnessCertificate]:
     """Evidence that component a is not inside component b: something that
     vanishes on all of b but not (at least generically) on a."""
     candidates: list[Polynomial] = [
@@ -412,8 +407,6 @@ def _unit_vs_zero(
             continue
         if a.is_unit_monomial(val):
             return WitnessCertificate(
-                container=bi,
-                excluded=ai,
                 kind="unit-vs-zero",
                 witness=format_poly(g),
                 evidence=f"reduces to the unit {format_poly(val)}",
@@ -423,8 +416,6 @@ def _unit_vs_zero(
             ev = nonvanishing_evidence(sys, a, v)
             if ev is not None:
                 best = WitnessCertificate(
-                    container=bi,
-                    excluded=ai,
                     kind="unit-vs-zero",
                     witness=format_poly(g),
                     evidence=f"coordinate is {ev}",
@@ -441,7 +432,7 @@ def _deficiency(chart: Stratum, m: int) -> int:
 
 
 def _equal_dimension_cert(
-    sys: JetSystem, a: Stratum, b: Stratum, ai: int, bi: int, horizon: int
+    sys: JetSystem, a: Stratum, b: Stratum, horizon: int
 ) -> Optional[WitnessCertificate]:
     """When two irreducible candidates have the same truncation dimension at
     every large level, a containment would force equality; one coordinate
@@ -455,8 +446,6 @@ def _equal_dimension_cert(
         ev = nonvanishing_evidence(sys, b, v)
         if ev == "unit":
             return WitnessCertificate(
-                container=bi,
-                excluded=ai,
                 kind="equal-dimension",
                 witness=var_name(v),
                 evidence=(
@@ -472,7 +461,7 @@ FORCED_SEARCH_WINDOW = 8
 
 
 def _forced_vanishing_cert(
-    sys: JetSystem, a: Stratum, b: Stratum, ai: int, bi: int, max_level: int
+    sys: JetSystem, a: Stratum, b: Stratum, max_level: int
 ) -> Optional[WitnessCertificate]:
     """Evidence that a ⊄ b using the chart b's elimination identity: find a
     coordinate solved on b, nonvanishing on a, whose defining numerator dies
@@ -495,8 +484,6 @@ def _forced_vanishing_cert(
         try:
             if forced_vanishing(sys, b, restriction, w, max_level=max_level):
                 return WitnessCertificate(
-                    container=bi,
-                    excluded=ai,
                     kind="forced-vanishing",
                     target=w,
                     restriction=restriction,
@@ -517,19 +504,15 @@ def noninclusion_matrix(preset: SingularityPreset, tree: StratificationTree) -> 
         for bi in sorted(charts):
             if ai == bi:
                 continue
-            cert = _unit_vs_zero(sys, charts[ai], charts[bi], ai, bi)
+            a, b = charts[ai], charts[bi]
+            cert = (
+                _unit_vs_zero(sys, a, b)
+                or _forced_vanishing_cert(sys, a, b, preset.max_level)
+                or _equal_dimension_cert(sys, a, b, preset.max_level)
+            )
             if cert is None:
-                cert = _forced_vanishing_cert(
-                    sys, charts[ai], charts[bi], ai, bi, preset.max_level
-                )
-            if cert is None:
-                cert = _equal_dimension_cert(
-                    sys, charts[ai], charts[bi], ai, bi, preset.max_level
-                )
-            ok = cert is not None
-            if not ok:
                 unresolved.append((ai, bi))
-            verdicts.append(PairVerdict(ai, bi, ok, cert))
+            verdicts.append(PairVerdict(ai, bi, cert))
     return {
         "preset": preset.label,
         "pairs": verdicts,

@@ -223,7 +223,7 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
     report["noninclusion"] = {
         "pairs": len(matrix["pairs"]),
         "unresolved": matrix["unresolved"],
-        "certificates": [v.describe() for v in matrix["pairs"] if v.resolved],
+        "certificates": [v.describe() for v in matrix["pairs"] if v.certificate is not None],
         "ok": matrix["ok"],
     }
     cov = []
@@ -321,21 +321,23 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     rest = argv[:i] + argv[i + 2:]
     injected: list[str] = []
     try:
-        fh = open(path)
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         ap.error(f"cannot read config file {path}: {exc.strerror}")
-    with fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    injected.append(f"--{key}")
-            else:
-                injected.extend([f"--{key}", value])
+    except UnicodeDecodeError:
+        ap.error(f"cannot read config file {path}: not valid text")
+    for line in text.split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if value.lower() in ("true", "false"):
+            if value.lower() == "true":
+                injected.append(f"--{key}")
+        else:
+            injected.extend([f"--{key}", value])
     # keep the subcommand first
     if rest and not rest[0].startswith("-"):
         return [rest[0]] + injected + rest[1:]

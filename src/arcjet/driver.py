@@ -28,7 +28,6 @@ from .algebra import (
     Polynomial,
     Record,
     Var,
-    format_poly,
     mono_from_pairs,
     mono_vars,
     var_key,
@@ -58,7 +57,7 @@ Covers = Mapping[int, tuple[tuple[Var, ...], ...]]
 
 class Node(Record):
     __slots__ = (
-        "nid", "level", "kind", "stratum", "children", "component", "absorbed_into", "note"
+        "nid", "level", "kind", "stratum", "children", "component", "absorbed_into"
     )
     __hash__ = None
 
@@ -72,7 +71,6 @@ class Node(Record):
         self.children: list[int] = []
         self.component: Optional[int] = None
         self.absorbed_into: Optional[int] = None
-        self.note = ""
 
 
 class Component(Record):
@@ -123,14 +121,8 @@ def run_driver(
     constant term f_0 the surface misses the origin: the fiber is empty and
     the tree is one empty root."""
     tree = StratificationTree(nodes=[], components=[], max_level=max_level)
-    f_0 = sys.f.terms.get(())
-    if f_0:
-        root = _new_node(tree, None, 0, root_stratum())
-        root.kind = "empty"
-        root.note = (
-            f"f_0 = {format_poly(Polynomial.const(sys.field, f_0))} does not vanish: "
-            "the surface misses the origin"
-        )
+    if sys.f.terms.get(()):
+        _new_node(tree, None, 0, root_stratum()).kind = "empty"
         return tree
     _process(sys, covers, tree, root_stratum(), level=1, parent=None)
     _absorb_residuals(sys, tree)
@@ -173,7 +165,6 @@ def _process(
         found = next_nontrivial(sys, s, tree.max_level)
         if found is None:
             node.kind = "stabilized"
-            node.note = f"no surviving equation up to level {tree.max_level}"
             return node
         n, r = found
         content = r.content_monomial()
@@ -181,22 +172,18 @@ def _process(
         loose = sorted(
             (v for v in mono_vars(content) if v not in unit_vars), key=_split_key
         )
-        q = r.divide_monomial(content)
-        if len(q.terms) == 1 and not next(iter(q.terms)):
-            # r is a single monomial
+        if len(r.terms) == 1 and len(loose) <= 1:
+            # r is a single monomial with at most one non-unit coordinate
             if not loose:
                 node.kind = "empty"
-                node.note = f"level {n} forces a unit to vanish"
                 return node
-            if len(loose) == 1:
-                s = force_vanish(s, loose[0], n)
-                continue
-            _do_split(sys, covers, tree, node, s, loose[-1], n)
-            return node
-        # q has at least two terms
+            s = force_vanish(s, loose[0], n)
+            continue
         if loose:
             _do_split(sys, covers, tree, node, s, loose[-1], n)
             return node
+        # r = (unit monomial) * q, where q has at least two terms
+        q = r.divide_monomial(content)
         if mono_vars(content):
             # a unit monomial times a relation: impose the relation
             s = add_equation(s, q, n)
@@ -242,7 +229,6 @@ def _eliminate(sys: JetSystem, s: Stratum, n: int, q: Polynomial, pivot: PivotCh
 def _do_split(sys, covers, tree, node: Node, s: Stratum, v: Var, n: int) -> None:
     open_part, closed_part = split(sys, s, v)
     node.kind = "split"
-    node.note = f"split on {var_name(v)} at level {n}"
     _process(sys, covers, tree, open_part, n, node.nid)
     _process(sys, covers, tree, closed_part, n, node.nid)
 
@@ -315,10 +301,6 @@ def _do_cover(
     unit_sets = covers.get(n) or _auto_cover(sys, s, q)
     terminal = _decided(sys, q, coxeter_number, q) == n
     node.kind = "cover"
-    node.note = (
-        f"cover at level {n} localizing "
-        + " | ".join(",".join(var_name(v) for v in us) for us in unit_sets)
-    )
     comp: Optional[Component] = None
     for uset in unit_sets:
         s_ch = s.replace(units=s.units + tuple(Polynomial.variable(field, v) for v in uset))
@@ -329,9 +311,7 @@ def _do_cover(
             # each gets its own component.
             for lin in factors:
                 chart = _factor_chart(sys, s_ch, n, lin)
-                child = _new_node(tree, node.nid, n, chart)
-                child.note = f"factor {format_poly(lin)}"
-                _mark_chart(child, chart, _new_component(tree, n))
+                _mark_chart(_new_node(tree, node.nid, n, chart), chart, _new_component(tree, n))
             continue
         if comp is None:
             comp = _new_component(tree, n)
@@ -368,9 +348,7 @@ def _do_cover(
             _process(sys, covers, tree, residual, n, node.nid)
             return
         residual = _normalize(sys, residual)
-    res_node = _new_node(tree, node.nid, n, residual)
-    res_node.kind = "residual"
-    res_node.note = "terminal residual"
+    _new_node(tree, node.nid, n, residual).kind = "residual"
 
 
 def _row_reduce(aug: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
@@ -459,10 +437,8 @@ def _normalize(sys: JetSystem, s: Stratum) -> Stratum:
             if r.is_zero():
                 changed = True
                 continue
-            content = r.content_monomial()
-            body = r.divide_monomial(content)
-            loose = [v for v in mono_vars(content) if v not in uv]
-            if len(body.terms) == 1 and not next(iter(body.terms)) and len(loose) == 1:
+            loose = [v for v in mono_vars(r.content_monomial()) if v not in uv]
+            if len(r.terms) == 1 and len(loose) == 1:
                 s = s.replace(zero_vars=s.zero_vars | {loose[0]}, equations=others)
                 changed = True
                 break
@@ -476,14 +452,14 @@ def _normalize(sys: JetSystem, s: Stratum) -> Stratum:
 def _absorb_residuals(sys: JetSystem, tree: StratificationTree) -> None:
     """Attach each terminal residual to a component whose chart's closure
     visibly contains it (``closure_contains``: the chart's vanishing
-    coordinates and relations all vanish on the residual)."""
+    coordinates and relations all vanish on the residual); None when none
+    does."""
     for node in tree.residuals():
-        target = None
-        for comp in reversed(tree.components):
-            chart = tree.chart_of(comp)
-            if closure_contains(sys, chart.stratum, node.stratum):
-                target = comp.index
-                break
-        node.absorbed_into = target
-        if target is None:
-            node.note += " (no absorbing component found)"
+        node.absorbed_into = next(
+            (
+                comp.index
+                for comp in reversed(tree.components)
+                if closure_contains(sys, tree.chart_of(comp).stratum, node.stratum)
+            ),
+            None,
+        )

@@ -371,9 +371,8 @@ def find_pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoic
 
     The stratum is considered with ``q`` already imposed (so unit inference
     sees the new relation).  Monomial-unit coefficients are preferred over
-    coefficients of the shape (unit monomial) * (multi-term cofactor); a
-    single-variable cofactor never qualifies, since inverting it would
-    change the underlying set in an uncontrolled way.
+    coefficients of the shape (unit monomial) * (multi-term cofactor), whose
+    cofactor the chart then adds to its units.
     """
     probe = s.replace(equations=s.equations + (q,))
     uv = probe.unit_vars()
@@ -386,12 +385,8 @@ def find_pivot(sys: JetSystem, s: Stratum, q: Polynomial) -> Optional[PivotChoic
         content = c.content_monomial()
         if not all(w in uv for w in mono_vars(content)):
             continue
-        cof = c.divide_monomial(content)
-        if len(cof.terms) == 1 and not next(iter(cof.terms)):
-            picks.append(PivotChoice(v, c, None))
-        elif len(cof.terms) >= 2:
-            picks.append(PivotChoice(v, c, cof))
-        # single-variable cofactor: rejected
+        cof = None if len(c.terms) == 1 else c.divide_monomial(content)
+        picks.append(PivotChoice(v, c, cof))
     return max(picks, key=lambda pc: (pc.extra_unit is None, _split_key(pc.v)), default=None)
 
 

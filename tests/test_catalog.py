@@ -252,7 +252,7 @@ def test_pair_verdicts_describe_coordinates_by_name():
     unit = next(v for v in pairs if v.certificate.kind == "unit-vs-zero").describe()
     assert unit["resolved"] is True
     assert unit["certificate"]["target"] is None and unit["certificate"]["restriction"] == []
-    assert PairVerdict(2, 3, False, None).describe() == {
+    assert PairVerdict(2, 3, None).describe() == {
         "excluded": 2, "container": 3, "resolved": False, "certificate": None,
     }
 

@@ -347,6 +347,7 @@ def test_malformed_input_is_a_json_error(capsys, argv):
     "argv",
     [
         ["verify", "--config", "{missing}"],
+        ["verify", "--config", "{binary}"],
         ["derive"],
         ["oracle", "--kind", "A", "--n", "1"],
         ["derive", "--equation", "z^2 + x*y", "--level", "-1"],
@@ -361,6 +362,7 @@ def test_malformed_input_is_a_json_error(capsys, argv):
     ],
     ids=[
         "missing-config",
+        "config-not-text",
         "derive-without-input",
         "oracle-char0-without-p",
         "derive-negative-level",
@@ -382,7 +384,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     while "=" in argv[0]:
         name, _, value = argv.pop(0).partition("=")
         monkeypatch.setenv(name, value)
-    argv = [a.format(missing=tmp_path / "missing.cfg") for a in argv]
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe")
+    argv = [a.format(missing=tmp_path / "missing.cfg", binary=binary) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -1,6 +1,7 @@
 """Every name a module under src/arcjet imports is used in that module,
 every parameter of its functions and methods is read, no default argument
-is a mutable display, no module runs generated code, no module-level
+is a mutable display, every ``__slots__`` field of a class is read by name
+somewhere in src/arcjet, no module runs generated code, no module-level
 function sits behind a process-wide cache, no module copies a whole
 polynomial or stratum into a probe field, the oracle builds no derivative
 tower, no module imports ``dataclasses``, and importing the CLI loads
@@ -125,19 +126,63 @@ def test_no_eval_exec_compile(path):
     assert not calls, f"{path.name} runs generated code: {', '.join(calls)}"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_no_module_reads_a_note(path):
-    # notes are for people: a decision is read from a node's kind.  Writing
-    # a note (``node.note = ...``, ``+=``) is a store and stays allowed.
-    tree = ast.parse(path.read_text(), filename=str(path))
-    reads = [
-        f"line {node.lineno}"
+def slot_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) for every name in a class's ``__slots__`` (``__dict__``
+    aside: it makes room for cached properties, it is no field)."""
+    fields = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+            ):
+                slots = ast.literal_eval(stmt.value)
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if name != "__dict__":
+                        fields.append((cls.name, name))
+    return fields
+
+
+def attributes_read(tree: ast.Module) -> set[str]:
+    # ``x.f += 1`` parses as a store of ``x.f``: a field that is only ever
+    # updated in place is still never read
+    return {
+        node.attr
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr == "note"
-        and isinstance(node.ctx, ast.Load)
-    ]
-    assert not reads, f"{path.name} reads a note: {', '.join(reads)}"
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_slots(tree: ast.Module, reads: set[str]) -> list[str]:
+    return [f"{cls}.{name}" for cls, name in slot_fields(tree) if name not in reads]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_slot_is_read_somewhere(path):
+    # a field no module reads stores nothing anyone uses: a decision is
+    # stored once, where it is read (``Record`` compares fields through
+    # ``__slots__`` generically, which is no read by name)
+    reads = set().union(
+        *(attributes_read(ast.parse(p.read_text(), filename=str(p))) for p in SRC.glob("*.py"))
+    )
+    unread = unread_slots(ast.parse(path.read_text(), filename=str(path)), reads)
+    assert not unread, f"{path.name} has write-only fields: {', '.join(unread)}"
+
+
+def test_a_write_only_slot_is_flagged():
+    """Control: a field that is set, even updated in place, and never read."""
+    tree = ast.parse(
+        "class Node:\n"
+        "    __slots__ = ('kind', 'note')\n"
+        "    def __init__(self, kind):\n"
+        "        self.kind = kind\n"
+        "        self.note = ''\n"
+        "def mark(node):\n"
+        "    node.note += ' (seen)'\n"
+        "    return node.kind\n"
+    )
+    assert unread_slots(tree, attributes_read(tree)) == ["Node.note"]
 
 
 def calls_to(node: ast.AST, attr: str):
