@@ -403,8 +403,8 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        # terms first: dicts of different sizes differ at once
-        return self.terms == other.terms and self.field == other.field
+        # terms first: dicts of different sizes differ at once; most share one field object
+        return self.terms == other.terms and (self.field is other.field or self.field == other.field)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -508,7 +508,7 @@ class Polynomial:
         return result
 
     def _check(self, other: "Polynomial") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed coefficient fields")
 
     # -- structural operations ----------------------------------------

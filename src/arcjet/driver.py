@@ -44,6 +44,7 @@ from .strata import (
     find_pivot,
     force_vanish,
     next_nontrivial,
+    reduced,
     root_stratum,
     split,
     _split_key,
@@ -271,7 +272,7 @@ def _factor_chart(sys: JetSystem, s_ch: Stratum, n: int, lin: Polynomial) -> Str
     coefficient 2*a*c*g."""
     s_f = add_equation(s_ch, lin, n)
     n2 = n + 1
-    r = sys.reduced(s_f, n2)
+    r = reduced(sys, s_f, n2)
     if not r:
         raise EngineError(f"factor chart at level {n} has no surviving relation")
     units = s_f.unit_vars()
@@ -354,19 +355,19 @@ def _do_cover(
 def _row_reduce(aug: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
     """The nonzero rows of the reduced row echelon form of an augmented
     system [A | b], or None when the system has no solution."""
-    reduced: list[list[Fraction]] = []
+    echelon: list[list[Fraction]] = []
     for col in range(len(aug[0]) - 1):
         pivot = next((r for r in aug if r[col]), None)
         if pivot is None:
             continue
         pivot = [a / pivot[col] for a in pivot]
-        aug, reduced = (
+        aug, echelon = (
             [[a - r[col] * b for a, b in zip(r, pivot)] for r in part]
-            for part in (aug, reduced)
+            for part in (aug, echelon)
         )
         aug = [r for r in aug if any(r)]
-        reduced.append(pivot)
-    return None if aug else reduced
+        echelon.append(pivot)
+    return None if aug else echelon
 
 
 def coxeter_number(f: Polynomial) -> Optional[int]:

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .algebra import Mono, Polynomial, Scalar, Var
 
 if TYPE_CHECKING:
-    from .strata import Reduction, RewriteRule, Stratum
+    from .strata import Reduction, RewriteRule
 
 
 class _Relabel(dict):
@@ -58,8 +58,8 @@ class _Relabel(dict):
 
 class JetSystem:
     """Derivatives ``f_0, f_1, ...`` of one equation modulo vanishing
-    coordinates, and their reductions modulo strata.  The memos of the
-    reductions and of the driver's moves live here and die with the tower.
+    coordinates.  The memos of the reductions modulo strata, with their
+    levels, and of the driver's moves live here and die with the tower.
 
     ``f`` must involve only order-0 variables of the families x, y and z
     (the arc parameter ``t`` is not a coordinate).  ``f_m`` lives in the
@@ -87,10 +87,8 @@ class JetSystem:
         self._tables: dict[tuple[str, ...], list[dict[Mono, int]]] = {(): [{(): 1}]}
         # frontier (a, b, c) -> its interned relabelling of jet-monomial pairs
         self._relabels: dict[tuple[int, int, int], _Relabel] = {}
-        # (zero_vars, equations, m) -> f_m simplified modulo the stratum
-        self._reduced: dict[tuple, Polynomial] = {}
-        # (zero_vars, equations) -> reduction, equation -> rewrite rule or None
-        # (``strata.reduction_of``); the driver's moves keyed by their full
+        # reductions modulo strata, equation -> rewrite rule or None (both
+        # kept by ``strata``); the driver's moves keyed by their full
         # arguments: (s, q) -> pivot, (s, n, q, pivot) -> chart, q -> Coxeter number
         self.reductions: dict[tuple, Reduction] = {}
         self.lead_rules: dict[Polynomial, Optional[RewriteRule]] = {}
@@ -127,17 +125,6 @@ class JetSystem:
         f_m = Polynomial._of_terms(self.field, out)
         # the initial segments left nothing to drop: only a gap can
         return f_m.reduce_mod_vars(zs) if len(zs) > sum(shift) else f_m
-
-    def reduced(self, s: Stratum, m: int) -> Polynomial:
-        """``s.simplify(self, self.derivative(m, s.zero_vars))``, computed
-        once per stratum and level.  The key is what ``simplify`` reads, the
-        vanishing coordinates and the equations, so the strata of repeated
-        driver runs, their charts and their truncations share one entry."""
-        key = (s.zero_vars, s.equations, m)
-        r = self._reduced.get(key)
-        if r is None:
-            r = self._reduced[key] = s.simplify(self, self.derivative(m, s.zero_vars))
-        return r
 
     def _series(self, key: tuple[str, ...], up_to: int) -> list[dict[Mono, int]]:
         """Count tables of t^0..t^up_to of the product over ``key`` of the

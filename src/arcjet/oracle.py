@@ -19,7 +19,9 @@ place a coefficient moves from the source field (Q, Q(i) or F_p) into the
 probe field: the search compiles the derivative levels of the tower it is
 handed, and truncations stay strata over the source field.
 ``stratum_membership`` on an unpacked point is the reference they are
-tested against.
+tested against.  ``audit_tree`` is the one tree audit (the ``*_check``
+functions are views of its pass); a point in no leaf group is uncovered,
+so an empty leaf set leaves every point uncovered.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .algebra import (
 )
 from .driver import Node, StratificationTree
 from .hasse import JetSystem
-from .strata import Stratum
+from .strata import Stratum, reduced
 
 
 POINT_FAMILIES = ("x", "y", "z")
@@ -379,7 +381,7 @@ def truncate_stratum(sys: JetSystem, s: Stratum, m: int) -> Stratum:
     eqs = [e for e in s.equations if e.max_order() <= m]
     levels = () if s.rule is None else range(s.rule.start_level, m + 1)
     for lvl in levels:
-        r = sys.reduced(s, lvl)
+        r = reduced(sys, s, lvl)
         if not r.is_zero() and r.max_order() <= m:
             eqs.append(r)
     return Stratum(
@@ -422,9 +424,9 @@ def _audit(
     fiber's prime, and the points' hits come from ``point_hits``, a block
     at a time (a truncation of another level than a nonempty fiber's is a
     ``ValueError``, raised once for the fiber).  The hits give the
-    leaf-group cover (``groups``: key -> positions in ``truncations``;
-    skipped when empty) and the split partition (``splits``: node id,
-    parent position, child positions).
+    leaf-group cover (``groups``: key -> positions in ``truncations``; a
+    point in no group is uncovered) and the split partition (``splits``:
+    node id, parent position, child positions).
 
     Groups and split children are read through precomputed masks, once per
     distinct hits value; a block's points are built only when its verdict
@@ -438,15 +440,15 @@ def _audit(
 
     def verdict(hits: int) -> tuple:
         """What a point with these hits adds to the reports: () when
-        nothing, else the groups holding it (None: no cover audit) and its
-        failed splits as (node id, children hit)."""
-        keys = [key for key, mask in group_masks if hits & mask] if group_masks else None
+        nothing, else the groups holding it and its failed splits as (node
+        id, children hit)."""
+        keys = [key for key, mask in group_masks if hits & mask]
         fails = [
             (nid, n)
             for nid, parent, children in split_masks
             if hits & parent and (n := (hits & children).bit_count()) != 1
         ]
-        return (keys, fails) if fails or (keys is not None and len(keys) != 1) else ()
+        return (keys, fails) if fails or len(keys) != 1 else ()
 
     verdicts: dict[int, tuple] = {}
     uncovered: list[JetPoint] = []
@@ -460,11 +462,10 @@ def _audit(
             continue
         keys, fails = v
         for pt in (head + tail for tail in tails):
-            if keys is not None:
-                if not keys:
-                    uncovered.append(pt)
-                elif len(keys) > 1:
-                    overlapping.append((pt, list(keys)))
+            if not keys:
+                uncovered.append(pt)
+            elif len(keys) > 1:
+                overlapping.append((pt, list(keys)))
             for nid, n in fails:
                 failures.append({"node": nid, "point": pt, "hits": n})
     exclusive = {
@@ -510,12 +511,11 @@ def exclusive_cover_check(fiber: Fiber, leaves: Sequence[tuple[Node, Stratum]]) 
     return _audit(fiber, [T for _, T in leaves], groups, ())[0]
 
 
-def _tree_audit(
-    sys: JetSystem, tree: StratificationTree, fiber: Fiber, leaves: Sequence[Node]
-) -> tuple[dict, dict]:
-    """Truncate each node the checks need once (``leaves``, every split
-    parent and its children) to the fiber's level, then audit the fiber in
-    one pass."""
+def audit_tree(sys: JetSystem, tree: StratificationTree, fiber: Fiber) -> tuple[dict, dict]:
+    """``exclusive_cover_check`` on the nonempty leaves and
+    ``split_partition_check`` of a driver run, from one pass over the fiber
+    that truncates each node the checks need once."""
+    leaves = [node for node in tree.leaves() if node.kind != "empty"]
     split_nodes = [node for node in tree.nodes if node.kind == "split"]
     pos: dict[int, int] = {}
     for nid in [n.nid for n in leaves] + [k for n in split_nodes for k in (n.nid, *n.children)]:
@@ -526,14 +526,7 @@ def _tree_audit(
     return _audit(fiber, truncations, groups, splits)
 
 
-def audit_tree(sys: JetSystem, tree: StratificationTree, fiber: Fiber) -> tuple[dict, dict]:
-    """``exclusive_cover_check`` on the nonempty leaves and
-    ``split_partition_check`` of a driver run, from one pass over the fiber."""
-    leaves = [node for node in tree.leaves() if node.kind != "empty"]
-    return _tree_audit(sys, tree, fiber, leaves)
-
-
 def split_partition_check(sys: JetSystem, tree: StratificationTree, fiber: Fiber) -> dict:
     """At every open/closed split node the parent's points must fall into
     exactly one of the two (further evolved) child strata."""
-    return _tree_audit(sys, tree, fiber, ())[1]
+    return audit_tree(sys, tree, fiber)[1]

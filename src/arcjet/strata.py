@@ -16,8 +16,7 @@ out from the derivative tower ``sys`` (the vanishing coordinates drop out,
 then the rewrite rules of the equations apply to a fixpoint).  It reads
 only ``(zero_vars, equations)``, so the tower keeps one per such key and
 one rule per equation, shared by its driver runs, truncations and graph
-and freed with it.  A derivative level is reduced through
-``JetSystem.reduced``, once per stratum and level.
+and freed with it; ``reduced`` keeps the derivative levels reduced on it.
 """
 
 from __future__ import annotations
@@ -165,13 +164,16 @@ class Reduction:
     equations reduced modulo them apply to a fixpoint.  It reads nothing
     else of the stratum, so the strata of one tower with equal
     ``(zero_vars, equations)`` share one (``reduction_of``), whose rules
-    come from the tower's ``lead_rules``."""
+    come from the tower's ``lead_rules``; ``levels`` is ``reduced``'s memo."""
 
-    __slots__ = ("zero_vars", "equations", "_lead_rules", "_rules", "_equation_set", "_vanishes")
+    __slots__ = (
+        "zero_vars", "equations", "levels", "_lead_rules", "_rules", "_equation_set", "_vanishes"
+    )
 
     def __init__(self, s: Stratum, lead_rules: dict[Polynomial, Optional[RewriteRule]]):
         self.zero_vars = s.zero_vars
         self.equations = s.equations
+        self.levels: dict[int, Polynomial] = {}
         self._lead_rules = lead_rules
         self._rules: Optional[tuple[RewriteRule, ...]] = None
         self._equation_set: Optional[frozenset[Polynomial]] = None
@@ -209,6 +211,17 @@ def reduction_of(sys: JetSystem, s: Stratum) -> Reduction:
     if red is None:
         red = sys.reductions[key] = Reduction(s, sys.lead_rules)
     return red
+
+
+def reduced(sys: JetSystem, s: Stratum, m: int) -> Polynomial:
+    """``s.simplify(sys, sys.derivative(m, s.zero_vars))``, once per level of
+    the reduction modulo ``s``, which the strata of repeated driver runs,
+    their charts and their truncations share."""
+    levels = reduction_of(sys, s).levels
+    r = levels.get(m)
+    if r is None:
+        r = levels[m] = s.simplify(sys, sys.derivative(m, s.zero_vars))
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +346,7 @@ def next_nontrivial(
     """Smallest unconsumed level whose derivative survives reduction, with
     its simplified reduction.  None if everything vanishes up to max_level."""
     for n in range(s.consumed + 1, max_level + 1):
-        r = sys.reduced(s, n)
+        r = reduced(sys, s, n)
         if r:
             return n, r
     return None
@@ -447,7 +460,7 @@ def rule_instance(
     the reduced equation reads ``coeff * w - numerator = 0``."""
     if m < rule.start_level:
         raise ValueError("level below rule start")
-    r = sys.reduced(chart, m)
+    r = reduced(sys, chart, m)
     w = (rule.family, rule.solved_order(m))
     try:
         c_m, rest = r.coefficient_of(w)
@@ -513,7 +526,7 @@ def check_elimination_soundness(
     return [
         m
         for m in range(rule.start_level, up_to + 1)
-        if red(_substitute(sys.reduced(chart, m), point, c)[0])
+        if red(_substitute(reduced(sys, chart, m), point, c)[0])
     ]
 
 

@@ -295,6 +295,22 @@ def test_hash_is_cached_and_follows_equality(field, data):
     assert hash(copy) == hash(f) and copy.top_exponents() == f.top_exponents()
 
 
+def test_polynomials_with_equal_terms_over_other_fields_differ():
+    """Field identity is only the fast path of the field comparison: the
+    constant 1 over Q and over Q(i) has equal terms (``Gaussian(1, 0) ==
+    1``), yet the polynomials differ and their sum is refused; an equal
+    field built apart is the same field."""
+    one = Polynomial(QQ, {(): 1})
+    gaussian_one = Polynomial(Field(0, i_adjoined=True), {(): 1})
+    assert Gaussian(1, 0) == 1 and one.terms == gaussian_one.terms
+    assert one != gaussian_one and gaussian_one != one
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        one + gaussian_one
+    twin = Polynomial(Field(0), {(): 1})
+    assert twin.field is not QQ and twin == one
+    assert twin + one == Polynomial(QQ, {(): 2})
+
+
 def test_reduce_mod_vars_returns_an_untouched_polynomial_itself():
     f = parse_poly("x1*z1 + y2", QQ)
     assert f.reduce_mod_vars({var("x", 2)}) is f

@@ -80,7 +80,9 @@ def test_series_route_does_not_call_the_tower(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("series_oracle called the tower")
 
-    for name in ("__init__", "derivative", "reduced", "_series"):
+    entries = [name for name, v in vars(JetSystem).items() if callable(v)]
+    assert {"__init__", "derivative", "_series"} <= set(entries)
+    for name in entries:
         monkeypatch.setattr(JetSystem, name, broken)
     f = parse_poly("z^2 + x^3 + y^5", QQ)
     assert series_oracle(f, 5)[0] == parse_poly("z0^2 + x0^3 + y0^5", QQ)

@@ -4,8 +4,9 @@ is a mutable display, every ``__slots__`` field of a class is read by name
 somewhere in src/arcjet, no module runs generated code, no module-level
 function sits behind a process-wide cache, no module copies a whole
 polynomial or stratum into a probe field, the oracle builds no derivative
-tower, no module imports ``dataclasses``, and importing the CLI loads
-neither the process-pool stack nor ``dataclasses`` and ``inspect``.
+tower, the tower names no stratum, no module imports ``dataclasses``, and
+importing the CLI loads neither the process-pool stack nor ``dataclasses``
+and ``inspect``.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -19,6 +20,7 @@ is plain data (``re.compile``, an attribute call, is not the builtin).
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,21 +197,56 @@ def calls_to(node: ast.AST, attr: str):
     ]
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(SRC.glob("*.py")) if p.name != "hasse.py"],
-    ids=lambda p: p.name,
-)
+def function_body(tree: ast.Module, name: str) -> set[int]:
+    """The ids of the nodes of the module-level function ``name``."""
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return {id(n) for n in ast.walk(fn)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_reductions_of_the_tower_go_through_the_memo(path):
-    # ``JetSystem.reduced(s, m)`` is the one place a derivative is
+    # ``strata.reduced(sys, s, m)`` is the one place a derivative is
     # simplified modulo a stratum, so every caller shares its memo
     tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = function_body(tree, "reduced") if path.name == "strata.py" else set()
     direct = [
         f"line {call.lineno}"
         for call in calls_to(tree, "simplify")
-        if any(calls_to(arg, "derivative") for arg in call.args)
+        if id(call) not in exempt and any(calls_to(arg, "derivative") for arg in call.args)
     ]
     assert not direct, f"{path.name} simplifies a derivative directly: {', '.join(direct)}"
+
+
+# what the derivative tower must not name: the strata keep its reduction memos
+STRATUM_NAMES = re.compile(r"\b(Stratum|simplify|reduction_of)\b")
+
+
+def stratum_names(text: str) -> list[int]:
+    """Lines of ``text`` that name a stratum, its ``simplify`` or
+    ``reduction_of``, in code, annotations, comments or docstrings."""
+    return [n for n, line in enumerate(text.splitlines(), 1) if STRATUM_NAMES.search(line)]
+
+
+def test_the_tower_names_no_stratum():
+    # ``hasse`` computes derivatives; which stratum a level is reduced
+    # modulo, and the key its memo is filed under, are written in ``strata``
+    path = SRC / "hasse.py"
+    found = stratum_names(path.read_text())
+    assert not found, f"hasse.py names a stratum: {', '.join(f'line {n}' for n in found)}"
+
+
+def test_the_stratum_name_guard_sees_every_spelling():
+    # control: an import, an annotation, a call and a comment are caught;
+    # the words strata, Reduction and simplified are not
+    spellings = [
+        "if TYPE_CHECKING:\n    from .strata import Reduction, Stratum\n",
+        "def reduced(self, s: 'Stratum', m):\n    return m\n",
+        "def f(self, s, p):\n    return s.simplify(self, p)\n",
+        "# (zero_vars, equations) -> reduction (``strata.reduction_of``)\n",
+    ]
+    assert all(stratum_names(text) for text in spellings)
+    allowed = "# reductions modulo strata (a Reduction each), simplified once\n"
+    assert not stratum_names(allowed)
 
 
 @pytest.mark.parametrize(
@@ -306,13 +343,7 @@ def test_reductions_are_built_only_by_reduction_of(path):
     # ``strata.reduction_of`` is the one place a ``Reduction`` is built, so
     # every stratum shares its cache: no other code calls ``Reduction(``
     tree = ast.parse(path.read_text(), filename=str(path))
-    exempt = set()
-    if path.name == "strata.py":
-        (builder,) = [
-            fn for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and fn.name == "reduction_of"
-        ]
-        exempt = {id(n) for n in ast.walk(builder)}
+    exempt = function_body(tree, "reduction_of") if path.name == "strata.py" else set()
     direct = [
         f"line {n.lineno}"
         for n in ast.walk(tree)

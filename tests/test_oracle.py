@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcjet import oracle
-from arcjet.algebra import Field, Gaussian, Polynomial, mono_from_pairs, parse_poly, var
+from arcjet.algebra import QQ, Field, Gaussian, Polynomial, mono_from_pairs, parse_poly, var
 from arcjet.catalog import PresetError, preset, preset_grid
 from arcjet.cli import _oracle_plan
 from arcjet.driver import run_driver
@@ -650,6 +650,57 @@ def test_audit_tree_matches_reference(kind, n, char, p, m):
     assert partition == reference_audit(pts, m, moved, groups, widened)[1]
 
 
+# -- no vacuous pass: a point in no leaf group is uncovered -------------------
+
+
+def test_an_empty_leaf_set_leaves_every_point_uncovered():
+    """The cover checks on no leaves report every fiber point uncovered:
+    they never pass with nothing checked."""
+    sys = JetSystem(parse_poly("z^2 + x*y", Field(2)))
+    fiber = enumerate_fiber(sys, 2, 2)
+    pts = list(fiber)
+    assert len(pts) == 32
+    assert coverage_check(fiber, []) == pts
+    exclusive = exclusive_cover_check(fiber, [])
+    assert exclusive == {"ok": False, "groups": 0, "uncovered": pts, "overlapping": []}
+
+
+def test_audit_tree_of_a_tree_with_no_nonempty_leaf_fails():
+    """Over Q the constant 3 keeps the surface off the origin, so the driver's
+    tree is one ``empty`` root; mod 3 the surface passes through the origin,
+    and no leaf holds the 243 points of the level-2 fiber."""
+    sys = JetSystem(parse_poly("3 + x*y + z^2", QQ))
+    tree = run_driver(sys, {}, max_level=2)
+    assert [node.kind for node in tree.nodes] == ["empty"]
+    fiber = enumerate_fiber(sys, 3, 2)
+    exclusive, _ = audit_tree(sys, tree, fiber)
+    assert len(exclusive["uncovered"]) == len(fiber) == 243
+    assert not exclusive["ok"] and exclusive["groups"] == 0
+
+
+@pytest.mark.parametrize("n,p,m,size,has_split", [(1, 2, 2, 32, False), (2, 3, 2, 405, True)])
+def test_audit_with_no_groups_matches_the_reference(n, p, m, size, has_split):
+    """``_audit`` with no leaf group is the reference audit: every point
+    uncovered, and the split partition still checked (A1 over F_2 is
+    ``z^2 + x*y``)."""
+    pr = preset("A", n=n, char=p)
+    sys = pr.system
+    tree = run_driver(sys, pr.covers, max_level=m)
+    fiber = enumerate_fiber(sys, p, m)
+    truncs = [truncate_stratum(sys, node.stratum, m) for node in tree.nodes]
+    pos = {node.nid: i for i, node in enumerate(tree.nodes)}
+    splits = [
+        (node.nid, pos[node.nid], tuple(pos[c] for c in node.children))
+        for node in tree.nodes
+        if node.kind == "split"
+    ]
+    assert bool(splits) == has_split
+    ref = reference_audit(list(fiber), m, truncs, {}, splits)
+    assert len(ref[0]["uncovered"]) == len(fiber) == size
+    assert _audit(fiber, truncs, {}, splits) == ref
+    assert loop_audit(fiber, truncs, {}, splits) == ref
+
+
 # -- the projection memo against the per-point loop ---------------------------
 
 ORACLE_PLANS = [(pr, p, m) for pr in preset_grid() for p, m in _oracle_plan(pr)]
@@ -777,12 +828,11 @@ def loop_audit(fiber, truncations, groups, splits):
         for bit, C in compiled:
             if C.contains(pt):
                 hits |= bit
-        if group_masks:
-            keys = [key for key, mask in group_masks if hits & mask]
-            if not keys:
-                uncovered.append(pt)
-            elif len(keys) > 1:
-                overlapping.append((pt, keys))
+        keys = [key for key, mask in group_masks if hits & mask]
+        if not keys:
+            uncovered.append(pt)
+        elif len(keys) > 1:
+            overlapping.append((pt, keys))
         for nid, parent, children in split_masks:
             if hits & parent:
                 n = (hits & children).bit_count()
@@ -802,8 +852,8 @@ def test_audit_matches_the_per_point_loop(monkeypatch, pr, p, m):
     """``_audit`` on the arguments ``audit_tree`` hands it equals the per-point
     loop, also on the other point orders of ``point_orders`` run as one
     fiber of one-point blocks; so does the cover audit with the group of
-    the first point dropped, on every seventh point (negative control,
-    where there are two groups or more: that point is left uncovered)."""
+    the first point dropped, on every seventh point (negative control: that
+    point is left uncovered, as is every point when no group is left)."""
     calls = []
     audit = oracle._audit
     monkeypatch.setattr(oracle, "_audit", lambda *args: calls.append(args) or audit(*args))
@@ -814,8 +864,6 @@ def test_audit_matches_the_per_point_loop(monkeypatch, pr, p, m):
     _, truncations, groups, splits = calls[0]
     points = loose([pt for order in point_orders(pts, p, m, seed=m)[1:] for pt in order], p, m)
     assert audit(points, truncations, groups, splits) == loop_audit(points, truncations, groups, splits)
-    if len(groups) < 2:
-        return  # with no group left the cover audit is skipped
     first = loop_hits(pts[0], [compile_stratum(T, p) for T in truncations])
     dropped = {key: pos for key, pos in groups.items() if not any(first >> i & 1 for i in pos)}
     sparse = loose(pts[::7], p, m)

@@ -281,21 +281,23 @@ def test_memo_and_rule_cache_match_uncached_routes(pr):
         for eq in reduced_eqs:
             assert_same_rule(eq)
         for m in range(pr.max_level + 1):
-            assert sys.reduced(s, m) == s.simplify(sys, sys.derivative(m)), (pr.label, node.nid, m)
+            assert strata.reduced(sys, s, m) == s.simplify(sys, sys.derivative(m)), (pr.label, node.nid, m)
 
 
 def test_reduced_is_computed_once_per_stratum_and_level():
     sys = JetSystem(P("z^2 + x*y"))
     s = Stratum(zero_vars=frozenset({var("x", 0), var("y", 0), var("z", 0)}))
-    r = sys.reduced(s, 2)
+    r = strata.reduced(sys, s, 2)
     assert r == P("z1^2 + x1*y1")
     # a stratum with the same zeros and equations shares the entry: units,
     # rules and the consumed level do not enter simplify
     twin = s.replace(units=(P("x1"),), consumed=2)
-    assert sys.reduced(twin, 2) is r
+    assert strata.reduced(sys, twin, 2) is r
+    # the level lives on the reduction both strata share
+    assert strata.reduction_of(sys, twin).levels == {2: r}
     # other equations are another entry
     other = add_equation(s, P("z1 - x1"), 2)
-    assert sys.reduced(other, 2) == P("x1^2 + x1*y1")
+    assert strata.reduced(sys, other, 2) == P("x1^2 + x1*y1")
 
 
 def test_stratum_simplify_combines_zeros_and_rules():
@@ -783,7 +785,7 @@ def reference_soundness(sys: JetSystem, chart: Stratum, up_to: int) -> list[int]
     return [
         m
         for m in range(rule.start_level, up_to + 1)
-        if red(evaluate_rational(sys.reduced(chart, m), point, red).num)
+        if red(evaluate_rational(strata.reduced(sys, chart, m), point, red).num)
     ]
 
 
