@@ -93,9 +93,6 @@ class JetComponentGraph(Record):
     def children(self, vid: int) -> list[int]:
         return [b for a, b in self.edges if a == vid]
 
-    def parents(self, vid: int) -> list[int]:
-        return [a for a, b in self.edges if b == vid]
-
 
 SCHEMA = "jet-component-graph/1"
 

@@ -9,19 +9,18 @@ tautology.
 
 A point of the level-``m`` fiber assigns one residue to each coordinate
 of order 1..m in the three ambient families (order 0 is pinned to the
-origin).  A point is a flat tuple ordered x1,y1,z1,x2,y2,z2,... so that
-the enumeration is lexicographic and deterministic; a fiber (``Fiber``, a
-record that carries its level and prime) is stored as prefix blocks that share
-the free last jet order, and the audits read both off it.  The search
-and the audits run on polynomials and truncations compiled into integer
-tables over that tuple, once per prime and level.  Compiling is the one
-place a coefficient moves from the source field (Q, Q(i) or F_p) into the
-probe field: the search compiles the derivative levels of the tower it is
-handed, and truncations stay strata over the source field.
-``stratum_membership`` on an unpacked point is the reference they are
-tested against.  ``audit_tree`` is the one tree audit (the ``*_check``
-functions are views of its pass); a point in no leaf group is uncovered,
-so an empty leaf set leaves every point uncovered.
+origin), as a flat tuple x1,y1,z1,x2,y2,z2,... so that the enumeration is
+lexicographic; a ``Fiber`` (with its level and prime) stores prefix blocks
+that share the free last jet order.  Search and audits run on integer
+tables over that tuple, compiled once per prime and level: compiling is
+the one place a coefficient moves from the source field (Q, Q(i) or F_p)
+into the probe field, so truncations stay strata over the source field.
+The search checks a level at its top order: once per prefix it sums the
+terms that read only the prefix and folds the prefix into the others'
+coefficients; once per candidate triple it evaluates only those folded
+terms.  ``stratum_membership`` is the reference.  ``audit_tree`` is the
+one tree audit (the ``*_check`` functions are views of its pass); a point
+in no leaf group is uncovered, so an empty leaf set leaves all uncovered.
 """
 
 from __future__ import annotations
@@ -85,17 +84,6 @@ class OracleError(RuntimeError):
 PROBE_BUDGET = 200_000
 
 
-def point_assignment(pt: JetPoint, m: int) -> dict[Var, int]:
-    """Unpack a flat point tuple into a coordinate -> value mapping."""
-    if len(pt) != 3 * m:
-        raise ValueError(f"point has {len(pt)} entries, expected {3 * m}")
-    assign: dict[Var, int] = {var(f, 0): 0 for f in POINT_FAMILIES}
-    for o in range(1, m + 1):
-        for j, fam in enumerate(POINT_FAMILIES):
-            assign[var(fam, o)] = pt[3 * (o - 1) + j]
-    return assign
-
-
 def transport_scalar(c, target: Field):
     """Move a coefficient into the probe field, resolving i if needed."""
     try:
@@ -139,8 +127,8 @@ def probe_field(source: Field, p: int) -> Field:
 # dropped, after its coefficient has moved: a coefficient with no value mod
 # p is an error wherever its term sits.  Over F_p(i) a polynomial splits
 # into a real and an imaginary table; fiber points have F_p coordinates, so
-# the value vanishes exactly when both parts do.  ``point_assignment``,
-# ``Polynomial.evaluate`` and ``stratum_membership`` remain the reference.
+# the value vanishes exactly when both parts do (``stratum_membership``, on
+# truncations moved into the probe field, is the reference).
 
 Table = tuple[tuple[int, tuple[int, ...]], ...]
 # the nonzero parts of a compiled polynomial: one table, or real and imaginary
@@ -283,24 +271,27 @@ def probe_primes(field: Field) -> tuple[int, ...]:
     return tuple(p for p in (2, 3) if not (field.i_adjoined and p % 4 != 3))
 
 
-def enumerate_fiber(
-    sys: JetSystem, p: int, m: int, budget: int = 10_000_000
-) -> Fiber:
+def enumerate_fiber(sys: JetSystem, p: int, m: int, budget: int = 10_000_000) -> Fiber:
     """All F_p points of the level-``m`` fiber over the origin of the
     equation of ``sys``, in lexicographic order.
 
     The derivative levels are read off ``sys`` and compiled into the probe
-    field of ``p``; every coefficient of the equation moves there first
-    (an ``OracleError`` if one cannot).  Depth-first over jet orders
-    1..m-1 on one flat prefix list; a partial assignment is rejected as
-    soon as some fully determined derivative level is nonzero.  Order
-    ``m`` is one block per surviving prefix: its head tuple and the
-    ``p**3`` last-order values that pass the levels checked there (one
-    shared cube when none is).
+    field of ``p`` (an ``OracleError`` if a coefficient cannot move there).
+    A level is checked at its top order, and each of its tables is split
+    once into the terms that read only lower orders and the terms that
+    read the top order's triple.  Depth first over orders 1..m on one flat
+    prefix list: once per prefix that enters an order, the first part is
+    summed and the prefix's values are multiplied into the coefficients of
+    the second (mod p, dropping the terms that become 0); once per triple
+    of the ``p**3`` cube, only these folded terms are evaluated.  A level
+    whose folded part is empty passes or fails the whole cube at once.
+    Order ``m`` is one block per surviving prefix: its head tuple and the
+    last-order triples that pass (the one shared cube when all do).
     Raises ``OracleError`` after testing more than ``budget`` candidate
-    triples, and before building any derivative level when the all-zero
-    prefix alone, ``(m - 1) * p**3`` triples, or at ``m = 1`` the ``p**3``
-    cube, exceeds it.
+    triples, still ``p**3`` for each order entered (at m only when some
+    level tops out there), and before building any level when the
+    all-zero prefix alone, ``(m - 1) * p**3`` triples, or at ``m = 1`` the
+    ``p**3`` cube, exceeds it.
     """
     if compile_poly(sys.f, 0, p):
         return Fiber(m, p, ())  # f(0) != 0 mod p: the surface misses the origin
@@ -313,57 +304,80 @@ def enumerate_fiber(
     # one block: refuse before building a level or the cube
     if max(m - 1, 1) * p**3 > budget:
         raise OracleError(over_budget)
-    # Each level is checked once the highest order among its terms is
-    # assigned.
-    by_order: dict[int, list[Compiled]] = {}
+    # each order's checks: the tables of the levels that top out there, a
+    # term as (coeff, prefix indices, offsets into the order's triple)
+    checks: dict[int, list[list]] = {}
     for n in range(1, m + 1):
         parts = compile_poly(sys.derivative(n, ORIGIN), m, p)
-        if parts:
-            top = max((i for t in parts for _, idx in t for i in idx), default=0)
-            by_order.setdefault(top // 3 + 1, []).append(parts)
+        top = max((i for t in parts for _, idx in t for i in idx), default=0)
+        base = top - top % 3
+        checks.setdefault(top // 3 + 1, []).extend(
+            [(c, [i for i in idx if i < base], tuple(i - base for i in idx if i >= base))
+             for c, idx in table]
+            for table in parts
+        )
 
     out: list[Block] = []
     prefix = [0] * (3 * m)
     cube = (*product(range(p), repeat=3),)
     last = 3 * (m - 1)
-    last_checks = by_order.get(m, ())
-    # each order below m: the index of its triple in a point, and its checks
-    steps = [(3 * (o - 1), by_order.get(o, ())) for o in range(1, m)]
     tested = 0
 
-    def enter(o: int) -> bool:
-        """Count order ``o``'s candidate triples; at order m, add the
-        prefix's block.  True when ``o`` is below m, an order to search."""
+    def enter(o: int) -> tuple[tuple[int, ...], ...]:
+        """Count order ``o``'s candidate triples and return those that pass
+        its checks folded with the prefix (at order m: add its block, ())."""
         nonlocal tested
-        if o < m or last_checks:  # p**3 candidate triples to test
+        tables = checks.get(o, ())
+        if o < m or tables:  # p**3 candidate triples to test
             tested += len(cube)
             if tested > budget:
                 raise OracleError(over_budget)
-        if o < m:
-            return True
-        tails = cube
-        if last_checks:
-            kept = []
+        tails, folded = cube, []
+        for table in tables:
+            # fold the prefix in: the terms that read no triple offset sum
+            # to the constant
+            const, terms = 0, {}
+            for c, idx, t in table:
+                for i in idx:
+                    c *= prefix[i]
+                if t:
+                    terms[t] = terms.get(t, 0) + c
+                else:
+                    const += c
+            kept = [(c % p, t) for t, c in terms.items() if c % p]
+            if kept:
+                folded.append((const, kept))
+            elif const % p:
+                tails = ()  # this level is nonzero on every triple
+                break
+        if tails and folded:
+            passed = []
             for vals in cube:
-                prefix[last:] = vals
-                if all(vanishes(parts, prefix, p) for parts in last_checks):
-                    kept.append(vals)
-            tails = tuple(kept)
-        if tails:
+                for total, free in folded:
+                    for c, t in free:
+                        for j in t:
+                            c *= vals[j]
+                        total += c
+                    if total % p:
+                        break
+                else:
+                    passed.append(vals)
+            tails = tuple(passed)
+        if o == m and tails:
             out.append((tuple(prefix[:last]), tails))
-        return False
+        return tails if o < m else ()
 
-    # depth first over orders 1..m-1 on an explicit stack, one cube iterator
-    # per assigned order (no recursion, so m is not bounded by the
-    # interpreter's recursion limit): the top's next triple that passes its
-    # order's checks extends the prefix
-    stack = [iter(cube)] if enter(1) else []
+    # depth first over orders 1..m-1 on an explicit stack, one iterator over
+    # the passing triples per assigned order (no recursion, so m is not
+    # bounded by the interpreter's recursion limit): the top's next triple
+    # extends the prefix, and the next order's passing triples are pushed
+    stack = [iter(admitted)] if (admitted := enter(1)) else []
     while stack:
-        base, checks = steps[len(stack) - 1]
+        base = 3 * (len(stack) - 1)
         for vals in stack[-1]:
             prefix[base:base + 3] = vals
-            if all(vanishes(parts, prefix, p) for parts in checks) and enter(len(stack) + 1):
-                stack.append(iter(cube))
+            if admitted := enter(len(stack) + 1):
+                stack.append(iter(admitted))
                 break
         else:
             stack.pop()
@@ -393,25 +407,14 @@ def truncate_stratum(sys: JetSystem, s: Stratum, m: int) -> Stratum:
 
 
 def stratum_membership(assign: Mapping[Var, int], T: Stratum) -> bool:
-    """Does the point lie on the truncation ``T``?  ``assign`` holds the
-    point's residues mod p (``point_assignment``), and ``T``'s coefficients
-    must already be in the probe field of p."""
+    """Does the point lie on the truncation ``T``?  ``assign`` maps each
+    coordinate to the point's residue mod p, and ``T``'s coefficients must
+    already be in the probe field of p."""
     return (
         not any(assign.get(v, 0) for v in T.zero_vars)
         and all(u.evaluate(assign) for u in T.units)
         and not any(e.evaluate(assign) for e in T.equations)
     )
-
-
-def truncated_leaves(
-    sys: JetSystem, tree: StratificationTree, m: int
-) -> list[tuple[Node, Stratum]]:
-    """Truncations of every nonempty leaf of a driver run."""
-    return [
-        (node, truncate_stratum(sys, node.stratum, m))
-        for node in tree.leaves()
-        if node.kind != "empty"
-    ]
 
 
 def _audit(

@@ -31,10 +31,10 @@ from arcjet.oracle import (
     enumerate_fiber,
     exclusive_cover_check,
     split_partition_check,
-    truncated_leaves,
 )
 
 from reference_hasse import congruence_shape, linearize, series_oracle
+from reference_oracle import truncated_leaves
 
 
 _CAPFD = None

@@ -1,12 +1,13 @@
 """Every name a module under src/arcjet imports is used in that module,
 every parameter of its functions and methods is read, no default argument
 is a mutable display, every ``__slots__`` field of a class is read by name
-somewhere in src/arcjet, no module runs generated code, no module-level
-function sits behind a process-wide cache, no module copies a whole
-polynomial or stratum into a probe field, the oracle builds no derivative
-tower, the tower names no stratum, no module imports ``dataclasses``, and
-importing the CLI loads neither the process-pool stack nor ``dataclasses``
-and ``inspect``.
+somewhere in src/arcjet, every function and method is loaded by name in
+src/arcjet outside its own body, no module runs generated code, no
+module-level function sits behind a process-wide cache, no module copies a
+whole polynomial or stratum into a probe field, the oracle builds no
+derivative tower, the tower names no stratum, no module imports
+``dataclasses``, and importing the CLI loads neither the process-pool stack
+nor ``dataclasses`` and ``inspect``.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -23,9 +24,12 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from test_tracer import traced_names
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arcjet"
 
@@ -185,6 +189,75 @@ def test_a_write_only_slot_is_flagged():
         "    return node.kind\n"
     )
     assert unread_slots(tree, attributes_read(tree)) == ["Node.note"]
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of every module-level function and of every
+    method of a module-level class; special methods (``__len__``) are the
+    interpreter's to call, so they are left out."""
+    for node in tree.body:
+        cls = isinstance(node, ast.ClassDef)
+        for fn in node.body if cls else [node]:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                fn.name.startswith("__") and fn.name.endswith("__")
+            ):
+                yield f"{node.name}.{fn.name}" if cls else fn.name, fn
+
+
+def names_loaded(node: ast.AST) -> Counter:
+    """How often each name is loaded in ``node``, bare or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def uncalled(trees: dict[str, ast.Module], exempt: set[tuple[str, str]]) -> list[str]:
+    """``module.qualname`` of each definition (``definitions``) whose name is
+    loaded nowhere in ``trees`` outside its own body, ``exempt`` aside."""
+    loaded = sum((names_loaded(t) for t in trees.values()), Counter())
+    return [
+        f"{module}.{qual}"
+        for module, tree in trees.items()
+        for qual, fn in definitions(tree)
+        if (module, qual) not in exempt and loaded[fn.name] == names_loaded(fn)[fn.name]
+    ]
+
+
+def test_every_function_is_called_from_src():
+    # a function only the tests call is a reference route, and every line of
+    # it is compiled on each start-up: it belongs in tests/reference_*.py.
+    # Exempt: the names the benchmark's tracer binds from outside (among
+    # them ``cli.main``, the console-script entry point), read off its
+    # SPANS and COUNTERS, and ``strata.check_elimination_soundness``, which
+    # waits to be wired into the driver (its helpers are called from it)
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    exempt = {*traced_names(), ("strata", "check_elimination_soundness")}
+    assert ("cli", "main") in exempt
+    found = uncalled(trees, exempt)
+    assert not found, f"functions nothing under src/ calls: {', '.join(found)}"
+
+
+def test_an_uncalled_function_is_flagged():
+    """Control: a function called only by itself, and a method read only in
+    its own body, are flagged; a function another one calls, a special
+    method and an exempt name are not."""
+    trees = {
+        "m": ast.parse(
+            "def used():\n"
+            "    return 1\n"
+            "def planted(n):\n"
+            "    return planted(n - 1) if n else used()\n"
+            "class C:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def method(self):\n"
+            "        return self.method\n"
+        ),
+        "n": ast.parse("def kept():\n    return C\n"),
+    }
+    assert uncalled(trees, {("n", "kept")}) == ["m.planted", "m.C.method"]
 
 
 def calls_to(node: ast.AST, attr: str):

@@ -29,19 +29,24 @@ from arcjet.oracle import (
     coverage_check,
     enumerate_fiber,
     exclusive_cover_check,
-    point_assignment,
     point_hits,
     probe_field,
+    probe_primes,
     split_partition_check,
     stratum_membership,
     transport_scalar,
     truncate_stratum,
-    truncated_leaves,
     vanishes,
 )
 from arcjet.strata import EngineError, closure_contains, root_stratum
 
-from reference_oracle import transport_poly, transport_stratum
+from reference_oracle import (
+    dfs_fiber,
+    point_assignment,
+    transport_poly,
+    transport_stratum,
+    truncated_leaves,
+)
 from test_acceptance import random_base_poly
 from test_algebra import FIELDS, poly_strategy
 
@@ -246,6 +251,105 @@ def test_the_search_matches_a_tower_built_in_the_probe_field(pr, p, m):
     expected = reference_search(pr.system, p, m, PROBE_BUDGET)
     assert expected is not None
     assert list(enumerate_fiber(pr.system, p, m, PROBE_BUDGET)) == expected
+
+
+def least_budget(sys, p, m):
+    """The least budget at which ``enumerate_fiber`` finishes: it passes at
+    every budget from there up and raises below it, so bisection finds it."""
+    lo, hi = 0, PROBE_BUDGET
+    enumerate_fiber(sys, p, m, hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            enumerate_fiber(sys, p, m, mid)
+        except OracleError:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def graph_probe_cases():
+    # every (prime, level) at which a level graph of A1-A6 or D4 (char 0)
+    # may probe its pieces: the graph probes only the levels with two
+    # pieces or more, so this is a superset of what it enumerates
+    for kind, n in [("A", k) for k in range(1, 7)] + [("D", 2)]:
+        pr = preset(kind, n=n, char=0)
+        for m in range(1, pr.max_level + 1):
+            for p in probe_primes(pr.system.field):
+                if p ** (3 * m) <= PROBE_BUDGET:
+                    yield pytest.param(pr.system, p, m, id=f"probe-{pr.label}-p{p}-m{m}")
+
+
+def edge_cases():
+    for text, char, p, levels in [
+        ("z^2 + x*y", 2, 2, (0, 1, 4, 5)),  # m = 4, 5: a level rejects whole cubes
+        ("z^2 + x*y", 3, 3, (0, 1, 4)),
+        ("1 + x*y + z^2", 3, 3, (0, 1, 2)),  # off the origin
+        ("3 + x*y + z^2", 0, 3, (1, 2)),  # on it only mod 3
+        ("x + y*z", 2, 2, (1, 2, 3, 4)),  # a linear part: levels top out at m
+        ("x + y*z", 3, 3, (1, 2, 3)),
+        ("x^2 + y*z + 2*y^2", 3, 3, (1, 2, 3)),
+        ("x^2 + y*z + 2*y^2", 0, 2, (1, 2, 3)),
+    ]:
+        sys = JetSystem(parse_poly(text, Field(char)))
+        for m in levels:
+            yield pytest.param(sys, p, m, id=f"{text}-char{char}-p{p}-m{m}")
+    e6 = preset("E6", char=3).system  # i adjoined: real and imaginary tables
+    for m in (1, 2, 3):
+        yield pytest.param(e6, 3, m, id=f"E6(char 3)-p3-m{m}")
+
+
+FOLD_CASES = [
+    *(pytest.param(pr.system, p, m, id=f"plan-{pr.label}-p{p}-m{m}")
+      for pr in preset_grid() for p, m in _oracle_plan(pr)),
+    *graph_probe_cases(),
+    *edge_cases(),
+]
+
+
+@pytest.mark.parametrize("sys,p,m", FOLD_CASES)
+def test_the_folded_search_matches_the_per_triple_search(sys, p, m):
+    """``enumerate_fiber`` folds each level's prefix terms once per prefix;
+    ``dfs_fiber`` evaluates each level's whole table once per triple.  They
+    give the same ``Fiber`` (the same blocks in the same order) at the least
+    budget that lets either finish, and one budget below it the same
+    error: the folded search tests, and counts, the same triples."""
+    b = least_budget(sys, p, m)
+    fiber = enumerate_fiber(sys, p, m, b)
+    assert fiber == dfs_fiber(sys, p, m, b)
+    if b:
+        with pytest.raises(OracleError) as folded:
+            enumerate_fiber(sys, p, m, b - 1)
+        with pytest.raises(OracleError) as per_triple:
+            dfs_fiber(sys, p, m, b - 1)
+        assert str(folded.value) == str(per_triple.value) == (
+            f"fiber search over budget ({b - 1} triples); reduce m or p"
+        )
+
+
+def test_a_level_left_constant_and_nonzero_by_its_prefix_rejects_the_whole_cube():
+    """z^2 + x*y over F_2 at m = 4: level 4 tops out at order 3, and the
+    prefix x1,y1,z1 = 0,0,0, x2,y2,z2 = 1,1,0 passes every lower level.
+    Each term of level 4 that reads order 3 also reads a 0 of the prefix, so
+    its folded part is empty, and the rest, x2*y2, is 1: no order-3 triple
+    extends that prefix.  The fiber is the per-triple search's."""
+    sys = JetSystem(parse_poly("z^2 + x*y", Field(2)))
+    head = (0, 0, 0, 1, 1, 0)
+    lower = [sys.derivative(n, oracle.ORIGIN) for n in (1, 2, 3)]
+    assign = point_assignment(head + (0, 0, 0), 3)
+    assert not any(level.evaluate(assign) for level in lower)
+    (table,) = compile_poly(sys.derivative(4, oracle.ORIGIN), 3, 2)
+    assert max(i for _, idx in table for i in idx) // 3 + 1 == 3
+    free = [idx for _, idx in table if max(idx) >= 6]
+    assert free and all(any(i < 6 and not head[i] for i in idx) for idx in free)
+    assert sum(c for c, idx in table if max(idx) < 6 and all(head[i] for i in idx)) % 2 == 1
+    level = sys.derivative(4, oracle.ORIGIN)
+    for tail in product(range(2), repeat=3):
+        assert level.evaluate(point_assignment(head + tail, 3)) == 1
+    fiber = enumerate_fiber(sys, 2, 4)
+    assert fiber == dfs_fiber(sys, 2, 4)
+    assert fiber.blocks and not any(h[:6] == head for h, _ in fiber.blocks)
 
 
 def test_a_surface_off_the_origin_has_an_empty_fiber():
