@@ -87,11 +87,13 @@ class JetSystem:
         self._tables: dict[tuple[str, ...], list[dict[Mono, int]]] = {(): [{(): 1}]}
         # frontier (a, b, c) -> its interned relabelling of jet-monomial pairs
         self._relabels: dict[tuple[int, int, int], _Relabel] = {}
-        # reductions modulo strata, equation -> rewrite rule or None (both
-        # kept by ``strata``); the driver's moves keyed by their full
-        # arguments: (s, q) -> pivot, (s, n, q, pivot) -> chart, q -> Coxeter number
+        # reductions modulo strata, equation -> rewrite rule or None, zero
+        # set -> the polynomials it reduces to 0 (all kept by ``strata``); the
+        # driver's moves keyed by their full arguments: (s, q) -> pivot,
+        # (s, n, q, pivot) -> chart, q -> Coxeter number
         self.reductions: dict[tuple, Reduction] = {}
         self.lead_rules: dict[Polynomial, Optional[RewriteRule]] = {}
+        self.killed_by: dict[frozenset[Var], set[Polynomial]] = {}
         self.moves: dict[object, object] = {}
 
     def derivative(self, m: int, zero_vars: Iterable[Var] = frozenset()) -> Polynomial:

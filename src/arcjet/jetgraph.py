@@ -10,13 +10,16 @@ the graph settles into one unbranching chain per component.
 
 Containment of truncations (strata with ``consumed = m``) is decided
 syntactically by ``strata.closure_contains`` (zero sets, rewriting by
-chart relations).  Its answers of "not contained" rest on where rewriting
-stops, not on a proof: a constraint that holds but does not rewrite to 0
-reads as not holding (see its docstring), and the graph is built on those
-answers as they are.  When two same-level vertices stay distinct
-syntactically but their small finite-field point sets, tested in each
-prime's probe field, agree, the pair is flagged in the report rather than
-merged.  The graph (mutable) and its vertices (frozen) are records.
+chart relations).  Its answers of "not contained" rest on where
+rewriting stops, not on a proof: a constraint that holds but does not
+rewrite to 0 reads as not holding (see its docstring), and the graph is
+built on those answers as they are.  Of a level's candidate pieces, a
+piece is dropped when it lies in another's closure; each such question
+is asked once, and only when the keep rule reads its answer.  When two
+same-level vertices stay distinct syntactically but their small
+finite-field point sets, tested in each prime's probe field, agree, the
+pair is flagged in the report rather than merged.  The graph (mutable)
+and its vertices (frozen) are records.
 """
 
 from __future__ import annotations
@@ -107,18 +110,15 @@ def _level_pieces(sys: JetSystem, covers: Covers, m: int) -> list[tuple[object, 
         if node.kind in ("stabilized", "residual") and node.absorbed_into is None:
             cands.append((None, truncate_stratum(sys, node.stratum, m)))
     # drop pieces strictly inside another piece's closure; of pieces with
-    # equal closures keep the first.  inside[i][j]: piece i lies in the
-    # closure of piece j.
-    inside = [
-        [i != j and descriptor_contains(sys, b, a) for j, (_, b) in enumerate(cands)]
-        for i, (_, a) in enumerate(cands)
-    ]
+    # equal closures keep the first.  inside(i, j): piece i lies in the
+    # closure of piece j, asked once and only where the keep rule reads it.
+    inside = functools.cache(
+        lambda i, j: i != j and descriptor_contains(sys, cands[j][1], cands[i][1])
+    )
     return [
         piece
         for i, piece in enumerate(cands)
-        if not any(
-            inside[i][j] and (j < i or not inside[j][i]) for j in range(len(cands))
-        )
+        if not any(inside(i, j) and (j < i or not inside(j, i)) for j in range(len(cands)))
     ]
 
 

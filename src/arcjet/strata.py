@@ -21,6 +21,7 @@ and freed with it; ``reduced`` keeps the derivative levels reduced on it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -44,14 +45,22 @@ class EngineError(RuntimeError):
 
 
 class RewriteRule(Record):
-    """Replace ``v^power`` by ``rhs`` (rhs free of ``v``)."""
+    """Replace ``v^power``, the lead of ``equation``, by ``rhs`` (the other
+    terms over minus the lead's coefficient), built at the rule's first use."""
 
-    __slots__ = ("v", "power", "rhs")
+    __slots__ = ("v", "power", "equation", "__dict__")
 
-    def __init__(self, v: Var, power: int, rhs: Polynomial) -> None:
+    def __init__(self, v: Var, power: int, equation: Polynomial) -> None:
         self.v = v
         self.power = power
-        self.rhs = rhs
+        self.equation = equation
+
+    @cached_property
+    def rhs(self) -> Polynomial:
+        terms, lead, field = self.equation.terms, ((self.v, self.power),), self.equation.field
+        k = field.neg(field.inv(terms[lead]))
+        # a product of nonzero field values is nonzero
+        return Polynomial._of_terms(field, {m: field.mul(c, k) for m, c in terms.items() if m != lead})
 
 
 def rewrite_rules_for(
@@ -65,6 +74,7 @@ def rewrite_rules_for(
     The same reduced equation recurs in every stratum of a chart's descent
     and in every truncation of it, so ``memo`` (a tower's ``lead_rules``)
     keeps each equation's rule; without one, every rule is searched afresh.
+    A rule's right-hand side is built when ``rewrite`` first applies it.
     """
     memo = {} if memo is None else memo
     rules = (memo[eq] if eq in memo else memo.setdefault(eq, _lead_rule(eq)) for eq in equations)
@@ -78,23 +88,14 @@ def _lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
         for v, _ in mono:
             occurrences[v] = occurrences.get(v, 0) + 1
     best = None
-    for mono, c in eq.terms.items():
+    for mono in eq.terms:
         if len(mono) == 1 and occurrences[mono[0][0]] == 1:
             (v, e) = mono[0]
             # prefer linear leads, then high variables
             rank = (0 if e == 1 else 1, [-k for k in var_key(v)])
             if best is None or rank < best[0]:
-                best = (rank, mono, c)
-    if best is None:
-        return None
-    _, lead, c = best
-    field = eq.field
-    k = field.neg(field.inv(c))
-    # a product of nonzero field values is nonzero
-    rhs = Polynomial._of_terms(
-        field, {m: field.mul(cc, k) for m, cc in eq.terms.items() if m != lead}
-    )
-    return RewriteRule(lead[0][0], lead[0][1], rhs)
+                best = (rank, v, e)
+    return None if best is None else RewriteRule(best[1], best[2], eq)
 
 
 def rewrite(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
@@ -160,21 +161,23 @@ def closure_contains(sys: JetSystem, b: Stratum, a: Stratum) -> bool:
 
 class Reduction:
     """Reduction modulo the vanishing coordinates and the equations of a
-    stratum: the coordinates drop out, then the rewrite rules of the
-    equations reduced modulo them apply to a fixpoint.  It reads nothing
-    else of the stratum, so the strata of one tower with equal
-    ``(zero_vars, equations)`` share one (``reduction_of``), whose rules
-    come from the tower's ``lead_rules``; ``levels`` is ``reduced``'s memo."""
+    stratum: the coordinates drop out, then, unless nothing is left, the
+    rewrite rules of the equations reduced modulo them apply to a fixpoint.
+    It reads nothing else of the stratum, so the strata of one tower with
+    equal ``(zero_vars, equations)`` share one (``reduction_of``), with the
+    tower's ``lead_rules`` and ``killed_by``; ``levels`` is ``reduced``'s memo."""
 
     __slots__ = (
-        "zero_vars", "equations", "levels", "_lead_rules", "_rules", "_equation_set", "_vanishes"
+        "zero_vars", "equations", "levels", "_lead_rules", "_killed", "_rules", "_equation_set",
+        "_vanishes",
     )
 
-    def __init__(self, s: Stratum, lead_rules: dict[Polynomial, Optional[RewriteRule]]):
+    def __init__(self, s: Stratum, lead_rules: dict[Polynomial, Optional[RewriteRule]], killed: set):
         self.zero_vars = s.zero_vars
         self.equations = s.equations
         self.levels: dict[int, Polynomial] = {}
         self._lead_rules = lead_rules
+        self._killed = killed
         self._rules: Optional[tuple[RewriteRule, ...]] = None
         self._equation_set: Optional[frozenset[Polynomial]] = None
         self._vanishes: dict[Polynomial, bool] = {}
@@ -189,18 +192,25 @@ class Reduction:
         return self._rules
 
     def __call__(self, p: Polynomial) -> Polynomial:
-        return rewrite(p.reduce_mod_vars(self.zero_vars), self.rules)
+        r = p.reduce_mod_vars(self.zero_vars)
+        return rewrite(r, self.rules) if r else r
 
     def vanishes(self, e: Polynomial) -> bool:
-        """Does ``e`` vanish on the strata: is it one of their equations or
-        does it reduce to zero?  Each distinct ``e`` is decided once, and
-        membership is a hash lookup in the equations as a set, built on
-        first use (equal polynomials hash alike)."""
+        """Does ``e`` vanish on the strata: is it one of their equations (a
+        set built on first use: equal polynomials hash alike), one the zero
+        set kills (kept in the tower's ``killed_by``), or does it rewrite to
+        zero?  Each ``e`` is decided once, and reduced only on a miss."""
         v = self._vanishes.get(e)
         if v is None:
             if self._equation_set is None:
                 self._equation_set = frozenset(self.equations)
-            v = self._vanishes[e] = e in self._equation_set or not self(e)
+            v = e in self._equation_set or e in self._killed
+            if not v:
+                r = e.reduce_mod_vars(self.zero_vars)
+                if not r:
+                    self._killed.add(e)
+                v = not (r and rewrite(r, self.rules))
+            self._vanishes[e] = v
         return v
 
 
@@ -209,7 +219,8 @@ def reduction_of(sys: JetSystem, s: Stratum) -> Reduction:
     key = (s.zero_vars, s.equations)
     red = sys.reductions.get(key)
     if red is None:
-        red = sys.reductions[key] = Reduction(s, sys.lead_rules)
+        killed = sys.killed_by.setdefault(s.zero_vars, set())
+        red = sys.reductions[key] = Reduction(s, sys.lead_rules, killed)
     return red
 
 

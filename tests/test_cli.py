@@ -3,8 +3,12 @@
 import concurrent.futures
 import hashlib
 import json
+import os
+import shutil
+import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -514,3 +518,44 @@ def test_fuzzed_arguments_exit_cleanly(argv):
         assert json.loads(out.getvalue())["ok"] is False
     elif code == 2:
         assert out.getvalue() == ""
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# the interpreters of ``requires-python = ">=3.10"`` checked beside the one
+# that runs the suite
+OTHER_PYTHONS = ("python3.10", "python3.12", "python3.13")
+
+
+@pytest.mark.parametrize("name", OTHER_PYTHONS)
+def test_each_supported_python_prints_the_golden_report(name):
+    """``verify E8(char 7)`` run by ``arcjet.cli.main`` under each of these
+    interpreters found on PATH, with only ``src`` on its path (no pytest
+    needed there), prints the bytes whose sha256 the benchmark's workloads
+    record for that operation."""
+    exe = shutil.which(name)
+    if exe is None:
+        pytest.skip(f"{name} is not on PATH")
+    env = dict(
+        os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+        PYTHONIOENCODING="utf-8",
+    )
+    env.pop("ARCJET_WORKERS", None)
+    if shutil.which("pyenv"):
+        # a pyenv shim runs only the versions selected: select every one
+        bare = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True, text=True)
+        env["PYENV_VERSION"] = ":".join(bare.stdout.split())
+    version = subprocess.run(
+        [exe, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
+        env=env, capture_output=True, text=True,
+    )
+    if version.returncode:
+        pytest.skip(f"{name} on PATH does not start: {version.stderr.strip()}")
+    assert version.stdout.strip() == name.removeprefix("python")
+    ops = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["verify-grid"]["ops"]
+    [op] = [op for op in ops if op["id"] == "verify E8(char 7)"]
+    run_main = "import sys; from arcjet.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [exe, "-c", run_main, *op["argv"]], env=env, capture_output=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == op["sha256"]

@@ -471,7 +471,7 @@ def cache_reductions_process_wide(monkeypatch) -> None:
 
     @functools.lru_cache(maxsize=None)
     def shared(zero_vars, equations):
-        return strata.Reduction(Stratum(zero_vars, equations), {})
+        return strata.Reduction(Stratum(zero_vars, equations), {}, set())
 
     monkeypatch.setattr(strata, "reduction_of", lambda sys, s: shared(s.zero_vars, s.equations))
 

@@ -190,6 +190,54 @@ def test_level6_graphs_do_not_depend_on_the_order_they_are_built_in():
         assert export(build_graph(pr.system, pr.covers, 6), "json") == forward[i], pr.label
 
 
+def full_matrix_pieces(sys, covers, m):
+    """``_level_pieces`` with its keep rule over the full containment
+    matrix, every ordered pair of candidates asked first, as the reference
+    of the lazy keep rule; also the number of questions asked."""
+    tree = run_driver(sys, covers, max_level=m)
+    cands = [(c.index, truncate_stratum(sys, tree.chart_of(c).stratum, m)) for c in tree.components]
+    for node in tree.leaves():
+        if node.kind in ("stabilized", "residual") and node.absorbed_into is None:
+            cands.append((None, truncate_stratum(sys, node.stratum, m)))
+    inside = [
+        [i != j and closure_contains(sys, b, a) for j, (_, b) in enumerate(cands)]
+        for i, (_, a) in enumerate(cands)
+    ]
+    kept = [
+        piece
+        for i, piece in enumerate(cands)
+        if not any(inside[i][j] and (j < i or not inside[j][i]) for j in range(len(cands)))
+    ]
+    return kept, len(cands) * (len(cands) - 1)
+
+
+def test_the_lazy_keep_rule_keeps_the_full_matrix_pieces(monkeypatch):
+    """At every level to 35 of E8 (char 0) and at level 6 of all 69
+    presets, ``_level_pieces`` keeps the pieces of the full-matrix keep
+    rule, in the same order; on E8 it asks fewer containment questions
+    (883 of 1,016), each pair at most once."""
+    asked = []
+
+    def recording(sys, b, a):
+        asked.append((id(b), id(a)))  # the level's candidates are alive while asked
+        return closure_contains(sys, b, a)
+
+    monkeypatch.setattr(jetgraph, "descriptor_contains", recording)
+    pr = preset("E8", char=0)
+    sys = JetSystem(pr.equation)
+    full = 0
+    for m in range(1, 36):
+        want, n = full_matrix_pieces(sys, pr.covers, m)
+        full += n
+        before = len(asked)
+        assert _level_pieces(sys, pr.covers, m) == want, m
+        assert len(set(asked[before:])) == len(asked) - before, m
+    assert 0 < len(asked) < full
+    for pr in preset_grid():
+        sys = JetSystem(pr.equation)
+        assert _level_pieces(sys, pr.covers, 6) == full_matrix_pieces(sys, pr.covers, 6)[0], pr.label
+
+
 # The simple-chain claim on the whole grid, each preset's graph built to its
 # ``max_level``: one chain per component and no flag.  The threshold is a
 # function of the kind alone, h - 1 for A_n and h + 1 for D and E, with h

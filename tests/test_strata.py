@@ -83,7 +83,9 @@ def reference_lead_rule(eq: Polynomial) -> Optional[RewriteRule]:
         return None
     candidates.sort(key=lambda t: t[0])
     _, v, e, rhs = candidates[0]
-    return RewriteRule(v, e, rhs)
+    rule = RewriteRule(v, e, eq)
+    rule.__dict__["rhs"] = rhs  # the search's own right-hand side, not the lazily built one
+    return rule
 
 
 def assert_same_rule(eq):
@@ -225,7 +227,9 @@ def rewrite_cases(draw):
 
     rules = []
     for k in draw(st.lists(st.integers(0, 2), max_size=4)):
-        rules.append(RewriteRule(order[k], draw(st.integers(1, 3)), poly(order[k + 1:], 2)))
+        power = draw(st.integers(1, 3))
+        lead = Polynomial.variable(field, order[k], power)
+        rules.append(RewriteRule(order[k], power, lead - poly(order[k + 1:], 2)))
     return poly(REWRITE_VARS, 5), rules
 
 
@@ -235,9 +239,9 @@ def rewrite_cases(draw):
     case=(
         P("z1"),
         [
-            RewriteRule(var("x", 1), 2, P("y1")),
-            RewriteRule(var("z", 1), 1, P("x1^3")),
-            RewriteRule(var("x", 1), 3, P("z3")),
+            RewriteRule(var("x", 1), 2, P("x1^2 - y1")),
+            RewriteRule(var("z", 1), 1, P("z1 - x1^3")),
+            RewriteRule(var("x", 1), 3, P("x1^3 - z3")),
         ],
     )
 )
@@ -353,7 +357,7 @@ def memo_keys():
     rule = EliminationRule("y", 1, 2, P("x1"))
     return [
         (Field(3, True), (3, True)),
-        (RewriteRule(x1, 2, P("y1^2")), (x1, 2, P("y1^2"))),
+        (RewriteRule(x1, 2, P("x1^2 - y1^2")), (x1, 2, P("x1^2 - y1^2"))),
         (rule, ("y", 1, 2, P("x1"))),
         (
             Stratum(frozenset({x0}), (P("z2 - y1^2"),), (P("x1"),), rule, 2),
@@ -571,7 +575,9 @@ def test_a_memo_keyed_by_the_zero_set_alone_fails_the_differential_test(monkeypa
 
     def by_zero_set(sys, s):
         if s.zero_vars not in by_zeros:
-            by_zeros[s.zero_vars] = strata.Reduction(s, sys.lead_rules)
+            by_zeros[s.zero_vars] = strata.Reduction(
+                s, sys.lead_rules, sys.killed_by.setdefault(s.zero_vars, set())
+            )
         return by_zeros[s.zero_vars]
 
     monkeypatch.setattr(strata, "reduction_of", by_zero_set)
@@ -594,6 +600,120 @@ def test_verdicts_kept_across_reductions_fail_the_differential_test(monkeypatch)
     monkeypatch.setattr(strata.Reduction, "vanishes", by_polynomial)
     _, seen = recorded_reductions(monkeypatch, build_e8_graph_to_12)
     assert reduction_mismatches(seen)
+
+
+def kept_work_mismatches(towers) -> list:
+    """What the towers kept that the reference routes do not confirm: a
+    polynomial in a zero set's kills (``JetSystem.killed_by``) that a plain
+    term filter leaves nonzero there, or a built right-hand side that is
+    not the reference search's."""
+    bad = []
+    for sys in towers:
+        for zero_vars, killed in sys.killed_by.items():
+            bad.extend((zero_vars, e) for e in killed if drop_terms_in(e, zero_vars))
+        for eq, rule in sys.lead_rules.items():
+            if rule is not None and "rhs" in rule.__dict__:
+                if rule.rhs != reference_lead_rule(eq).rhs:
+                    bad.append(eq)
+    return bad
+
+
+def graph_towers(tower=JetSystem) -> list:
+    """The towers of the E8 (char 0) graph to level 35 and of the level-6
+    graphs of all 69 presets, each graph built on a fresh
+    ``tower(equation)``."""
+    graphs = [(preset("E8", char=0), 35)] + [(pr, 6) for pr in preset_grid()]
+    towers = []
+    for pr, level in graphs:
+        towers.append(tower(pr.equation))
+        build_graph(towers[-1], pr.covers, level)
+    return towers
+
+
+def test_kills_and_built_right_hand_sides_match_the_reference_routes():
+    """Every kill and every built right-hand side that the E8 (char 0)
+    graph to level 35 and the level-6 graphs of all 69 presets keep on
+    their towers is the reference routes' (``drop_terms_in``,
+    ``reference_lead_rule``)."""
+    towers = graph_towers()
+    kills = sum(len(killed) for sys in towers for killed in sys.killed_by.values())
+    rules = [r for sys in towers for r in sys.lead_rules.values() if r is not None]
+    # 502 kills, and 53 of the 300 rules built their right-hand side
+    assert kills > 400 and 0 < sum("rhs" in r.__dict__ for r in rules) < len(rules)
+    assert kept_work_mismatches(towers) == []
+
+
+class OneKillSet(dict):
+    """A tower's ``killed_by`` that hands every zero set one shared set: a
+    memo of kills keyed by the polynomial alone."""
+
+    def __init__(self):
+        super().__init__()
+        self.shared = set()
+
+    def setdefault(self, zero_vars, default=None):
+        return super().setdefault(zero_vars, self.shared)
+
+
+def test_kills_keyed_by_the_polynomial_alone_fail_the_reference_check():
+    """Control: a polynomial one zero set kills is taken as killed by
+    every zero set, and the reference check sees it."""
+
+    def tower(f):
+        sys = JetSystem(f)
+        sys.killed_by = OneKillSet()
+        return sys
+
+    assert kept_work_mismatches(graph_towers(tower))
+
+
+def test_nonzero_remainders_kept_as_kills_fail_the_reference_check(monkeypatch):
+    """Control: a memo that records every polynomial it decides as killed
+    by the zero set, whatever its remainder, and the reference check sees
+    it."""
+    vanishes = strata.Reduction.vanishes
+
+    def every_remainder_a_kill(self, e):
+        verdict = vanishes(self, e)
+        self._killed.add(e)
+        return verdict
+
+    monkeypatch.setattr(strata.Reduction, "vanishes", every_remainder_a_kill)
+    assert kept_work_mismatches(graph_towers())
+
+
+def test_only_the_rules_that_fire_build_their_right_hand_sides(monkeypatch):
+    """After the E8 (char 0) graph to level 35 the rules whose right-hand
+    side was built are exactly those ``rewrite`` applied: 12 of the 80 the
+    tower found.  A rule fires where ``rewrite`` splits the polynomial on
+    its lead variable with the lead's power reached (no rule set of the
+    graph has two rules on one variable, which makes that exact)."""
+    fired, asking = set(), []
+    rewrite, split_by_degree = strata.rewrite, Polynomial.split_by_degree
+
+    def recording_rewrite(p, rules):
+        assert len({r.v for r in rules}) == len(rules)
+        asking.append(rules)
+        try:
+            return rewrite(p, rules)
+        finally:
+            asking.pop()
+
+    def recording_split(self, v):
+        if asking:
+            fired.update(r for r in asking[-1] if r.v == v and self.degree_in(v) >= r.power)
+        return split_by_degree(self, v)
+
+    monkeypatch.setattr(strata, "rewrite", recording_rewrite)
+    monkeypatch.setattr(Polynomial, "split_by_degree", recording_split)
+    pr = preset("E8", char=0)
+    sys = JetSystem(pr.equation)
+    build_graph(sys, pr.covers, 35)
+    monkeypatch.undo()
+    rules = [r for r in sys.lead_rules.values() if r is not None]
+    built = {r for r in rules if "rhs" in r.__dict__}
+    assert built == fired
+    assert 0 < len(built) <= 12 and len(rules) == 80
 
 
 # -- unit inference ---------------------------------------------------------
