@@ -132,18 +132,6 @@ class Gaussian:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return Gaussian(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
@@ -548,12 +536,8 @@ class Polynomial:
                         rest.pop(i)
                     else:
                         rest[i] = (w, e - 1)
-                    mm = tuple(rest)
-                    s = f.add(terms.get(mm, f.zero), coeff)
-                    if s:
-                        terms[mm] = s
-                    else:
-                        terms.pop(mm, None)
+                    # lowering v's exponent is injective, so no two terms meet
+                    terms[tuple(rest)] = coeff
                     break
         return Polynomial._of_terms(f, terms)
 
@@ -767,20 +751,17 @@ def parse_poly(text: str, field: Field) -> Polynomial:
     # each parse_* returns its polynomial and the largest exponent product
     # applied inside it (1 for a plain number or variable)
     def parse_expr() -> tuple[Polynomial, int]:
-        sign = 1
-        while peek() == "op" and tokens[pos][1] in "+-":
-            if take()[1] == "-":
-                sign = -sign
-        acc, power = parse_term()
-        acc = acc.scale(sign)
-        while peek() == "op" and tokens[pos][1] in "+-":
+        acc, power = None, 0
+        while True:
             sign = 1
             while peek() == "op" and tokens[pos][1] in "+-":
                 if take()[1] == "-":
                     sign = -sign
             term, p = parse_term()
-            acc, power = acc + term.scale(sign), max(power, p)
-        return acc, power
+            term = term.scale(sign)
+            acc, power = term if acc is None else acc + term, max(power, p)
+            if not (peek() == "op" and tokens[pos][1] in "+-"):
+                return acc, power
 
     def parse_term() -> tuple[Polynomial, int]:
         acc, power = parse_factor()

@@ -40,7 +40,7 @@ from .catalog import (
 from .driver import StratificationTree, run_driver
 from .hasse import JetSystem
 from .jetgraph import build_graph, export, simple_branch_check
-from .oracle import PROBE_BUDGET, OracleError, audit_tree, enumerate_fiber, probe_primes
+from .oracle import PROBE_BUDGET, OracleError, audit_tree, enumerate_fiber, probe_plan
 
 
 class InputError(ValueError):
@@ -189,17 +189,6 @@ def cmd_oracle(args) -> int:
 
 # -- verify -----------------------------------------------------------------
 
-def _oracle_plan(pr: SingularityPreset) -> list[tuple[int, int]]:
-    """(prime, level) pairs small enough for a routine run."""
-    plan = []
-    for p in probe_primes(pr.equation.field):
-        m = 1
-        while p ** (3 * (m + 1)) <= PROBE_BUDGET:
-            m += 1
-        plan.append((p, m))
-    return plan
-
-
 def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
     report: dict = {"preset": pr.label}
     congr = verify_congruence_table(pr)
@@ -227,7 +216,7 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
         "ok": matrix["ok"],
     }
     cov = []
-    for p, m in _oracle_plan(pr):
+    for p, m in probe_plan(pr.equation.field).items():
         try:
             cov.append(_oracle_section(pr, p, m, PROBE_BUDGET))
         except OracleError as exc:

@@ -97,14 +97,8 @@ class StratificationTree(Record):
         self.components = components
         self.max_level = max_level
 
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
-
     def leaves(self) -> list[Node]:
         return [n for n in self.nodes if not n.children]
-
-    def charts(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == "chart"]
 
     def residuals(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "residual"]

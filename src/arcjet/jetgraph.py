@@ -34,11 +34,10 @@ from .algebra import Polynomial, Record, format_poly, var_name
 from .driver import Covers, run_driver
 from .hasse import JetSystem
 from .oracle import (
-    PROBE_BUDGET,
     compile_stratum,
     enumerate_fiber,
     point_hits,
-    probe_primes,
+    probe_plan,
     truncate_stratum,
 )
 from .strata import Stratum, closure_contains
@@ -92,9 +91,6 @@ class JetComponentGraph(Record):
 
     def at_level(self, m: int) -> list[GraphVertex]:
         return [v for v in self.vertices if v.level == m]
-
-    def children(self, vid: int) -> list[int]:
-        return [b for a, b in self.edges if a == vid]
 
 
 SCHEMA = "jet-component-graph/1"
@@ -157,7 +153,7 @@ def build_graph(sys: JetSystem, covers: Covers, M: int) -> JetComponentGraph:
                 edges.extend((first[m - 2] + pidx, first[m - 1] + idx) for pidx in hits)
         # undecidable-merge probe: syntactically distinct same-level pieces
         # whose finite point sets agree at every tested prime
-        tested = [p for p in probe_primes(sys.field) if p ** (3 * m) <= PROBE_BUDGET]
+        tested = [p for p, deepest in probe_plan(sys.field).items() if m <= deepest]
         if len(pieces) > 1 and tested:
             strata = [d for _, d in pieces]
             masks = set().union(*(_hit_masks(sys, strata, p, m) for p in tested))

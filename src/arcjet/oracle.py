@@ -262,13 +262,20 @@ def compile_stratum(T: Stratum, p: int) -> CompiledStratum:
     return CompiledStratum(p, tuple(i for i in zeros if i is not None), units, equations)
 
 
-def probe_primes(field: Field) -> tuple[int, ...]:
-    """The primes a finite-field probe of ``field`` data runs at: the
-    characteristic itself, or 2 and 3 over Q, skipping a prime whose probe
-    field cannot hold the adjoined i (only p = 3 mod 4 takes it)."""
-    if field.char:
-        return (field.char,)
-    return tuple(p for p in (2, 3) if not (field.i_adjoined and p % 4 != 3))
+def probe_plan(field: Field) -> dict[int, int]:
+    """``{prime: level}``: where a finite-field probe of ``field`` data runs.
+    The primes are the characteristic itself, or 2 and 3 over Q, skipping a
+    prime whose probe field cannot hold the adjoined i (only p = 3 mod 4
+    takes it).  A prime's level is the deepest m >= 1 whose p^(3m) box fits
+    in ``PROBE_BUDGET``; a prime whose p^3 box does not fit is left out."""
+    plan = {}
+    for p in (field.char,) if field.char else (2, 3):
+        m = 0
+        while p ** (3 * (m + 1)) <= PROBE_BUDGET:
+            m += 1
+        if m and not (field.i_adjoined and p % 4 != 3):
+            plan[p] = m
+    return plan
 
 
 def enumerate_fiber(sys: JetSystem, p: int, m: int, budget: int = 10_000_000) -> Fiber:
@@ -523,7 +530,7 @@ def audit_tree(sys: JetSystem, tree: StratificationTree, fiber: Fiber) -> tuple[
     pos: dict[int, int] = {}
     for nid in [n.nid for n in leaves] + [k for n in split_nodes for k in (n.nid, *n.children)]:
         pos.setdefault(nid, len(pos))
-    truncations = [truncate_stratum(sys, tree.node(nid).stratum, fiber.m) for nid in pos]
+    truncations = [truncate_stratum(sys, tree.nodes[nid].stratum, fiber.m) for nid in pos]
     groups = _leaf_groups((node, pos[node.nid]) for node in leaves)
     splits = [(n.nid, pos[n.nid], tuple(pos[c] for c in n.children)) for n in split_nodes]
     return _audit(fiber, truncations, groups, splits)

@@ -360,7 +360,7 @@ def test_criterion_7_graph_window():
         thresholds.append((label, check["threshold"]))
         for v in g.vertices:
             if v.level >= check["threshold"] and v.level < g.max_level:
-                if len(g.children(v.vid)) != 1:
+                if sum(a == v.vid for a, _ in g.edges) != 1:
                     problems.append(f"{label}: branch above threshold at {v.label}")
     verdict(
         7,

@@ -1,5 +1,7 @@
 """Named singularity presets: counts, reduction tables, separation evidence."""
 
+from fractions import Fraction
+
 import pytest
 
 from arcjet import driver
@@ -19,7 +21,7 @@ from arcjet.catalog import (
     verify_congruence_table,
 )
 from arcjet.cli import _component_inventory
-from arcjet.driver import coxeter_number, run_driver
+from arcjet.driver import Component, coxeter_number, run_driver
 from arcjet.strata import EngineError
 
 
@@ -194,6 +196,24 @@ def test_golden_table_variant_reports_discrepancies():
     assert len(components(pr).components) == 8
 
 
+def test_a_strict_line_that_does_not_match_fails_the_table():
+    """Halving the A2 equation leaves its fiber alone but halves every
+    derivative level: both strict lines report what was computed and fail."""
+    pr = preset("A", n=2, char=0)
+    assert verify_congruence_table(pr)["ok"]
+    halved = SingularityPreset(
+        pr.kind, pr.n, pr.char, pr.variant, pr.equation.scale(Fraction(1, 2)),
+        pr.covers, pr.expected_count, pr.max_level,
+    )
+    rep = verify_congruence_table(halved)
+    assert rep["ok"] is False
+    assert [(d["level"], d["expected"], d["computed"]) for d in rep["discrepancies"]] == [
+        (2, "x1*y1", "1/2*x1*y1"),
+        (3, "z1^3 + x2*y1", "1/2*x2*y1 + 1/2*z1^3"),
+    ]
+    assert all(d["strict"] and not d["match"] for d in rep["discrepancies"])
+
+
 def test_d_witness_congruences_by_hand():
     """The pairwise witness lines recomputed from scratch, not via the
     table code: f_{2i+2} reduces to x_i^2*y2 once everything at or below
@@ -255,6 +275,22 @@ def test_pair_verdicts_describe_coordinates_by_name():
     assert PairVerdict(2, 3, None).describe() == {
         "excluded": 2, "container": 3, "resolved": False, "certificate": None,
     }
+
+
+def test_two_components_with_one_chart_are_an_unresolved_pair():
+    """No certificate separates a chart from itself: a component added on
+    K1's chart leaves both ordered pairs with it unresolved, and the matrix
+    fails."""
+    pr = preset("A", n=2, char=3)
+    tree = components(pr)
+    copy = Component(len(tree.components), tree.components[0].emergence)
+    copy.chart_nodes = list(tree.components[0].chart_nodes)
+    tree.components.append(copy)
+    matrix = noninclusion_matrix(pr, tree)
+    assert matrix["unresolved"] == [(0, 2), (2, 0)] and matrix["ok"] is False
+    unresolved = [(v.container, v.excluded) for v in matrix["pairs"] if v.certificate is None]
+    assert sorted(unresolved) == [(0, 2), (2, 0)]
+    assert len(matrix["pairs"]) == 6
 
 
 def test_d_pairs_separated():

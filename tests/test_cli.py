@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from arcjet import cli, oracle
 from arcjet.algebra import MAX_EXPONENT, MAX_TERMS
-from arcjet.catalog import preset
-from arcjet.cli import _oracle_plan, _oracle_section, main
+from arcjet.catalog import SingularityPreset, preset
+from arcjet.cli import _oracle_section, main
+from arcjet.oracle import probe_plan
 from arcjet.hasse import JetSystem
 
 
@@ -165,7 +167,7 @@ def test_a_char0_oracle_section_builds_no_tower_of_its_own(monkeypatch, kind, n)
     pr = preset(kind, n=n, char=0)
     _ = pr.system  # the preset's own tower, built before the count starts
     built = counted_towers(monkeypatch)
-    for p, m in _oracle_plan(pr):
+    for p, m in probe_plan(pr.equation.field).items():
         assert _oracle_section(pr, p, m, 200_000)["ok"]
     assert built == []
 
@@ -274,6 +276,53 @@ def test_bad_preset_is_a_clean_failure(capsys):
     assert payload["ok"] is False and "error" in payload
 
 
+def moved_preset(monkeypatch, **changes):
+    """Make the CLI's presets ``preset(...)`` with some fields changed."""
+    fields = ("kind", "n", "char", "variant", "equation", "covers", "expected_count", "max_level")
+
+    def moved(*args, **kwargs):
+        pr = preset(*args, **kwargs)
+        values = {f: getattr(pr, f) for f in fields}
+        values.update({k: change(pr) for k, change in changes.items()})
+        return SingularityPreset(*(values[f] for f in fields))
+
+    monkeypatch.setattr(cli, "preset", moved)
+
+
+def test_verify_reports_a_wrong_component_count(monkeypatch, capsys):
+    """``components`` raising a ``PresetError`` writes the error sections,
+    skips the later checks and exits 1."""
+    moved_preset(monkeypatch, expected_count=lambda pr: pr.expected_count + 1)
+    code, out = run(capsys, "verify", "--kind", "A", "--n", "2", "--char", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["congruences"]["ok"] is True
+    assert report["components"] == {
+        "ok": False, "error": "A2(char 3): got 2 components, expected 3",
+    }
+    assert report["noninclusion"] == {"ok": False, "error": "skipped"}
+    assert report["coverage"] == [] and report["graph"] is None
+    assert report["ok"] is False
+
+
+def test_verify_reports_an_oracle_error_in_one_coverage_section(monkeypatch, capsys):
+    """A coefficient with a denominator of 2 has no value at p = 2: that
+    section is an error and the run exits 1, while the p = 3 section of the
+    same report still audits its fiber."""
+    moved_preset(monkeypatch, equation=lambda pr: pr.equation.scale(Fraction(1, 2)))
+    code, out = run(capsys, "verify", "--kind", "A", "--n", "2")
+    assert code == 1
+    report = json.loads(out)
+    two, three = report["coverage"]
+    assert two == {
+        "prime": 2, "level": 5, "ok": False,
+        "error": "coefficient 1/2 has a denominator that vanishes in F_2 (term x0*y0)",
+    }
+    assert three["prime"] == 3 and three["ok"] is True and three["points"] == 3645
+    assert report["components"]["ok"] is True and report["noninclusion"]["ok"] is True
+    assert report["ok"] is False
+
+
 def test_missing_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
@@ -296,6 +345,35 @@ def test_config_explicit_flags_win(capsys, tmp_path):
     code, out = run(capsys, "verify", "--config", str(cfg), "--n", "3")
     assert code == 0
     assert json.loads(out)["preset"] == "A3(char 0)"
+
+
+def test_a_true_config_line_is_a_flag(capsys, tmp_path, monkeypatch):
+    """``all = true`` injects ``--all`` (``false`` injects nothing), and a
+    flag given on the command line still wins over a config line."""
+    ran = []
+
+    def stub(key):
+        ran.append(key)
+        return {"preset": "%s%d(char %d)%s" % key, "ok": True}
+
+    monkeypatch.setattr(cli, "_verify_label", stub)
+    monkeypatch.delenv("ARCJET_WORKERS", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("all = true\n")
+    code, out = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and len(json.loads(out)["presets"]) == len(ran) == 69
+    cfg.write_text("all = true\ngraph-level = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == 2  # --graph-level takes one preset
+    capsys.readouterr()
+    code, _ = run(capsys, "verify", "--config", str(cfg), "--graph-level", "0")
+    assert code == 0 and len(ran) == 2 * 69
+    cfg.write_text("all = false\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == 2  # verify needs --kind or --all
+    assert len(ran) == 2 * 69
 
 
 @pytest.mark.parametrize(
@@ -363,6 +441,9 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         ["verify", "--all", "--graph-level", "3"],
         ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "0"],
         ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "-5"],
+        ["derive", "--equation", "z^2 + x*y", "--level", "abc"],
+        ["verify", "--kind", "A", "--n", "1", "--config"],
+        ["--config", "{config}"],
     ],
     ids=[
         "missing-config",
@@ -378,6 +459,9 @@ def test_malformed_input_is_a_json_error(capsys, argv):
         "verify-all-with-graph-level",
         "oracle-zero-budget",
         "oracle-negative-budget",
+        "derive-level-not-a-number",
+        "config-without-file",
+        "config-without-subcommand",
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -390,7 +474,11 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
         monkeypatch.setenv(name, value)
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe")
-    argv = [a.format(missing=tmp_path / "missing.cfg", binary=binary) for a in argv]
+    config = tmp_path / "run.cfg"
+    config.write_text("kind = A\nn = 1\n")
+    argv = [
+        a.format(missing=tmp_path / "missing.cfg", binary=binary, config=config) for a in argv
+    ]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -431,7 +519,7 @@ def test_oracle_plan_truncates_each_node_once(monkeypatch, kind, n, char, calls)
 
     monkeypatch.setattr(oracle, "truncate_stratum", counting)
     pr = preset(kind, n=n, char=char)
-    for p, m in _oracle_plan(pr):
+    for p, m in probe_plan(pr.equation.field).items():
         assert _oracle_section(pr, p, m, 200_000)["ok"]
     assert len({(id(s), m) for s, m in seen}) == len(seen) == calls
 

@@ -9,10 +9,10 @@ import pytest
 from arcjet import driver, strata
 from arcjet.algebra import Field, Polynomial, QQ, parse_poly, var
 from arcjet.catalog import components, preset, preset_grid
-from arcjet.cli import _oracle_plan
 from arcjet.driver import _square_split, coxeter_number, run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import build_graph
+from arcjet.oracle import audit_tree, enumerate_fiber, probe_plan
 from arcjet.strata import (
     EngineError,
     PivotChoice,
@@ -39,7 +39,7 @@ def test_quadric_cone_auto():
     for comp in tree.components:
         assert len(comp.chart_nodes) == 2
         for nid in comp.chart_nodes:
-            chart = tree.node(nid).stratum
+            chart = tree.nodes[nid].stratum
             assert check_elimination_soundness(sys, chart, 10) == []
 
 
@@ -58,8 +58,9 @@ def test_cusp_like_curve_single_component():
     # the count is checked on the preset grid; here just check the run
     # terminates and yields sound charts
     sys = JetSystem(P("z^2 + x^3 + y^5"))
-    for n in tree.charts():
-        assert check_elimination_soundness(sys, n.stratum, 12) == []
+    for n in tree.nodes:
+        if n.kind == "chart":
+            assert check_elimination_soundness(sys, n.stratum, 12) == []
 
 
 # -- square splitting --------------------------------------------------------
@@ -117,9 +118,9 @@ def test_split_cover_creates_one_component_per_factor():
     # a node's level is that of the decision creating it: the level-4
     # cover is the one whose children are made at level 4
     (cover,) = [
-        n for n in tree.nodes if n.kind == "cover" and tree.node(n.children[0]).level == 4
+        n for n in tree.nodes if n.kind == "cover" and tree.nodes[n.children[0]].level == 4
     ]
-    first = [tree.node(i) for i in cover.children if tree.node(i).kind == "chart"]
+    first = [tree.nodes[i] for i in cover.children if tree.nodes[i].kind == "chart"]
     assert len(first) == 2
     assert len({n.component for n in first}) == 2
     eqs = sorted(str(e) for n in first for e in n.stratum.equations)
@@ -136,7 +137,7 @@ def test_cover_charts_share_component():
     sys = JetSystem(P("z^3 + x*y"))
     tree = run_driver(sys, max_level=14)
     for comp in tree.components:
-        levels = {tree.node(nid).level for nid in comp.chart_nodes}
+        levels = {tree.nodes[nid].level for nid in comp.chart_nodes}
         assert len(levels) == 1  # all charts of a component sit at one level
 
 
@@ -256,7 +257,7 @@ def test_every_node_records_its_decision():
             assert comp.name == f"K{comp.index + 1}"
             assert comp.chart_nodes, (pr.label, comp.name)
             for nid in comp.chart_nodes:
-                node = tree.node(nid)
+                node = tree.nodes[nid]
                 assert node.kind == "chart" and node.component == comp.index, (pr.label, nid)
 
 
@@ -322,7 +323,7 @@ def ask_every_move():
     of the E8 (char 0) graph to level 35."""
     for pr in preset_grid():
         components(pr)
-        for _, m in _oracle_plan(pr):
+        for _, m in probe_plan(pr.equation.field).items():
             run_driver(pr.system, pr.covers, max_level=m)
     pr = preset("E8", char=0)
     build_graph(pr.system, pr.covers, 35)
@@ -501,3 +502,49 @@ def test_a_surface_off_the_origin_is_one_empty_leaf():
     assert tree.components == [] and len(tree.nodes) == 1
     (root,) = tree.nodes
     assert root.kind == "empty" and not root.children
+
+
+# -- branches off the preset grid ----------------------------------------------
+
+
+def audited_tree(text, m):
+    """The F_2 tree of ``text`` to level ``m``, audited against its level-m
+    fiber at p = 2."""
+    sys = JetSystem(P(text, Field(2)))
+    tree = run_driver(sys, {}, max_level=m)
+    fiber = enumerate_fiber(sys, 2, m)
+    exclusive, partition = audit_tree(sys, tree, fiber)
+    assert exclusive["ok"] and partition["ok"]
+    return tree, len(fiber)
+
+
+def test_a_unit_monomial_relation_makes_an_empty_leaf():
+    """A relation that reduces to a monomial in unit coordinates alone
+    leaves no point: the node becomes an ``empty`` leaf below a split."""
+    tree, points = audited_tree("x*y^2 + x^4", 4)
+    assert [n.kind for n in tree.nodes] == ["split", "empty", "split", "stabilized", "stabilized"]
+    assert tree.nodes[0].children == [1, 2] and tree.components == []
+    assert points == 1536
+
+
+def test_an_equation_that_reduces_to_zero_is_dropped(monkeypatch):
+    """``_normalize`` drops an equation that reduces to 0 once more
+    coordinates vanish, keeping the zero set as it is."""
+    drops = []
+    normalize = driver._normalize
+
+    def watched(sys, s):
+        out = normalize(sys, s)
+        if len(out.equations) < len(s.equations) and out.zero_vars == s.zero_vars:
+            drops.append(s)
+        return out
+
+    monkeypatch.setattr(driver, "_normalize", watched)
+    tree, points = audited_tree("x^2*y^3 + x*y*z^3 + y^2*z^3", 6)
+    assert drops
+    assert [n.kind for n in tree.nodes] == [
+        "split", "cover", "chart", "chart", "stabilized",
+        "split", "split", "stabilized", "stabilized", "stabilized",
+    ]
+    assert len(tree.components) == 1
+    assert points == 147_456

@@ -1,13 +1,13 @@
 """Every name a module under src/arcjet imports is used in that module,
 every parameter of its functions and methods is read, no default argument
 is a mutable display, every ``__slots__`` field of a class is read by name
-somewhere in src/arcjet, every function and method is loaded by name in
-src/arcjet outside its own body, no module runs generated code, no
-module-level function sits behind a process-wide cache, no module copies a
-whole polynomial or stratum into a probe field, the oracle builds no
-derivative tower, the tower names no stratum, no module imports
-``dataclasses``, and importing the CLI loads neither the process-pool stack
-nor ``dataclasses`` and ``inspect``.
+somewhere in src/arcjet, every function is loaded by name and every
+method is called as ``obj.m(...)`` in src/arcjet outside its own body, no
+module runs generated code, no module-level function sits behind a
+process-wide cache, no module copies a whole polynomial or stratum into a
+probe field, the oracle builds no derivative tower, the tower names no
+stratum, no module imports ``dataclasses``, and importing the CLI loads
+neither the process-pool stack nor ``dataclasses`` and ``inspect``.
 
 A stdlib-``ast`` stand-in for a linter's unused-import and
 unused-argument rules: imported names must appear as a name in the
@@ -213,15 +213,42 @@ def names_loaded(node: ast.AST) -> Counter:
     )
 
 
+def method_calls(node: ast.AST) -> Counter:
+    """How often each name is called as an attribute, ``obj.m(...)``."""
+    return Counter(
+        n.func.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    )
+
+
+def is_property(fn: ast.FunctionDef) -> bool:
+    return any(
+        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+        in ("property", "cached_property")
+        for d in fn.decorator_list
+    )
+
+
 def uncalled(trees: dict[str, ast.Module], exempt: set[tuple[str, str]]) -> list[str]:
-    """``module.qualname`` of each definition (``definitions``) whose name is
-    loaded nowhere in ``trees`` outside its own body, ``exempt`` aside."""
+    """``module.qualname`` of each definition (``definitions``) that nothing
+    in ``trees`` uses outside its own body, ``exempt`` aside.  A function
+    or a property is used where its name is loaded; a method only where it
+    is called as ``obj.m(...)``, so a local or a field of the same name
+    does not hide it."""
     loaded = sum((names_loaded(t) for t in trees.values()), Counter())
+    called = sum((method_calls(t) for t in trees.values()), Counter())
+
+    def unused(qual: str, fn: ast.FunctionDef) -> bool:
+        if "." in qual and not is_property(fn):
+            return called[fn.name] == method_calls(fn)[fn.name]
+        return loaded[fn.name] == names_loaded(fn)[fn.name]
+
     return [
         f"{module}.{qual}"
         for module, tree in trees.items()
         for qual, fn in definitions(tree)
-        if (module, qual) not in exempt and loaded[fn.name] == names_loaded(fn)[fn.name]
+        if (module, qual) not in exempt and unused(qual, fn)
     ]
 
 
@@ -258,6 +285,42 @@ def test_an_uncalled_function_is_flagged():
         "n": ast.parse("def kept():\n    return C\n"),
     }
     assert uncalled(trees, {("n", "kept")}) == ["m.planted", "m.C.method"]
+
+
+def test_a_method_hidden_by_a_same_named_local_or_field_is_flagged():
+    """Control: the two test-only methods the guard missed when it counted
+    any load of a name, planted back into today's classes, are flagged.
+    ``StratificationTree.charts`` shared its name with the local ``charts``
+    of ``catalog.noninclusion_matrix``, and ``JetComponentGraph.children``
+    with every ``node.children`` read; a property read as a field is used."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    planted = {
+        ("driver", "StratificationTree"):
+            "def charts(self):\n    return [n for n in self.nodes if n.kind == 'chart']\n",
+        ("jetgraph", "JetComponentGraph"):
+            "def children(self, vid):\n    return [b for a, b in self.edges if a == vid]\n",
+    }
+    for (module, cls), text in planted.items():
+        (owner,) = [n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == cls]
+        owner.body.extend(ast.parse(text).body)
+    loaded = sum((names_loaded(t) for t in trees.values()), Counter())
+    assert loaded["charts"] > 1 and loaded["children"] > 1  # the hiding loads
+    exempt = {*traced_names(), ("strata", "check_elimination_soundness")}
+    assert uncalled(trees, exempt) == [
+        "driver.StratificationTree.charts",
+        "jetgraph.JetComponentGraph.children",
+    ]
+    props = {"m": ast.parse(
+        "class C:\n"
+        "    @property\n"
+        "    def name(self):\n"
+        "        return 1\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "def f(c, size):\n"
+        "    return c.name + size + c.size\n"
+    )}
+    assert uncalled(props, {("m", "f")}) == ["m.C.size"]
 
 
 def calls_to(node: ast.AST, attr: str):

@@ -19,9 +19,10 @@ from arcjet.jetgraph import (
 )
 from arcjet.algebra import Field, format_poly
 from arcjet.oracle import (
+    PROBE_BUDGET,
     enumerate_fiber,
     probe_field,
-    probe_primes,
+    probe_plan,
     stratum_membership,
     truncate_stratum,
 )
@@ -52,7 +53,7 @@ def test_rank_three_chains():
     # chains are genuinely simple past the threshold: one child each
     for v in g.vertices:
         if v.level >= check["threshold"] and v.level < g.max_level:
-            assert len(g.children(v.vid)) == 1
+            assert sum(a == v.vid for a, _ in g.edges) == 1
 
 
 def test_every_vertex_connected():
@@ -64,7 +65,7 @@ def test_every_vertex_connected():
         if v.level < g.max_level and v.level in levels[:-1]:
             nxt = levels[levels.index(v.level) + 1]
             if nxt == v.level + 1:
-                assert g.children(v.vid), v
+                assert any(a == v.vid for a, _ in g.edges), v
 
 
 def test_component_ids_propagate_to_window_top():
@@ -149,9 +150,20 @@ def test_probe_tests_points_in_probe_field(kind, n, m):
 
 
 def test_probe_primes_follow_the_adjoined_i():
-    assert probe_primes(Field(0)) == (2, 3)
-    assert probe_primes(Field(0, i_adjoined=True)) == (3,)
-    assert probe_primes(Field(7, i_adjoined=True)) == (7,)
+    assert probe_plan(Field(0)) == {2: 5, 3: 3}
+    assert probe_plan(Field(0, i_adjoined=True)) == {3: 3}
+    assert probe_plan(Field(7, i_adjoined=True)) == {7: 2}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 53, 59, 61])
+def test_a_prime_is_probed_at_each_level_whose_box_fits(p):
+    """A prime's level is the deepest m >= 1 with p^(3m) <= PROBE_BUDGET, so
+    the graph probes level m exactly when that box fits; a prime whose p^3
+    box alone does not fit is left out."""
+    plan = probe_plan(Field(p))
+    assert list(plan) == ([p] if p ** 3 <= PROBE_BUDGET else [])
+    for m in range(1, 12):
+        assert (m <= plan.get(p, 0)) == (p ** (3 * m) <= PROBE_BUDGET)
 
 
 def test_e6_char0_graph_probes_only_where_i_lives():

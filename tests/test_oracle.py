@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from arcjet import oracle
 from arcjet.algebra import QQ, Field, Gaussian, Polynomial, mono_from_pairs, parse_poly, var
 from arcjet.catalog import PresetError, preset, preset_grid
-from arcjet.cli import _oracle_plan
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.oracle import (
@@ -31,7 +30,7 @@ from arcjet.oracle import (
     exclusive_cover_check,
     point_hits,
     probe_field,
-    probe_primes,
+    probe_plan,
     split_partition_check,
     stratum_membership,
     transport_scalar,
@@ -239,7 +238,9 @@ def test_the_zero_path_bound_refuses_only_what_the_search_would(kind, n, char, p
             assert list(enumerate_fiber(pr.system, p, m, budget)) == expected
 
 
-CHAR0_PLANS = [(pr, p, m) for pr in preset_grid() if not pr.char for p, m in _oracle_plan(pr)]
+CHAR0_PLANS = [
+    (pr, p, m) for pr in preset_grid() if not pr.char for p, m in probe_plan(pr.equation.field).items()
+]
 
 
 @pytest.mark.parametrize("pr,p,m", CHAR0_PLANS, ids=lambda v: getattr(v, "label", v))
@@ -276,8 +277,8 @@ def graph_probe_cases():
     for kind, n in [("A", k) for k in range(1, 7)] + [("D", 2)]:
         pr = preset(kind, n=n, char=0)
         for m in range(1, pr.max_level + 1):
-            for p in probe_primes(pr.system.field):
-                if p ** (3 * m) <= PROBE_BUDGET:
+            for p, deepest in probe_plan(pr.system.field).items():
+                if m <= deepest:
                     yield pytest.param(pr.system, p, m, id=f"probe-{pr.label}-p{p}-m{m}")
 
 
@@ -302,7 +303,7 @@ def edge_cases():
 
 FOLD_CASES = [
     *(pytest.param(pr.system, p, m, id=f"plan-{pr.label}-p{p}-m{m}")
-      for pr in preset_grid() for p, m in _oracle_plan(pr)),
+      for pr in preset_grid() for p, m in probe_plan(pr.equation.field).items()),
     *graph_probe_cases(),
     *edge_cases(),
 ]
@@ -721,7 +722,7 @@ def test_audit_tree_matches_reference(kind, n, char, p, m):
     nids = [node.nid for node in leaves]
     nids += [k for node in split_nodes for k in (node.nid, *node.children) if k not in nids]
     pos = {nid: i for i, nid in enumerate(nids)}
-    truncs = [truncate_stratum(sys, tree.node(nid).stratum, m) for nid in nids]
+    truncs = [truncate_stratum(sys, tree.nodes[nid].stratum, m) for nid in nids]
     moved = [transport_stratum(T, target) for T in truncs]
     groups = {}
     for node in leaves:
@@ -807,7 +808,7 @@ def test_audit_with_no_groups_matches_the_reference(n, p, m, size, has_split):
 
 # -- the projection memo against the per-point loop ---------------------------
 
-ORACLE_PLANS = [(pr, p, m) for pr in preset_grid() for p, m in _oracle_plan(pr)]
+ORACLE_PLANS = [(pr, p, m) for pr in preset_grid() for p, m in probe_plan(pr.equation.field).items()]
 
 
 def plan_compiled(pr, p, m):

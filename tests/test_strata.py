@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from arcjet import driver, jetgraph, strata
 from arcjet.algebra import Field, Polynomial, QQ, mono_vars, parse_poly, var, var_key
 from arcjet.catalog import PresetError, components, preset, preset_grid
-from arcjet.cli import _oracle_plan
 from arcjet.driver import run_driver
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import build_graph
+from arcjet.oracle import probe_plan
 from arcjet.strata import (
     EliminationRule,
     EngineError,
@@ -560,7 +560,7 @@ def test_the_product_cover_residual_holds_its_monomial_as_an_equation(pr):
     [res] = [node for node in tree.residuals() if node.level == 30]
     assert P("x10*z15", pr.system.field) in res.stratum.equations
     assert res.absorbed_into == E8_RESIDUAL_ABSORBER[pr.label]
-    for chart in tree.charts():
+    for chart in (n for n in tree.nodes if n.kind == "chart"):
         for node in tree.residuals():
             assert strata.closure_contains(
                 pr.system, chart.stratum, node.stratum
@@ -839,7 +839,7 @@ def test_every_d4_chart_is_sound_one_level_past_its_start(pr):
     """Every chart of each D4 preset passes the soundness check at
     ``start_level + 1``; the rational-expression route did not finish the
     first deep D4 (char 0) chart in two minutes."""
-    charts = components(pr).charts()
+    charts = [n for n in components(pr).nodes if n.kind == "chart"]
     assert len(charts) == 5
     for node in charts:
         chart = node.stratum
@@ -912,8 +912,9 @@ def reference_soundness(sys: JetSystem, chart: Stratum, up_to: int) -> list[int]
 def a_series_charts():
     """Every chart of A1-A6 in every characteristic, to ``start_level + 2``."""
     for pr in preset_grid(d_halves=(), exceptional=()):
-        for node in components(pr).charts():
-            yield pr.system, node.stratum, node.stratum.rule.start_level + 2
+        for node in components(pr).nodes:
+            if node.kind == "chart":
+                yield pr.system, node.stratum, node.stratum.rule.start_level + 2
 
 
 def driver_test_charts():
@@ -925,8 +926,9 @@ def driver_test_charts():
         ("z^2 - y^4", {2: ((var("y", 1),),)}, 10, 10),
     ):
         sys = JetSystem(P(text))
-        for node in run_driver(sys, covers, max_level=max_level).charts():
-            yield sys, node.stratum, up_to
+        for node in run_driver(sys, covers, max_level=max_level).nodes:
+            if node.kind == "chart":
+                yield sys, node.stratum, up_to
     sys, chart = quadric_chart()
     yield sys, chart, 10
     op, _ = split(sys, root_stratum(), var("z", 1))
@@ -1007,7 +1009,7 @@ def grid_runs():
     """Each preset's ``components`` and oracle-plan runs."""
     for pr in preset_grid():
         components(pr)
-        for _, m in _oracle_plan(pr):
+        for _, m in probe_plan(pr.equation.field).items():
             run_driver(pr.system, pr.covers, max_level=m)
 
 
