@@ -11,7 +11,8 @@ Subcommands:
 Every report is a single JSON document (sections: congruences, components,
 noninclusion, coverage, graph) with a human summary on stdout: each check
 hands back JSON data, engine objects render through ``describe()``, and the
-report goes through one ``json.dumps(indent=2, sort_keys=True)``.  Exit code
+report goes through ``jetgraph.to_json`` (``json.dumps(indent=2,
+sort_keys=True)``'s bytes on the C string encoder).  Exit code
 0 means every check passed, 1 means a check failed (the report says
 which) or a preset, equation, coordinate or characteristic was malformed
 (a JSON error object), 2 is a usage error.  Identical invocations produce
@@ -39,7 +40,7 @@ from .catalog import (
 )
 from .driver import StratificationTree, run_driver
 from .hasse import JetSystem
-from .jetgraph import build_graph, export, simple_branch_check
+from .jetgraph import build_graph, export, simple_branch_check, to_json
 from .oracle import PROBE_BUDGET, OracleError, audit_tree, enumerate_fiber, probe_plan
 
 
@@ -63,7 +64,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(report: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+    _emit(to_json(report) + "\n", out)
 
 
 def _preset_from_args(args) -> SingularityPreset:
@@ -298,14 +299,14 @@ def _worker_count(ap: argparse.ArgumentParser) -> int:
     return int(text)
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     """Expand `--config FILE` (key = value lines) into leading flags so
-    explicit command-line flags still win."""
+    explicit command-line flags still win (errors: the full parser's usage)."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 == len(argv):
-        ap.error("--config needs a file")
+        make_parser().error("--config needs a file")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     injected: list[str] = []
@@ -313,9 +314,9 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        ap.error(f"cannot read config file {path}: {exc.strerror}")
+        make_parser().error(f"cannot read config file {path}: {exc.strerror}")
     except UnicodeDecodeError:
-        ap.error(f"cannot read config file {path}: not valid text")
+        make_parser().error(f"cannot read config file {path}: not valid text")
     for line in text.split("\n"):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -333,59 +334,55 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     return injected + rest
 
 
-def make_parser() -> argparse.ArgumentParser:
+# each subcommand's help line and handler, in the order ``--help`` lists them
+COMMANDS = {
+    "derive": ("print derivative levels", cmd_derive),
+    "components": ("stratify a preset and list components", cmd_components),
+    "graph": ("build and export the level graph", cmd_graph),
+    "oracle": ("finite-field brute-force checks", cmd_oracle),
+    "verify": ("full verification pipeline", cmd_verify),
+}
+
+
+def make_parser(command: str = "") -> argparse.ArgumentParser:
+    """The ``arcjet`` parser; given a known ``command``, with only its subparser."""
     ap = argparse.ArgumentParser(prog="arcjet")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derive", help="print derivative levels")
-    _add_preset_flags(p, required=False)
-    p.add_argument("--equation", default="", help="raw equation text instead of a preset")
-    p.add_argument("--level", type=_int_at_least(0, "level"), default=8)
-    p.add_argument("--reduce", default="", help="comma list of coordinates to zero out")
-    p.add_argument("--out", default="")
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("components", help="stratify a preset and list components")
-    _add_preset_flags(p)
-    p.add_argument("--out", default="")
-    p.set_defaults(func=cmd_components)
-
-    p = sub.add_parser("graph", help="build and export the level graph")
-    _add_preset_flags(p)
-    p.add_argument("--max-level", type=_int_at_least(1, "level"), default=16)
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--out", default="")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("oracle", help="finite-field brute-force checks")
-    _add_preset_flags(p)
-    p.add_argument("--p", type=int, default=0, help="probe prime (defaults to preset characteristic)")
-    p.add_argument("--level", type=_int_at_least(0, "level"), default=3)
-    p.add_argument("--check", choices=("counts", "coverage", "partition"), default="coverage")
-    p.add_argument("--budget", type=_int_at_least(1, "budget"), default=10_000_000,
-                   help="most candidate triples (p^3 per prefix it extends) the fiber search tests")
-    p.add_argument("--out", default="")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("verify", help="full verification pipeline")
-    p.add_argument("--all", action="store_true", help="run the whole preset grid")
-    _add_preset_flags(p, required=False)
-    p.add_argument(
-        "--graph-level",
-        type=_int_at_least(0, "level"),
-        default=0,
-        help="also build the level graph to this level (0: no graph)",
-    )
-    p.add_argument("--out", default="")
-    p.set_defaults(func=cmd_verify)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # narrowed, the usage line must still list every command; the full parser
+    # keeps the default, so its errors still call the argument ``command``
+    metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, func = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        if name == "verify":
+            p.add_argument("--all", action="store_true", help="run the whole preset grid")
+        _add_preset_flags(p, required=name in ("components", "graph", "oracle"))
+        if name == "derive":
+            p.add_argument("--equation", default="", help="raw equation text instead of a preset")
+            p.add_argument("--level", type=_int_at_least(0, "level"), default=8)
+            p.add_argument("--reduce", default="", help="comma list of coordinates to zero out")
+        elif name == "graph":
+            p.add_argument("--max-level", type=_int_at_least(1, "level"), default=16)
+            p.add_argument("--format", choices=("dot", "json"), default="dot")
+        elif name == "oracle":
+            p.add_argument("--p", type=int, default=0, help="probe prime (defaults to preset characteristic)")
+            p.add_argument("--level", type=_int_at_least(0, "level"), default=3)
+            p.add_argument("--check", choices=("counts", "coverage", "partition"), default="coverage")
+            p.add_argument("--budget", type=_int_at_least(1, "budget"), default=10_000_000,
+                           help="most candidate triples (p^3 per prefix it extends) the fiber search tests")
+        elif name == "verify":
+            p.add_argument("--graph-level", type=_int_at_least(0, "level"), default=0,
+                           help="also build the level graph to this level (0: no graph)")
+        p.add_argument("--out", default="")
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(_sys.argv[1:] if argv is None else argv)
-    ap = make_parser()
-    args = ap.parse_args(_apply_config(ap, argv))
+    argv = _apply_config(list(_sys.argv[1:] if argv is None else argv))
+    ap = make_parser(argv[0] if argv else "")
+    args = ap.parse_args(argv)
     if args.command == "verify" and not args.all and not args.kind:
         ap.error("verify needs --kind or --all")
     if args.command == "verify" and args.all:

@@ -25,9 +25,9 @@ and its vertices (frozen) are records.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
 from itertools import accumulate, combinations
+from json.encoder import encode_basestring_ascii as _q
 from typing import Callable
 
 from .algebra import Polynomial, Record, format_poly, var_name
@@ -218,6 +218,41 @@ def simple_branch_check(g: JetComponentGraph) -> dict:
     }
 
 
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte on the C string
+    encoder, for str, int, bool, None, lists and str-keyed dicts (else TypeError)."""
+    chunks: list[str] = []
+    put = chunks.append
+
+    def walk(o, nl: str) -> None:
+        if isinstance(o, str):
+            put(_q(o))
+        elif o is None or isinstance(o, bool):
+            put("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, dict):
+            inner = nl + "  "
+            for i, k in enumerate(sorted(o)):
+                put(("," if i else "{") + inner + _q(k) + ": ")
+                walk(o[k], inner)
+            put(nl + "}" if o else "{}")
+        elif isinstance(o, list):
+            inner = nl + "  "
+            try:  # a list of strings in one join
+                put("[" + inner + ("," + inner).join(map(_q, o)) + nl + "]" if o else "[]")
+            except TypeError:
+                for i, v in enumerate(o):
+                    put(("," if i else "[") + inner)
+                    walk(v, inner)
+                put(nl + "]")
+        else:
+            raise TypeError(f"{type(o).__name__} is not a JSON value")
+
+    walk(obj, "\n")
+    return "".join(chunks)
+
+
 def export(g: JetComponentGraph, fmt: str) -> str:
     if fmt == "dot":
         lines = ["digraph jet_components {"]
@@ -228,7 +263,7 @@ def export(g: JetComponentGraph, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(
+        return to_json(
             {
                 "schema": g.schema,
                 "max_level": g.max_level,
@@ -244,8 +279,6 @@ def export(g: JetComponentGraph, fmt: str) -> str:
                 ],
                 "edges": [list(e) for e in g.edges],
                 "flags": list(g.flags),
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
     raise ValueError(f"unknown export format {fmt!r}")

@@ -1,5 +1,6 @@
 """Command-line entry point: subcommands, exit codes, config expansion."""
 
+import argparse
 import concurrent.futures
 import hashlib
 import json
@@ -12,7 +13,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcjet import cli, oracle
 from arcjet.algebra import MAX_EXPONENT, MAX_TERMS
@@ -20,6 +21,10 @@ from arcjet.catalog import SingularityPreset, preset
 from arcjet.cli import _oracle_section, main
 from arcjet.oracle import probe_plan
 from arcjet.hasse import JetSystem
+from arcjet.jetgraph import to_json
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -269,6 +274,77 @@ def test_a_verify_report_holds_only_json_values():
     walk(report)
 
 
+# -- the JSON emitter: json.dumps(indent=2, sort_keys=True)'s bytes ----------
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def checked_emitter(monkeypatch, seen: list):
+    """Route every report the CLI writes through ``to_json`` and check it
+    against ``json.dumps`` on the same object."""
+
+    def emit(obj):
+        text = to_json(obj)
+        assert text == reference_json(obj)
+        seen.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "to_json", emit)
+
+
+def test_the_emitter_writes_json_dumps_bytes_for_every_verify_report(monkeypatch, tmp_path, capsys):
+    """The 12 verify-grid reports, each with the bytes the benchmark pins,
+    and the ``verify --all`` report."""
+    monkeypatch.delenv("ARCJET_WORKERS", raising=False)
+    seen: list = []
+    checked_emitter(monkeypatch, seen)
+    ops = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["verify-grid"]["ops"]
+    assert len(ops) == 12
+    for op in ops:
+        code, out = run(capsys, *op["argv"])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == op["sha256"], op["id"]
+    assert main(["verify", "--all", "--out", str(tmp_path / "all.json")]) == 0
+    assert len(seen) == 13 and len(seen[-1]["presets"]) == 69
+
+
+JSON_TEXT = st.one_of(
+    st.text(),
+    # quotes, backslashes, control characters, U+2028/9, a lone surrogate,
+    # non-ASCII letters and an astral character
+    st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\u2028", "\u2029",
+                             "\ud800", "\u00e9", "\u0416", "\U0001f600", "a", " "])),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=JSON_VALUES)
+@example(obj=[[], {}, [[]], {"": {}}, {"a": []}])
+@example(obj=["a", 1, True, None, "b"])
+@example(obj=[1, "a", "\u2028", ['"\\']])
+@example(obj=-(10**40) + 1)
+def test_the_emitter_matches_json_dumps_on_json_values(obj):
+    assert to_json(obj) == reference_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, {1, 2}, {1: "a"}, ["a", 2.0], {"a": [None, {3: 4}]}, ("x", 3), b"x"],
+    ids=["float", "set", "int-key", "float-after-strings", "nested-int-key", "tuple", "bytes"],
+)
+def test_the_emitter_rejects_what_is_not_a_json_value(obj):
+    # control: json.dumps would print some of these (a float, an int key, a
+    # tuple as a list); a report never holds them, so the emitter refuses
+    with pytest.raises(TypeError):
+        to_json(obj)
+
+
 def test_bad_preset_is_a_clean_failure(capsys):
     code, out = run(capsys, "verify", "--kind", "E6", "--char", "2")
     assert code == 1
@@ -425,64 +501,130 @@ def test_malformed_input_is_a_json_error(capsys, argv):
     assert payload["ok"] is False and payload["error"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--config", "{missing}"],
-        ["verify", "--config", "{binary}"],
-        ["derive"],
-        ["oracle", "--kind", "A", "--n", "1"],
-        ["derive", "--equation", "z^2 + x*y", "--level", "-1"],
-        ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--level", "-1"],
-        ["graph", "--kind", "A", "--n", "1", "--max-level", "0"],
-        ["verify", "--kind", "A", "--n", "1", "--graph-level", "-1"],
-        ["ARCJET_WORKERS=abc", "verify", "--all"],
-        ["ARCJET_WORKERS=\u00b2", "verify", "--all"],
-        ["verify", "--all", "--graph-level", "3"],
-        ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "0"],
-        ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "-5"],
-        ["derive", "--equation", "z^2 + x*y", "--level", "abc"],
-        ["verify", "--kind", "A", "--n", "1", "--config"],
-        ["--config", "{config}"],
-    ],
-    ids=[
-        "missing-config",
-        "config-not-text",
-        "derive-without-input",
-        "oracle-char0-without-p",
-        "derive-negative-level",
-        "oracle-negative-level",
-        "graph-zero-max-level",
-        "verify-negative-graph-level",
-        "verify-all-bad-workers",
-        "verify-all-superscript-workers",
-        "verify-all-with-graph-level",
-        "oracle-zero-budget",
-        "oracle-negative-budget",
-        "derive-level-not-a-number",
-        "config-without-file",
-        "config-without-subcommand",
-    ],
-)
-def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
-    """A leading ``NAME=value`` item sets an environment variable.  The
-    error comes before any preset of ``verify --all`` runs."""
+# usage errors by id; a leading ``NAME=value`` item sets an environment
+# variable, and ``{missing}``, ``{binary}`` and ``{config}`` name files
+USAGE_ERRORS = {
+    "missing-config": ["verify", "--config", "{missing}"],
+    "config-not-text": ["verify", "--config", "{binary}"],
+    "derive-without-input": ["derive"],
+    "oracle-char0-without-p": ["oracle", "--kind", "A", "--n", "1"],
+    "derive-negative-level": ["derive", "--equation", "z^2 + x*y", "--level", "-1"],
+    "oracle-negative-level": ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--level", "-1"],
+    "graph-zero-max-level": ["graph", "--kind", "A", "--n", "1", "--max-level", "0"],
+    "verify-negative-graph-level": ["verify", "--kind", "A", "--n", "1", "--graph-level", "-1"],
+    "verify-all-bad-workers": ["ARCJET_WORKERS=abc", "verify", "--all"],
+    "verify-all-superscript-workers": ["ARCJET_WORKERS=\u00b2", "verify", "--all"],
+    "verify-all-with-graph-level": ["verify", "--all", "--graph-level", "3"],
+    "oracle-zero-budget": ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "0"],
+    "oracle-negative-budget": ["oracle", "--kind", "A", "--n", "1", "--char", "2", "--budget", "-5"],
+    "derive-level-not-a-number": ["derive", "--equation", "z^2 + x*y", "--level", "abc"],
+    "config-without-file": ["verify", "--kind", "A", "--n", "1", "--config"],
+    "config-without-subcommand": ["--config", "{config}"],
+}
+
+
+def usage_argv(argv, tmp_path, monkeypatch) -> list[str]:
+    """``argv`` with its leading ``NAME=value`` items set in the environment
+    and its file placeholders filled in; no preset of ``verify --all`` may
+    run."""
     monkeypatch.setattr(cli, "_verify_label", lambda key: pytest.fail(f"{key} ran"))
     argv = list(argv)
-    while "=" in argv[0]:
+    while argv and "=" in argv[0]:
         name, _, value = argv.pop(0).partition("=")
         monkeypatch.setenv(name, value)
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe")
     config = tmp_path / "run.cfg"
     config.write_text("kind = A\nn = 1\n")
-    argv = [
-        a.format(missing=tmp_path / "missing.cfg", binary=binary, config=config) for a in argv
-    ]
+    return [a.format(missing=tmp_path / "missing.cfg", binary=binary, config=config) for a in argv]
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
+    """The error comes before any preset of ``verify --all`` runs."""
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(usage_argv(argv, tmp_path, monkeypatch))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# -- the parser: only the subcommand's, with the full parser's messages -------
+
+
+def subcommands(ap: argparse.ArgumentParser) -> list[str]:
+    [action] = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def captured_main(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, usage exits included."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_run_builds_only_its_subcommand_parser(monkeypatch, command):
+    assert subcommands(cli.make_parser(command)) == [command]
+    built = []
+    real = cli.make_parser
+
+    def recorded(command=""):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "make_parser", recorded)
+    code, out, _ = captured_main([command, "--help"])
+    assert code == 0 and out.startswith(f"usage: arcjet {command} ")
+    assert built == [command]
+
+
+def test_no_known_subcommand_builds_the_full_parser():
+    for command in ("", "bogus", "--help", "-h"):
+        assert subcommands(cli.make_parser(command)) == list(cli.COMMANDS)
+
+
+PARSER_INPUTS = {
+    **{f"{command}-help": [command, "--help"] for command in cli.COMMANDS},
+    "help": ["--help"],
+    "no-argv": [],
+    "unknown-subcommand": ["bogus", "--kind", "A"],
+    "unrecognized-flag": ["verify", "--bogus"],
+    "bad-choice": ["verify", "--kind", "F4"],
+    **USAGE_ERRORS,
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_INPUTS.values()), ids=list(PARSER_INPUTS))
+def test_the_narrowed_parser_prints_what_the_full_parser_prints(monkeypatch, tmp_path, argv):
+    """Every ``--help`` text and usage error, and its exit code, is the same
+    byte for byte whether ``main`` builds one subcommand's parser or all of
+    them (the reference: ``make_parser`` ignoring its argument)."""
+    argv = usage_argv(argv, tmp_path, monkeypatch)
+    narrowed = captured_main(argv)
+    full = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda command="": full())
+    assert captured_main(argv) == narrowed
+    code, out, err = narrowed
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+
+def test_a_narrowed_parser_without_the_metavar_names_one_command(monkeypatch):
+    # control: without the metavar, the narrowed usage line would list only
+    # the command being run, and the comparison above would see it
+    add = argparse.ArgumentParser.add_subparsers
+
+    def without_metavar(self, **kwargs):
+        kwargs.pop("metavar", None)
+        return add(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", without_metavar)
+    code, _, err = captured_main(["verify", "--bogus"])
+    assert code == 2 and err.startswith("usage: arcjet [-h] {verify} ...")
 
 
 @pytest.mark.parametrize(
@@ -608,7 +750,6 @@ def test_fuzzed_arguments_exit_cleanly(argv):
         assert out.getvalue() == ""
 
 
-ROOT = Path(__file__).resolve().parent.parent
 # the interpreters of ``requires-python = ">=3.10"`` checked beside the one
 # that runs the suite
 OTHER_PYTHONS = ("python3.10", "python3.12", "python3.13")
@@ -616,10 +757,11 @@ OTHER_PYTHONS = ("python3.10", "python3.12", "python3.13")
 
 @pytest.mark.parametrize("name", OTHER_PYTHONS)
 def test_each_supported_python_prints_the_golden_report(name):
-    """``verify E8(char 7)`` run by ``arcjet.cli.main`` under each of these
-    interpreters found on PATH, with only ``src`` on its path (no pytest
-    needed there), prints the bytes whose sha256 the benchmark's workloads
-    record for that operation."""
+    """``verify E8(char 7)`` and ``graph A2(char 0) to 8`` run by
+    ``arcjet.cli.main`` under each of these interpreters found on PATH, with
+    only ``src`` on its path (no pytest needed there), print the bytes whose
+    sha256 the benchmark's workloads record for those operations; and a
+    usage error of the narrowed parser prints what the full parser prints."""
     exe = shutil.which(name)
     if exe is None:
         pytest.skip(f"{name} is not on PATH")
@@ -639,11 +781,21 @@ def test_each_supported_python_prints_the_golden_report(name):
     if version.returncode:
         pytest.skip(f"{name} on PATH does not start: {version.stderr.strip()}")
     assert version.stdout.strip() == name.removeprefix("python")
-    ops = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["verify-grid"]["ops"]
-    [op] = [op for op in ops if op["id"] == "verify E8(char 7)"]
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    ops = workloads["verify-grid"]["ops"] + workloads["graph-probe"]["ops"]
     run_main = "import sys; from arcjet.cli import main; sys.exit(main(sys.argv[1:]))"
-    done = subprocess.run(
-        [exe, "-c", run_main, *op["argv"]], env=env, capture_output=True, timeout=600
+    for op_id in ("verify E8(char 7)", "graph A2(char 0) to 8"):
+        [op] = [op for op in ops if op["id"] == op_id]
+        done = subprocess.run(
+            [exe, "-c", run_main, *op["argv"]], env=env, capture_output=True, timeout=600
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert hashlib.sha256(done.stdout).hexdigest() == op["sha256"], op_id
+    full_parser = "import sys; from arcjet.cli import make_parser; make_parser().parse_args(sys.argv[1:])"
+    usage = ["verify", "--kind", "A", "--bogus"]
+    narrowed, full = (
+        subprocess.run([exe, "-c", code, *usage], env=env, capture_output=True, timeout=60)
+        for code in (run_main, full_parser)
     )
-    assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == op["sha256"]
+    assert narrowed.returncode == full.returncode == 2
+    assert narrowed.stderr == full.stderr and b"unrecognized arguments: --bogus" in full.stderr

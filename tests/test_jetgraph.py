@@ -1,6 +1,7 @@
 """Level-by-level component graph: construction, chain detection, export."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -16,6 +17,7 @@ from arcjet.jetgraph import (
     descriptor_contains,
     export,
     simple_branch_check,
+    to_json,
 )
 from arcjet.algebra import Field, format_poly
 from arcjet.oracle import (
@@ -178,7 +180,18 @@ def test_e6_char0_graph_probes_only_where_i_lives():
 GRID_LEVEL6_GRAPHS_SHA256 = "7b22ce2891917916d4003aa6a0f9eacaf0eabf3a4a96cb06d78827b9502b350f"
 
 
-def test_level6_graphs_of_the_grid_are_unchanged():
+def test_level6_graphs_of_the_grid_are_unchanged(monkeypatch):
+    """Each export is also checked against ``json.dumps(indent=2,
+    sort_keys=True)`` on the same object."""
+    emitted = []
+
+    def checked(obj):
+        text = to_json(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        emitted.append(obj)
+        return text
+
+    monkeypatch.setattr(jetgraph, "to_json", checked)
     presets = list(preset_grid())
     assert len(presets) == 69
     digest = hashlib.sha256()
@@ -186,6 +199,7 @@ def test_level6_graphs_of_the_grid_are_unchanged():
         text = export(build_graph(pr.system, pr.covers, 6), "json") + "\n"
         digest.update(text.encode())
     assert digest.hexdigest() == GRID_LEVEL6_GRAPHS_SHA256
+    assert len(emitted) == 69
 
 
 def test_level6_graphs_do_not_depend_on_the_order_they_are_built_in():
