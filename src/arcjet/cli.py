@@ -212,7 +212,7 @@ def _verify_one(pr: SingularityPreset, graph_level: int = 0) -> dict:
     matrix = noninclusion_matrix(pr, tree)
     report["noninclusion"] = {
         "pairs": len(matrix["pairs"]),
-        "unresolved": matrix["unresolved"],
+        "unresolved": [list(pair) for pair in matrix["unresolved"]],
         "certificates": [v.describe() for v in matrix["pairs"] if v.certificate is not None],
         "ok": matrix["ok"],
     }

@@ -19,6 +19,7 @@ from arcjet import cli, oracle
 from arcjet.algebra import MAX_EXPONENT, MAX_TERMS
 from arcjet.catalog import SingularityPreset, preset
 from arcjet.cli import _oracle_section, main
+from arcjet.driver import Component
 from arcjet.oracle import probe_plan
 from arcjet.hasse import JetSystem
 from arcjet.jetgraph import to_json
@@ -257,21 +258,50 @@ def test_cli_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_a_verify_report_holds_only_json_values():
-    # a tuple would be a coordinate (family, order) that no describe() named:
-    # json.dumps would print it as ["x", 3] without complaint
-    def walk(obj):
-        if isinstance(obj, dict):
-            obj = list(obj.values())
-        if isinstance(obj, list):
-            for value in obj:
-                walk(value)
-        else:
-            assert isinstance(obj, (str, int, float, bool, type(None))), repr(obj)
+def assert_json_values(obj):
+    # a tuple would be a coordinate (family, order) that no describe() named,
+    # or a pair of component indices: the emitter refuses both
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for value in obj:
+            assert_json_values(value)
+    else:
+        assert isinstance(obj, (str, int, bool, type(None))), repr(obj)
 
+
+def test_a_verify_report_holds_only_json_values():
     report = cli._verify_one(preset("E8", char=0))
     assert report["ok"] and report["noninclusion"]["certificates"]
-    walk(report)
+    assert_json_values(report)
+
+
+def with_unresolved_pairs(monkeypatch):
+    """Make the CLI's non-inclusion check see a second component on K1's
+    chart: no certificate separates a chart from itself, so both ordered
+    pairs with it stay unresolved and the check fails."""
+    real = cli.noninclusion_matrix
+
+    def with_copy(pr, tree):
+        first = tree.components[0]
+        copy = Component(len(tree.components), first.emergence)
+        copy.chart_nodes = list(first.chart_nodes)
+        tree.components.append(copy)
+        return real(pr, tree)
+
+    monkeypatch.setattr(cli, "noninclusion_matrix", with_copy)
+
+
+def test_a_failed_noninclusion_check_is_reported_as_json(monkeypatch, capsys):
+    """The failure the verifier exists to report: the unresolved pairs are
+    written as JSON lists, with json.dumps's bytes, and the run exits 1."""
+    with_unresolved_pairs(monkeypatch)
+    report = cli._verify_one(preset("A", n=2, char=3))
+    assert report["noninclusion"]["unresolved"] == [[0, 2], [2, 0]]
+    assert report["noninclusion"]["ok"] is False and report["ok"] is False
+    assert_json_values(report)
+    code, out = run(capsys, "verify", "--kind", "A", "--n", "2", "--char", "3")
+    assert code == 1 and out == reference_json(report) + "\n"
 
 
 # -- the JSON emitter: json.dumps(indent=2, sort_keys=True)'s bytes ----------
@@ -340,7 +370,8 @@ def test_the_emitter_matches_json_dumps_on_json_values(obj):
 )
 def test_the_emitter_rejects_what_is_not_a_json_value(obj):
     # control: json.dumps would print some of these (a float, an int key, a
-    # tuple as a list); a report never holds them, so the emitter refuses
+    # tuple as a list); the report builders write lists and str keys, so the
+    # emitter refuses them
     with pytest.raises(TypeError):
         to_json(obj)
 
@@ -611,20 +642,6 @@ def test_the_narrowed_parser_prints_what_the_full_parser_prints(monkeypatch, tmp
     assert captured_main(argv) == narrowed
     code, out, err = narrowed
     assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
-
-
-def test_a_narrowed_parser_without_the_metavar_names_one_command(monkeypatch):
-    # control: without the metavar, the narrowed usage line would list only
-    # the command being run, and the comparison above would see it
-    add = argparse.ArgumentParser.add_subparsers
-
-    def without_metavar(self, **kwargs):
-        kwargs.pop("metavar", None)
-        return add(self, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", without_metavar)
-    code, _, err = captured_main(["verify", "--bogus"])
-    assert code == 2 and err.startswith("usage: arcjet [-h] {verify} ...")
 
 
 @pytest.mark.parametrize(
